@@ -75,6 +75,46 @@ bool parse_fault_list(const std::string& text, const char* flag,
   return true;
 }
 
+/// Largest pipeline count validate_run_config() accepts for the shape of
+/// \p cfg (0 if none fits).
+int max_pipelines(RunConfig cfg) {
+  int best = 0;
+  for (int k = 1; k <= StripCounts::kMax; ++k) {
+    cfg.pipelines = k;
+    if (validate_run_config(cfg).ok()) best = k;
+  }
+  return best;
+}
+
+/// The --pipelines help line, with the limits the placement really has.
+std::string pipelines_help() {
+  const auto limit = [](Scenario s, Arrangement a) {
+    RunConfig cfg;
+    cfg.scenario = s;
+    cfg.arrangement = a;
+    return std::to_string(max_pipelines(cfg));
+  };
+  return "number of parallel pipelines; the SCC hosts 1-rend/mcpc 1.." +
+         limit(Scenario::HostRenderer, Arrangement::Ordered) +
+         " (unordered 1.." +
+         limit(Scenario::HostRenderer, Arrangement::Unordered) +
+         "), n-rend 1.." +
+         limit(Scenario::RendererPerPipeline, Arrangement::Ordered) +
+         " (unordered 1.." +
+         limit(Scenario::RendererPerPipeline, Arrangement::Unordered) +
+         "); --isolate-blur and --platform cluster change the limit";
+}
+
+constexpr const char* kIntFlags[] = {
+    "pipelines",  "frames",       "size",        "blur-mhz",
+    "tail-mhz",   "seed",         "fault-seed",  "max-spares",
+    "gray-detect-windows",        "rcce-retries", "window",
+    "queue-depth", "breaker-threshold", "sim-jobs", "checkpoint-every"};
+constexpr const char* kDoubleFlags[] = {
+    "heartbeat-ms",    "detect-ms",   "gray-detect-factor",
+    "rcce-timeout-ms", "offered-fps", "frame-deadline-ms",
+    "breaker-cooldown-ms"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -82,7 +122,7 @@ int main(int argc, char** argv) {
   args.add_flag("scenario", "1-rend | n-rend | mcpc", "mcpc");
   args.add_flag("arrangement", "unordered | ordered | flipped", "ordered");
   args.add_flag("platform", "scc | cluster", "scc");
-  args.add_flag("pipelines", "number of parallel pipelines (1..8)", "4");
+  args.add_flag("pipelines", pipelines_help(), "4");
   args.add_flag("frames", "walkthrough length", "400");
   args.add_flag("size", "frame side length in pixels", "400");
   args.add_flag("blur-mhz", "blur tile frequency (400/533/800/1066; 0=default)", "0");
@@ -173,6 +213,21 @@ int main(int argc, char** argv) {
     std::printf("arrangements: unordered, ordered, flipped (Figs. 3-5)\n");
     std::printf("platforms:    scc (SCC+MCPC), cluster (Mogon node, Fig. 13)\n");
     return 0;
+  }
+  // A typo must be an error, not a silent 0.
+  for (const char* flag : kIntFlags) {
+    if (!args.parse_int(flag)) {
+      std::fprintf(stderr, "error: --%s expects an integer, got '%s'\n", flag,
+                   args.get(flag).c_str());
+      return 2;
+    }
+  }
+  for (const char* flag : kDoubleFlags) {
+    if (!args.parse_double(flag)) {
+      std::fprintf(stderr, "error: --%s expects a number, got '%s'\n", flag,
+                   args.get(flag).c_str());
+      return 2;
+    }
   }
 
   RunConfig cfg;
@@ -274,20 +329,31 @@ int main(int argc, char** argv) {
                  "sliding-window transport; pass --window > 0\n");
     return 2;
   }
-  if (cfg.gray.enabled() && cfg.overload.enabled()) {
-    std::fprintf(stderr,
-                 "error: --gray-detect-factor cannot be combined with the "
-                 "overload data plane flags (open-loop feeder, ARQ window, "
-                 "bounded queues)\n");
-    return 2;
-  }
 
   const int frames = args.get_int("frames");
   const int size = args.get_int("size");
+  if (frames <= 0 || size <= 0) {
+    std::fprintf(stderr, "error: --frames and --size must be positive, got "
+                 "%d and %d\n", frames, size);
+    return 2;
+  }
+  if (const Status st = validate_run_config(cfg); !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
+    const int limit = max_pipelines(cfg);
+    if (limit > 0 && cfg.pipelines > limit) {
+      std::fprintf(stderr, "       this configuration hosts at most %d "
+                   "pipelines\n", limit);
+    }
+    return 2;
+  }
+
   std::fprintf(stderr, "[sccpipe] building scene (%d frames at %dx%d)...\n",
                frames, size, size);
   SceneBundle scene(CityParams{}, CameraConfig{}, size, frames);
-  const WorkloadTrace trace = WorkloadTrace::build(scene, cfg.pipelines);
+  // Only the strip counts this run reads, culled on every host core.
+  const WorkloadTrace trace =
+      WorkloadTrace::build(scene, strip_counts_for({cfg}),
+                           exec::trace_runner(exec::default_jobs()));
   TimelineRecorder timeline;
   const std::string timeline_path = args.get("timeline");
   if (!timeline_path.empty()) cfg.timeline = &timeline;

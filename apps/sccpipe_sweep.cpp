@@ -285,25 +285,11 @@ int main(int argc, char** argv) {
   overload.breaker_threshold = args.get_int("breaker-threshold");
   overload.breaker_cooldown =
       SimTime::ms(args.get_double("breaker-cooldown-ms"));
-  if (overload.enabled() && args.get("scenarios") != "mcpc") {
-    std::fprintf(stderr,
-                 "[sweep] overload flags apply to the host feed path; pass "
-                 "--scenarios mcpc\n");
-    return 2;
-  }
-  if (gray.enabled() && overload.enabled()) {
-    std::fprintf(stderr,
-                 "[sweep] --gray-detect-factor cannot be combined with the "
-                 "overload data plane flags\n");
-    return 2;
-  }
   RetryPolicy retry;
   retry.max_attempts = args.get_int("rcce-retries");
   retry.timeout = SimTime::ms(args.get_double("rcce-timeout-ms"));
 
   const std::vector<int> pipeline_list = parse_range(args.get("pipelines"));
-  int max_k = 1;
-  for (const int k : pipeline_list) max_k = std::max(max_k, k);
   int jobs = args.get_int("jobs");
   if (jobs <= 0) jobs = exec::default_jobs();
   int sim_jobs = exec::default_sim_jobs();
@@ -318,11 +304,11 @@ int main(int argc, char** argv) {
 
   const int frames = args.get_int("frames");
   const int size = args.get_int("size");
-  std::fprintf(stderr, "[sweep] scene + trace (%d frames, %dx%d, max k %d)\n",
-               frames, size, size, max_k);
-  SceneBundle scene(CityParams{}, CameraConfig{}, size, frames);
-  const WorkloadTrace trace =
-      WorkloadTrace::build(scene, max_k, exec::trace_runner(jobs));
+  if (frames <= 0 || size <= 0) {
+    std::fprintf(stderr, "[sweep] error: --frames and --size must be "
+                 "positive, got %d and %d\n", frames, size);
+    return 2;
+  }
 
   // Expand the grid up front; the runs are independent deterministic
   // simulations, so they execute in parallel and report in grid order.
@@ -383,6 +369,27 @@ int main(int argc, char** argv) {
       }
     }
   }
+
+  // Every config is checked before the scene and trace are built, and the
+  // trace holds only the strip counts the grid reads.
+  std::vector<RunConfig> configs;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (const Status st = validate_run_config(runs[i].cfg); !st.ok()) {
+      std::fprintf(stderr, "[sweep] error: run %zu (%s, %s, %s, %d "
+                   "pipelines): %s\n", i, scenario_name(runs[i].cfg.scenario),
+                   arrangement_name(runs[i].cfg.arrangement),
+                   runs[i].platform_label.c_str(), runs[i].cfg.pipelines,
+                   st.to_string().c_str());
+      return 2;
+    }
+    configs.push_back(runs[i].cfg);
+  }
+  const StripCounts strip_counts = strip_counts_for(configs);
+  std::fprintf(stderr, "[sweep] scene + trace (%d frames, %dx%d, k %s)\n",
+               frames, size, size, strip_counts.to_string().c_str());
+  SceneBundle scene(CityParams{}, CameraConfig{}, size, frames);
+  const WorkloadTrace trace =
+      WorkloadTrace::build(scene, strip_counts, exec::trace_runner(jobs));
 
   std::fprintf(stderr, "[sweep] %zu runs on %d jobs\n", runs.size(), jobs);
   const double t0 = now_sec();

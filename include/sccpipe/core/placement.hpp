@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "sccpipe/noc/topology.hpp"
+#include "sccpipe/support/status.hpp"
 
 namespace sccpipe {
 
@@ -51,7 +52,13 @@ struct Placement {
   std::vector<CoreId> all_cores() const;
 };
 
-/// Compute the placement; throws CheckError if the chip cannot host the
+/// Compute the placement into \p placement. Returns InvalidArgument (and
+/// leaves \p placement untouched) if the chip cannot host the requested
+/// configuration; builds nothing beyond the placement itself.
+Status plan_placement(const MeshTopology& topo, Arrangement arrangement,
+                      const PlacementRequest& request, Placement* placement);
+
+/// plan_placement(), throwing CheckError if the chip cannot host the
 /// requested configuration.
 Placement make_placement(const MeshTopology& topo, Arrangement arrangement,
                          const PlacementRequest& request);

@@ -339,10 +339,24 @@ struct RunResult {
 };
 
 /// Run the full walkthrough. \p scene supplies geometry + camera path;
-/// \p trace must have been built with max_k >= cfg.pipelines from the same
-/// scene.
+/// \p trace must come from the same scene and hold the strip counts
+/// strip_counts_for({cfg}) names (1 and cfg.pipelines), and \p cfg must
+/// pass validate_run_config(); both are CHECKed.
 RunResult run_walkthrough(const SceneBundle& scene, const WorkloadTrace& trace,
                           const RunConfig& cfg);
+
+/// The stages and producer slot a run of \p cfg asks the chip to host.
+PlacementRequest placement_request(const RunConfig& cfg);
+
+/// Dry run of the configuration checks run_walkthrough() would CHECK —
+/// scenario, pipeline count, placement feasibility on the platform's mesh,
+/// fault targets, feature exclusions — without building a scene, a trace
+/// or a simulator. InvalidArgument names the first problem.
+Status validate_run_config(const RunConfig& cfg);
+
+/// The strip counts a trace needs to run every config in \p configs:
+/// k = 1 (whole frames) and each cfg.pipelines (sort-first strips).
+StripCounts strip_counts_for(const std::vector<RunConfig>& configs);
 
 /// Per-stage busy time of the one-core baseline (Fig. 8). Flags reproduce
 /// the paper's reduced variants ("render and transfer stages only",

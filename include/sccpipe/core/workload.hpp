@@ -3,10 +3,13 @@
 /// \file workload.hpp
 /// Scene construction and the per-frame/per-strip workload trace. The timed
 /// benches never rasterize: the trace carries the octree-cull statistics
-/// and projected coverage for every frame at every strip count, measured
-/// once by the real culling code, and the discrete-event model prices them.
+/// and projected coverage for every frame at each strip count it was built
+/// for, measured once by the real culling code, and the discrete-event
+/// model prices them.
 
+#include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -50,7 +53,35 @@ class SceneBundle {
   WalkthroughPath path_;
 };
 
-/// Render workload for every (frame, strip) pair at strip counts 1..max_k.
+/// A set of strip counts k, 1 <= k <= kMax, kept as a bitmask (bit k).
+class StripCounts {
+ public:
+  static constexpr int kMax = 31;
+
+  StripCounts() = default;
+  explicit StripCounts(std::initializer_list<int> ks);
+  /// {1, 2, ..., max_k}: the all-k set the paper grids read.
+  static StripCounts up_to(int max_k);
+
+  /// CHECKs 1 <= k <= kMax.
+  void insert(int k);
+  bool contains(int k) const {
+    return k >= 1 && k <= kMax && (mask_ >> k & 1u) != 0;
+  }
+  int max() const;                  ///< 0 for the empty set
+  std::vector<int> values() const;  ///< ascending
+  std::string to_string() const;    ///< "{1,4}"
+  std::uint32_t mask() const { return mask_; }
+
+  friend bool operator==(const StripCounts&, const StripCounts&) = default;
+
+ private:
+  std::uint32_t mask_ = 0;
+};
+
+/// Render workload for every (frame, strip) pair at each strip count of a
+/// StripCounts set. Reading a strip count the trace was not built for is a
+/// CheckError.
 class WorkloadTrace {
  public:
   /// Optional parallelism hook for build(): invoked as for_each(n, fn) and
@@ -61,43 +92,68 @@ class WorkloadTrace {
   using ForEachFrame =
       std::function<void(std::size_t, const std::function<void(std::size_t)>&)>;
 
-  /// Runs the estimation pass of the real renderer. O(frames * sum(k)).
-  static WorkloadTrace build(const SceneBundle& scene, int max_k,
+  /// Runs the estimation pass of the real renderer for every k in
+  /// \p strip_counts: frames x (sum of the k in the set) strip culls, so
+  /// {1, 7} costs 8 culls per frame where 1..7 costs 28.
+  static WorkloadTrace build(const SceneBundle& scene,
+                             const StripCounts& strip_counts,
                              const ForEachFrame& for_each = {});
+  /// All strip counts 1..max_k.
+  static WorkloadTrace build(const SceneBundle& scene, int max_k,
+                             const ForEachFrame& for_each = {}) {
+    return build(scene, StripCounts::up_to(max_k), for_each);
+  }
 
   /// Disk cache: build() is minutes of culling for the full paper
   /// workload, so benches persist the trace. The fingerprint (scene seed,
-  /// frame count, image size, max_k, format version) guards staleness.
-  /// load() returns an empty optional on any mismatch or I/O problem.
+  /// frame count, image size, built strip counts, format version) guards
+  /// staleness. load() returns an empty optional on any mismatch — a file
+  /// holding other strip counts than \p strip_counts included — or on any
+  /// I/O problem.
   void save(const std::string& path, const SceneBundle& scene) const;
   static std::optional<WorkloadTrace> load(const std::string& path,
                                            const SceneBundle& scene,
-                                           int max_k);
+                                           const StripCounts& strip_counts);
+  static std::optional<WorkloadTrace> load(const std::string& path,
+                                           const SceneBundle& scene,
+                                           int max_k) {
+    return load(path, scene, StripCounts::up_to(max_k));
+  }
 
   /// Load from cache or build and fill the cache.
-  static WorkloadTrace build_cached(const SceneBundle& scene, int max_k,
+  static WorkloadTrace build_cached(const SceneBundle& scene,
+                                    const StripCounts& strip_counts,
                                     const std::string& cache_path,
                                     const ForEachFrame& for_each = {});
+  static WorkloadTrace build_cached(const SceneBundle& scene, int max_k,
+                                    const std::string& cache_path,
+                                    const ForEachFrame& for_each = {}) {
+    return build_cached(scene, StripCounts::up_to(max_k), cache_path,
+                        for_each);
+  }
 
   int frame_count() const { return frames_; }
-  int max_k() const { return max_k_; }
+  const StripCounts& strip_counts() const { return counts_; }
+  /// Largest strip count built.
+  int max_k() const { return counts_.max(); }
 
   /// Workload of strip \p strip (0-based) when the frame is divided into
-  /// \p k strips.
+  /// \p k strips; \p k must be one of strip_counts().
   const RenderLoad& load(int frame, int k, int strip) const;
 
   /// Whole-frame workload (k = 1).
   const RenderLoad& whole(int frame) const { return load(frame, 1, 0); }
 
  private:
-  WorkloadTrace(int frames, int max_k);
+  WorkloadTrace(int frames, const StripCounts& strip_counts);
   std::size_t index(int frame, int k, int strip) const;
 
   int frames_;
-  int max_k_;
+  StripCounts counts_;
   std::size_t per_frame_ = 0;
-  std::vector<RenderLoad> loads_;  // frame-major, then k (1..max), then strip
-  std::vector<std::size_t> k_offset_;
+  // frame-major, then ascending built k, then strip
+  std::vector<RenderLoad> loads_;
+  std::vector<std::size_t> k_offset_;  // indexed by k; valid for built k
 };
 
 }  // namespace sccpipe

@@ -26,6 +26,10 @@ class ArgParser {
   std::string get(const std::string& name) const;
   int get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
+  /// Strict reads: empty unless the whole value parses and fits (get_int
+  /// maps "abc" to 0).
+  std::optional<int> parse_int(const std::string& name) const;
+  std::optional<double> parse_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -1,6 +1,7 @@
 #include "sccpipe/core/placement.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "sccpipe/support/check.hpp"
 
@@ -64,18 +65,30 @@ std::vector<std::vector<CoreId>> make_slots(const MeshTopology& topo,
 
 }  // namespace
 
-Placement make_placement(const MeshTopology& topo, Arrangement arrangement,
-                         const PlacementRequest& req) {
-  SCCPIPE_CHECK(req.pipelines >= 1);
-  SCCPIPE_CHECK(req.stages_per_pipeline >= 1);
+Status plan_placement(const MeshTopology& topo, Arrangement arrangement,
+                      const PlacementRequest& req, Placement* placement) {
+  SCCPIPE_CHECK(placement != nullptr);
+  if (req.pipelines < 1 || req.stages_per_pipeline < 1) {
+    return Status(StatusCode::InvalidArgument,
+                  "a placement needs at least one pipeline of at least one "
+                  "stage, got " + std::to_string(req.pipelines) + " x " +
+                      std::to_string(req.stages_per_pipeline));
+  }
+  const auto too_many = [&](const std::string& why) {
+    return Status(StatusCode::InvalidArgument,
+                  std::to_string(req.pipelines) + " pipelines of " +
+                      std::to_string(req.stages_per_pipeline) +
+                      " stages do not fit the " +
+                      std::to_string(topo.core_count()) + "-core chip (" +
+                      arrangement_name(arrangement) + "): " + why);
+  };
   const int cpt = topo.layout().cores_per_tile;
   const int extra = (req.needs_producer ? 1 : 0) + 1;  // producer + transfer
   const int blur_pad = req.isolate_blur_tile ? req.pipelines * (cpt - 1) : 0;
-  SCCPIPE_CHECK_MSG(
-      req.pipelines * req.stages_per_pipeline + extra + blur_pad <=
-          topo.core_count(),
-      "configuration needs more cores than the chip has: " << req.pipelines
-          << " pipelines x " << req.stages_per_pipeline << " stages");
+  if (req.pipelines * req.stages_per_pipeline + extra + blur_pad >
+      topo.core_count()) {
+    return too_many("configuration needs more cores than the chip has");
+  }
 
   Placement out;
   out.pipeline_cores.resize(static_cast<std::size_t>(req.pipelines));
@@ -83,10 +96,7 @@ Placement make_placement(const MeshTopology& topo, Arrangement arrangement,
   if (arrangement == Arrangement::Unordered) {
     // Plain core-id order: producer, pipelines back to back, transfer.
     CoreId next = 0;
-    auto take = [&]() -> CoreId {
-      SCCPIPE_CHECK(next < topo.core_count());
-      return next++;
-    };
+    auto take = [&]() -> CoreId { return next++; };
     if (req.needs_producer) out.producer = take();
     for (int p = 0; p < req.pipelines; ++p) {
       auto& cores = out.pipeline_cores[static_cast<std::size_t>(p)];
@@ -103,22 +113,29 @@ Placement make_placement(const MeshTopology& topo, Arrangement arrangement,
       }
     }
     out.transfer = take();
+    // Blur isolation skips tile siblings, so the up-front count can pass
+    // while the walk still runs off the end of the chip.
+    if (next > topo.core_count()) {
+      return too_many("the isolated blur tiles leave too few cores");
+    }
     for (CoreId c = next; c < topo.core_count(); ++c) {
       out.spare_cores.push_back(c);
     }
-    return out;
+    *placement = std::move(out);
+    return Status();
   }
 
   // Ordered / flipped: one pipeline per row slot.
   const int slot_size = req.stages_per_pipeline + (req.isolate_blur_tile ? 1 : 0);
-  SCCPIPE_CHECK_MSG(
-      slot_size <= topo.layout().width * cpt,
-      "pipeline of " << req.stages_per_pipeline << " stages does not fit a row");
+  if (slot_size > topo.layout().width * cpt) {
+    return too_many("a pipeline does not fit a row");
+  }
   auto slots = make_slots(topo, slot_size);
-  SCCPIPE_CHECK_MSG(
-      static_cast<std::size_t>(req.pipelines) + 1 <= slots.size(),
-      "not enough row slots for " << req.pipelines << " pipelines");
-
+  if (static_cast<std::size_t>(req.pipelines) + 1 > slots.size()) {
+    return too_many("not enough row slots (" + std::to_string(slots.size()) +
+                    " slots of " + std::to_string(slot_size) +
+                    " cores; the producer/transfer pair takes one)");
+  }
   for (int p = 0; p < req.pipelines; ++p) {
     std::vector<CoreId> slot = slots[static_cast<std::size_t>(p)];
     if (arrangement == Arrangement::Flipped && (p % 2) == 1) {
@@ -148,7 +165,7 @@ Placement make_placement(const MeshTopology& topo, Arrangement arrangement,
         }
         rest.push_back(c);
       }
-      SCCPIPE_CHECK_MSG(blur_core >= 0, "no free tile for the blur stage");
+      if (blur_core < 0) return too_many("no free tile for the blur stage");
       std::size_t ri = 0;
       for (int s = 0; s < req.stages_per_pipeline; ++s) {
         if (s == blur_stage) {
@@ -182,6 +199,15 @@ Placement make_placement(const MeshTopology& topo, Arrangement arrangement,
     out.spare_cores.insert(out.spare_cores.end(), slots[s].begin(),
                            slots[s].end());
   }
+  *placement = std::move(out);
+  return Status();
+}
+
+Placement make_placement(const MeshTopology& topo, Arrangement arrangement,
+                         const PlacementRequest& request) {
+  Placement out;
+  const Status st = plan_placement(topo, arrangement, request, &out);
+  SCCPIPE_CHECK_MSG(st.ok(), st.message());
   return out;
 }
 

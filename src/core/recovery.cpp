@@ -1,6 +1,7 @@
 #include "sccpipe/core/recovery.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "sccpipe/support/check.hpp"
 
@@ -130,7 +131,10 @@ void Supervisor::watch(CoreId core) {
   const auto it = std::lower_bound(
       watched_.begin(), watched_.end(), core,
       [](const Watched& w, CoreId c) { return w.core < c; });
-  watched_.insert(it, Watched{core, chip_.sim().now()});
+  Watched w;
+  w.core = core;
+  w.last_heartbeat = chip_.sim().now();
+  watched_.insert(it, std::move(w));
 }
 
 void Supervisor::unwatch(CoreId core) {
@@ -348,8 +352,9 @@ Status Supervisor::restore_state(snapshot::Reader& r) {
     std::int64_t core = 0, last_ns = 0;
     if (Status s = r.i64(&core); !s.ok()) return s;
     if (Status s = r.i64(&last_ns); !s.ok()) return s;
-    watched.push_back(
-        Watched{static_cast<CoreId>(core), SimTime::ns(last_ns)});
+    Watched& w = watched.emplace_back();
+    w.core = static_cast<CoreId>(core);
+    w.last_heartbeat = SimTime::ns(last_ns);
   }
   std::uint64_t gray_windows = 0;
   std::vector<CoreId> gray_flagged;

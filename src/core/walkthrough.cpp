@@ -144,34 +144,22 @@ class WalkthroughSim {
                 region_size_hints(partition_)),
         fabric_(engine_, partition_, platform_router_latency(cfg)),
         sim_(engine_.region(partition_.host_region())) {
-    SCCPIPE_CHECK_MSG(cfg.scenario != Scenario::SingleCore,
-                      "use run_single_core() for the one-core baseline");
-    SCCPIPE_CHECK(cfg.pipelines >= 1);
-    SCCPIPE_CHECK_MSG(trace.max_k() >= cfg.pipelines,
-                      "workload trace built for max_k=" << trace.max_k());
+    const Status valid = validate_run_config(cfg);
+    SCCPIPE_CHECK_MSG(valid.ok(), valid.message());
+    SCCPIPE_CHECK_MSG(trace.strip_counts().contains(1) &&
+                          trace.strip_counts().contains(cfg.pipelines),
+                      "workload trace holds strip counts "
+                          << trace.strip_counts().to_string()
+                          << "; a run with " << cfg.pipelines
+                          << " pipelines reads 1 and " << cfg.pipelines);
     SCCPIPE_CHECK_MSG(trace.frame_count() >= scene.frame_count(),
                       "trace shorter than the walkthrough");
     if (cfg.overload.enabled()) {
-      SCCPIPE_CHECK_MSG(cfg.scenario == Scenario::HostRenderer,
-                        "overload controls govern the host feed path; only "
-                        "the host-renderer scenario has one");
-      SCCPIPE_CHECK_MSG(cfg.fault.core_failures.empty(),
-                        "overload mode cannot be combined with planned core "
-                        "failures (the supervisor rebuild assumes rendezvous "
-                        "channels)");
       overload_mode_ = true;
       breaker_ = std::make_unique<CircuitBreaker>(
           cfg.overload.breaker_threshold, cfg.overload.breaker_cooldown);
       arrival_at_.assign(static_cast<std::size_t>(frames_total()),
                          SimTime::zero());
-    }
-    if (cfg.gray.enabled()) {
-      const Status gs = validate_gray(cfg.gray);
-      SCCPIPE_CHECK_MSG(gs.ok(), gs.message());
-      SCCPIPE_CHECK_MSG(!cfg.overload.enabled(),
-                        "gray-failure mitigation cannot be combined with the "
-                        "overload data plane (the gray ledger assumes the "
-                        "closed-loop frame accounting)");
     }
     build_platform();
     // Unconfine the chip: timed work (compute, DRAM streams, memory walks,
@@ -285,29 +273,12 @@ class WalkthroughSim {
       chip_->memory().set_fault_injector(fault_.get());
       chip_->set_fault_injector(fault_.get());
       rcce_->set_fault_injector(fault_.get());
-      for (const SlowCore& sc : cfg_.fault.slow_cores) {
-        SCCPIPE_CHECK_MSG(topo.valid_core(sc.core),
-                          "slow-core targets core " << sc.core
-                              << " which the chip does not have");
-      }
-      for (const StallSpec& ss : cfg_.fault.stalls) {
-        SCCPIPE_CHECK_MSG(topo.valid_core(ss.core),
-                          "intermittent-stall targets core " << ss.core
-                              << " which the chip does not have");
-      }
     }
   }
 
   void build_placement() {
-    PlacementRequest req;
-    req.pipelines = cfg_.pipelines;
-    req.stages_per_pipeline =
-        kFilterCount +
-        (cfg_.scenario == Scenario::RendererPerPipeline ? 1 : 0);
-    req.needs_producer = cfg_.scenario == Scenario::SingleRenderer ||
-                         cfg_.scenario == Scenario::HostRenderer;
-    req.isolate_blur_tile = cfg_.isolate_blur_tile;
-    placement_ = make_placement(chip_->topology(), cfg_.arrangement, req);
+    placement_ = make_placement(chip_->topology(), cfg_.arrangement,
+                                placement_request(cfg_));
   }
 
   void apply_dvfs() {
@@ -340,11 +311,6 @@ class WalkthroughSim {
     const bool core_faults = fault_ != nullptr && fault_->has_core_failures();
     if (!core_faults && !cfg_.gray.enabled()) return;
     const MeshTopology& topo = chip_->topology();
-    for (const CoreFailure& cf : cfg_.fault.core_failures) {
-      SCCPIPE_CHECK_MSG(topo.valid_core(cf.core),
-                        "core-fail targets core " << cf.core
-                            << " which the chip does not have");
-    }
     const FaultInjector* fi = fault_.get();
     if (fi == nullptr) {
       // Gray detector armed with no fault plan at all (the ablation's
@@ -2387,6 +2353,82 @@ class WalkthroughSim {
 };
 
 }  // namespace
+
+PlacementRequest placement_request(const RunConfig& cfg) {
+  PlacementRequest req;
+  req.pipelines = cfg.pipelines;
+  req.stages_per_pipeline =
+      kFilterCount + (cfg.scenario == Scenario::RendererPerPipeline ? 1 : 0);
+  req.needs_producer = cfg.scenario == Scenario::SingleRenderer ||
+                       cfg.scenario == Scenario::HostRenderer;
+  req.isolate_blur_tile = cfg.isolate_blur_tile;
+  return req;
+}
+
+Status validate_run_config(const RunConfig& cfg) {
+  const auto invalid = [](std::string why) {
+    return Status(StatusCode::InvalidArgument, std::move(why));
+  };
+  if (cfg.scenario == Scenario::SingleCore) {
+    return invalid("use run_single_core() for the one-core baseline");
+  }
+  if (cfg.pipelines < 1 || cfg.pipelines > StripCounts::kMax) {
+    return invalid("pipelines must be in 1.." +
+                   std::to_string(StripCounts::kMax) + ", got " +
+                   std::to_string(cfg.pipelines));
+  }
+  const MeshTopology topo(platform_layout(cfg));
+  Placement placement;
+  if (Status st = plan_placement(topo, cfg.arrangement,
+                                 placement_request(cfg), &placement);
+      !st.ok()) {
+    return st;
+  }
+  const auto check_core = [&](const char* fate, CoreId core) {
+    return topo.valid_core(core)
+               ? Status()
+               : invalid(std::string(fate) + " targets core " +
+                         std::to_string(core) +
+                         " which the chip does not have");
+  };
+  for (const CoreFailure& cf : cfg.fault.core_failures) {
+    if (Status st = check_core("core-fail", cf.core); !st.ok()) return st;
+  }
+  for (const SlowCore& sc : cfg.fault.slow_cores) {
+    if (Status st = check_core("slow-core", sc.core); !st.ok()) return st;
+  }
+  for (const StallSpec& ss : cfg.fault.stalls) {
+    if (Status st = check_core("intermittent-stall", ss.core); !st.ok()) {
+      return st;
+    }
+  }
+  if (cfg.overload.enabled()) {
+    if (cfg.scenario != Scenario::HostRenderer) {
+      return invalid("overload controls govern the host feed path; only the "
+                     "host-renderer scenario has one");
+    }
+    if (!cfg.fault.core_failures.empty()) {
+      return invalid("overload mode cannot be combined with planned core "
+                     "failures (the supervisor rebuild assumes rendezvous "
+                     "channels)");
+    }
+  }
+  if (cfg.gray.enabled()) {
+    if (Status st = validate_gray(cfg.gray); !st.ok()) return st;
+    if (cfg.overload.enabled()) {
+      return invalid("gray-failure mitigation cannot be combined with the "
+                     "overload data plane (the gray ledger assumes the "
+                     "closed-loop frame accounting)");
+    }
+  }
+  return Status();
+}
+
+StripCounts strip_counts_for(const std::vector<RunConfig>& configs) {
+  StripCounts counts{1};
+  for (const RunConfig& cfg : configs) counts.insert(cfg.pipelines);
+  return counts;
+}
 
 RunResult run_walkthrough(const SceneBundle& scene, const WorkloadTrace& trace,
                           const RunConfig& cfg) {

@@ -1,6 +1,9 @@
 #include "sccpipe/support/args.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "sccpipe/support/check.hpp"
@@ -66,6 +69,30 @@ int ArgParser::get_int(const std::string& name) const {
 
 double ArgParser::get_double(const std::string& name) const {
   return std::atof(get(name).c_str());
+}
+
+std::optional<int> ArgParser::parse_int(const std::string& name) const {
+  const std::string v = get(name);
+  char* end = nullptr;
+  errno = 0;
+  const long n = std::strtol(v.c_str(), &end, 10);
+  if (v.empty() || *end != '\0' || errno == ERANGE ||
+      n < std::numeric_limits<int>::min() ||
+      n > std::numeric_limits<int>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<int>(n);
+}
+
+std::optional<double> ArgParser::parse_double(const std::string& name) const {
+  const std::string v = get(name);
+  char* end = nullptr;
+  errno = 0;
+  const double d = std::strtod(v.c_str(), &end);
+  if (v.empty() || *end != '\0' || errno == ERANGE || !std::isfinite(d)) {
+    return std::nullopt;
+  }
+  return d;
 }
 
 bool ArgParser::get_bool(const std::string& name) const {

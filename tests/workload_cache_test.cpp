@@ -56,6 +56,32 @@ TEST_F(CacheFixture, FingerprintMismatchRejected) {
   EXPECT_FALSE(WorkloadTrace::load(path, longer, 3));
 }
 
+TEST_F(CacheFixture, StripCountSetMismatchRejected) {
+  // Full 1..3 on disk: a {1, 3} request must not be served from it.
+  const WorkloadTrace full = WorkloadTrace::build(scene, 3);
+  full.save(path, scene);
+  EXPECT_FALSE(WorkloadTrace::load(path, scene, StripCounts{1, 3}));
+  EXPECT_TRUE(WorkloadTrace::load(path, scene, StripCounts{1, 2, 3}));
+
+  // {1, 3} on disk: the full request is rejected, the same set loads.
+  WorkloadTrace::build(scene, StripCounts{1, 3}).save(path, scene);
+  EXPECT_FALSE(WorkloadTrace::load(path, scene, 3));
+  EXPECT_FALSE(WorkloadTrace::load(path, scene, StripCounts{1, 2}));
+  const auto sparse = WorkloadTrace::load(path, scene, StripCounts{1, 3});
+  ASSERT_TRUE(sparse.has_value());
+  EXPECT_EQ(sparse->strip_counts(), (StripCounts{1, 3}));
+  for (int f = 0; f < 6; ++f) {
+    for (const int k : {1, 3}) {
+      for (int s = 0; s < k; ++s) {
+        EXPECT_EQ(sparse->load(f, k, s).tris_accepted,
+                  full.load(f, k, s).tris_accepted);
+        EXPECT_EQ(sparse->load(f, k, s).projected_pixels,
+                  full.load(f, k, s).projected_pixels);
+      }
+    }
+  }
+}
+
 TEST_F(CacheFixture, TruncatedFileRejected) {
   WorkloadTrace::build(scene, 3).save(path, scene);
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 17);

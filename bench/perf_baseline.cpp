@@ -1,7 +1,8 @@
 // Perf baseline for the allocation-free hot paths: measures the optimised
 // event engine and pixel kernels against the compiled-in reference
 // transcriptions (sim/reference_scheduler.hpp, filters/reference.hpp,
-// render/reference.hpp) and writes BENCH_perf_baseline.json.
+// render/reference.hpp, support/reference.hpp) and writes
+// BENCH_perf_baseline.json.
 //
 // The committed numbers are speedup RATIOS (optimised vs reference on the
 // same machine, same build, same workload), so they are comparable across
@@ -46,6 +47,8 @@
 #include "sccpipe/sim/simulator.hpp"
 #include "sccpipe/support/args.hpp"
 #include "sccpipe/support/check.hpp"
+#include "sccpipe/support/crc.hpp"
+#include "sccpipe/support/reference.hpp"
 #include "sccpipe/support/rng.hpp"
 
 using namespace sccpipe;
@@ -283,6 +286,36 @@ Metric bench_raster(int side, int triangles, int repeats) {
   const double mpix = static_cast<double>(tested) / 1e6;
   return Metric{"raster", "Mpix tested/s", mpix / median(ref_s),
                 mpix / median(opt_s)};
+}
+
+// ------------------------------------------------------------------ crc32
+//
+// One 400x100 RGBA strip (160 KB): the buffer every functional hop stamps
+// at the sender and verifies at the receiver. Each pass seeds the next, so
+// neither loop can be hoisted, and both sides must end on the same value.
+
+Metric bench_crc32(std::size_t bytes, int repeats, int passes) {
+  Rng rng{0xc4c32003};
+  std::vector<unsigned char> buf(bytes);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.below(256));
+  const double mb = static_cast<double>(bytes) * passes / 1e6;
+  std::vector<double> ref_s, opt_s;
+  for (int r = 0; r < repeats; ++r) {
+    std::uint32_t ref_crc = 0;
+    auto t0 = Clock::now();
+    for (int p = 0; p < passes; ++p) {
+      ref_crc = reference::crc32(buf.data(), bytes, ref_crc);
+    }
+    ref_s.push_back(seconds_since(t0));
+    std::uint32_t opt_crc = 0;
+    t0 = Clock::now();
+    for (int p = 0; p < passes; ++p) {
+      opt_crc = crc32(buf.data(), bytes, opt_crc);
+    }
+    opt_s.push_back(seconds_since(t0));
+    SCCPIPE_CHECK(opt_crc == ref_crc);
+  }
+  return Metric{"crc32", "MB/s", mb / median(ref_s), mb / median(opt_s)};
 }
 
 // ----------------------------------------------------- sim_jobs scaling sweep
@@ -681,6 +714,7 @@ int main(int argc, char** argv) {
       [](Image& img) { apply_sepia(img); },
       [](Image& img) { reference::apply_sepia(img); }));
   metrics.push_back(bench_raster(img_side, smoke ? 120 : 400, repeats));
+  metrics.push_back(bench_crc32(160'000, repeats, smoke ? 300 : 1000));
 
   for (const Metric& m : metrics) {
     std::printf("%-12s reference %10.4g %-14s optimized %10.4g %-14s %6.2fx\n",

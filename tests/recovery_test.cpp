@@ -3,15 +3,13 @@
 // latency, dead stages remap onto spare cores (or the run degrades to
 // fewer pipelines when spares run out), undelivered strips replay from the
 // per-stage checkpoint, and the whole recovery path is seeded-deterministic.
-// Also covers the CRC-32 integrity net and the retry-backoff cap.
+// Also covers the CRC-32 integrity net end to end (the checksum itself is
+// tested in support_test) and the retry-backoff cap.
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "sccpipe/core/walkthrough.hpp"
 #include "sccpipe/sim/fault.hpp"
-#include "sccpipe/support/crc.hpp"
 
 namespace sccpipe {
 namespace {
@@ -82,32 +80,6 @@ const RunResult& remap_run() {
                                          core_fail_config(victim, 0.3)));
   }();
   return *r;
-}
-
-// ----------------------------------------------------------------- crc32
-
-TEST(Crc32, MatchesTheIeeeCheckValue) {
-  const char check[] = "123456789";
-  EXPECT_EQ(crc32(check, std::strlen(check)), 0xCBF43926u);
-  EXPECT_EQ(crc32(nullptr, 0), 0u);
-}
-
-TEST(Crc32, IncrementalMatchesOneShot) {
-  const char data[] = "the quick brown fox jumps over the lazy dog";
-  const std::size_t n = std::strlen(data);
-  const std::uint32_t whole = crc32(data, n);
-  // Seed chaining.
-  EXPECT_EQ(crc32(data + 10, n - 10, crc32(data, 10)), whole);
-  // Streaming helper.
-  Crc32 acc;
-  acc.update(data, 7);
-  acc.update(data + 7, n - 7);
-  EXPECT_EQ(acc.value(), whole);
-  // Sensitivity: a single flipped byte changes the checksum.
-  char mutated[sizeof(data)];
-  std::memcpy(mutated, data, sizeof(data));
-  mutated[3] ^= 0x01;
-  EXPECT_NE(crc32(mutated, n), whole);
 }
 
 // ---------------------------------------------------------- retry backoff

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <latch>
+#include <thread>
+#include <vector>
+
 #include "sccpipe/support/check.hpp"
+#include "sccpipe/support/crc.hpp"
+#include "sccpipe/support/reference.hpp"
 #include "sccpipe/support/rng.hpp"
 #include "sccpipe/support/stats.hpp"
 #include "sccpipe/support/table.hpp"
@@ -10,6 +17,129 @@ namespace sccpipe {
 namespace {
 
 using namespace sccpipe::literals;
+
+// -------------------------------------------------------------------- crc32
+//
+// Kept first in the file: run as one binary, the concurrent first-use test
+// below is then the process's first hash, so it exercises the kernel
+// choice's one-time initialisation.
+
+/// Patterned buffer the golden values were captured on (multiplicative
+/// hash of the index, top byte).
+std::vector<unsigned char> patterned(std::size_t n) {
+  std::vector<unsigned char> b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<unsigned char>(
+        (static_cast<std::uint32_t>(i) * 2654435761u) >> 24);
+  }
+  return b;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng{seed};
+  std::vector<unsigned char> b(n);
+  for (unsigned char& c : b) c = static_cast<unsigned char>(rng.below(256));
+  return b;
+}
+
+/// Oracle: CRC-32 as plain polynomial division, one bit at a time, with no
+/// table and no folding.
+std::uint32_t bitwise_crc32(const unsigned char* p, std::size_t n,
+                            std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
+    }
+  }
+  return ~c;
+}
+
+constexpr std::uint32_t kGolden160k = 0x1F6DAC76u;
+constexpr std::uint32_t kGolden640k = 0x66624333u;
+
+TEST(Crc32, FirstUseFromEightThreadsAgrees) {
+  const std::vector<unsigned char> buf = patterned(160000);
+  constexpr int kThreads = 8;
+  std::vector<std::uint32_t> got(kThreads, 0);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[static_cast<std::size_t>(t)] = crc32(buf.data(), buf.size());
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const std::uint32_t v : got) EXPECT_EQ(v, kGolden160k);
+}
+
+TEST(Crc32, MatchesTheIeeeCheckValue) {
+  const char check[] = "123456789";
+  EXPECT_EQ(crc32(check, std::strlen(check)), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, IncrementalMatchesOneShot) {
+  const char data[] = "the quick brown fox jumps over the lazy dog";
+  const std::size_t n = std::strlen(data);
+  const std::uint32_t whole = crc32(data, n);
+  // Seed chaining.
+  EXPECT_EQ(crc32(data + 10, n - 10, crc32(data, 10)), whole);
+  // Streaming helper.
+  Crc32 acc;
+  acc.update(data, 7);
+  acc.update(data + 7, n - 7);
+  EXPECT_EQ(acc.value(), whole);
+  // Sensitivity: a single flipped byte changes the checksum.
+  char mutated[sizeof(data)];
+  std::memcpy(mutated, data, sizeof(data));
+  mutated[3] ^= 0x01;
+  EXPECT_NE(crc32(mutated, n), whole);
+}
+
+TEST(Crc32, MatchesBitwiseOracleAtEveryLengthAndAlignment) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  lengths.push_back(160000);
+  lengths.push_back(640000);
+  const std::vector<unsigned char> buf = random_bytes(640000 + 16, 0xc5c32u);
+  std::uint32_t seed = 0;
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (const std::size_t n : lengths) {
+      const unsigned char* p = buf.data() + offset;
+      const std::uint32_t want = bitwise_crc32(p, n, seed);
+      ASSERT_EQ(crc32(p, n, seed), want)
+          << "length " << n << ", offset " << offset << ", seed " << seed;
+      seed = want;  // chain: every case starts from a different register
+    }
+  }
+}
+
+TEST(Crc32, StreamingSplitAtEveryOffset) {
+  for (const std::size_t n : {std::size_t{130}, std::size_t{300}}) {
+    const std::vector<unsigned char> buf = random_bytes(n, n);
+    const std::uint32_t whole = bitwise_crc32(buf.data(), n, 0);
+    for (std::size_t split = 0; split <= 130; ++split) {
+      Crc32 acc;
+      acc.update(buf.data(), split);
+      acc.update(buf.data() + split, n - split);
+      ASSERT_EQ(acc.value(), whole) << "length " << n << ", split " << split;
+    }
+  }
+}
+
+TEST(Crc32, GoldenValuesOfStripAndFrameSizedBuffers) {
+  // Captured from the byte-at-a-time loop before the folding kernel: one
+  // 400x100 RGBA strip and one 400x400 RGBA frame.
+  const std::vector<unsigned char> strip = patterned(160000);
+  const std::vector<unsigned char> frame = patterned(640000);
+  EXPECT_EQ(crc32(strip.data(), strip.size()), kGolden160k);
+  EXPECT_EQ(crc32(frame.data(), frame.size()), kGolden640k);
+  EXPECT_EQ(reference::crc32(strip.data(), strip.size()), kGolden160k);
+  EXPECT_EQ(reference::crc32(frame.data(), frame.size()), kGolden640k);
+}
 
 // ------------------------------------------------------------------ SimTime
 

@@ -16,13 +16,17 @@
 // drops below half the committed one (a >2x regression), and deliberately
 // never gates on absolute numbers.
 //
+// Run it (and regenerate the committed record) with SCCPIPE_JOBS=1: the
+// optimised blur and sepia split their rows across the band pool
+// (support/parallel.hpp), so at more threads those rows would measure the
+// core count instead of the kernels. The record carries nproc and jobs.
+//
 // Flags:
 //   --out PATH     write the JSON record here (default BENCH_perf_baseline.json)
 //   --smoke        reduced repeats/workloads for CI (ratios are noisier but
 //                  the 2x gate has plenty of margin)
 //   --check PATH   compare against a committed record; exit 1 on regression
 
-#include <algorithm>
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -48,6 +52,7 @@
 #include "sccpipe/support/args.hpp"
 #include "sccpipe/support/check.hpp"
 #include "sccpipe/support/crc.hpp"
+#include "sccpipe/support/parallel.hpp"
 #include "sccpipe/support/reference.hpp"
 #include "sccpipe/support/rng.hpp"
 
@@ -57,15 +62,21 @@ using namespace sccpipe;
 // event for each engine. The optimised hot path's headline property is
 // *zero* steady-state allocations (also asserted by the SimulatorStats
 // test); the counter makes the before/after visible in the JSON record
-// even on allocators whose fast path is cheap in wall-clock terms.
-static std::uint64_t g_heap_allocs = 0;
+// even on allocators whose fast path is cheap in wall-clock terms. The
+// count is per thread: the measured engines run on the main thread, and
+// the band pool's helper threads (functional e2e row) allocate too.
+static thread_local std::uint64_t g_heap_allocs = 0;
 
-void* operator new(std::size_t n) {
+// Every replacement below stays out of line. Inlined into a caller, GCC's
+// -Wmismatched-new-delete pairs the malloc() or free() inside with the
+// caller's operator delete or operator new and, at -O2/-O3, warns (an
+// error under SCCPIPE_WERROR), although the two always match here.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   ++g_heap_allocs;
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void* operator new(std::size_t n, std::align_val_t align) {
+[[gnu::noinline]] void* operator new(std::size_t n, std::align_val_t align) {
   ++g_heap_allocs;
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
                                    (n + static_cast<std::size_t>(align) - 1) &
@@ -74,10 +85,15 @@ void* operator new(std::size_t n, std::align_val_t align) {
   }
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
   std::free(p);
 }
 
@@ -539,6 +555,9 @@ void write_json(const std::string& path, const std::vector<Metric>& metrics,
   std::fprintf(f, "  \"tool\": \"perf_baseline\",\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
   std::fprintf(f, "  \"nproc\": %u,\n", std::thread::hardware_concurrency());
+  // Pixel-kernel band threads (SCCPIPE_JOBS): the blur and sepia rows are
+  // kernel-quality ratios only when this is 1.
+  std::fprintf(f, "  \"jobs\": %d,\n", default_jobs());
   std::fprintf(f, "  \"note\": \"speedup = optimized/reference on one machine; the CI gate compares ratios only\",\n");
   std::fprintf(f, "  \"metrics\": [\n");
   for (std::size_t i = 0; i < metrics.size(); ++i) {

@@ -2,11 +2,16 @@
 
 /// \file executor.hpp
 /// Parallel experiment execution. Every sccpipe run is an independent,
-/// deterministic, single-threaded simulation over immutable inputs
-/// (SceneBundle / WorkloadTrace are built once and never mutated), so a
-/// sweep of N configurations parallelises embarrassingly: one Simulator
-/// per task, no shared mutable state, results keyed by configuration
-/// index.
+/// deterministic simulation over immutable inputs (SceneBundle /
+/// WorkloadTrace are built once and never mutated), so a sweep of N
+/// configurations parallelises embarrassingly: one Simulator per task, no
+/// shared mutable state, results keyed by configuration index.
+///
+/// A run's event loop is single-threaded. Only a functional run's pixel
+/// kernels (render_strip, sepia, blur, flicker) fan out further: they split
+/// their rows into fixed bands on the process-wide band pool of
+/// support/parallel.hpp, which every concurrent run shares and which never
+/// changes a pixel. Timed runs never start that pool.
 ///
 /// Determinism guarantee: run_grid()/parallel_map() return results in
 /// input order regardless of the job count or completion order, and each
@@ -23,13 +28,15 @@
 #include <vector>
 
 #include "sccpipe/core/walkthrough.hpp"
+#include "sccpipe/support/parallel.hpp"
 
 namespace sccpipe::exec {
 
-/// Worker count used when a caller passes jobs = 0: the SCCPIPE_JOBS
-/// environment variable if set to a positive integer, otherwise
-/// std::thread::hardware_concurrency() (at least 1).
-int default_jobs();
+/// The worker-count default and the pool type live in support (the pixel
+/// kernels below core share them); exec forwards them so there is one of
+/// each.
+using sccpipe::default_jobs;
+using sccpipe::ThreadPool;
 
 /// Worker count for the partitioned engine *inside* one simulation
 /// (RunConfig::sim_jobs = 0): the SCCPIPE_SIM_JOBS environment variable if
@@ -43,25 +50,6 @@ int default_sim_jobs();
 /// which hid typos in experiment scripts. A caller that wants the default
 /// should omit the flag and use default_sim_jobs() instead.
 Status validate_sim_jobs(int sim_jobs);
-
-/// Fixed-size thread pool. Threads start in the constructor and join in
-/// the destructor; submit() never blocks (unbounded queue).
-class ThreadPool {
- public:
-  explicit ThreadPool(int threads);
-  ~ThreadPool();
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int size() const;
-
-  /// Enqueue one task. Tasks must not throw (wrap user work that can).
-  void submit(std::function<void()> fn);
-
- private:
-  struct Impl;
-  Impl* impl_;
-};
 
 /// Run fn(0..n-1), spreading indices across \p jobs workers. Blocks until
 /// every index has run. If any invocation throws, the exception from the

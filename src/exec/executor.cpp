@@ -1,26 +1,16 @@
 #include "sccpipe/exec/executor.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "sccpipe/support/check.hpp"
 
 namespace sccpipe::exec {
-
-int default_jobs() {
-  if (const char* env = std::getenv("SCCPIPE_JOBS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
 
 int default_sim_jobs() {
   if (const char* env = std::getenv("SCCPIPE_SIM_JOBS")) {
@@ -35,61 +25,6 @@ Status validate_sim_jobs(int sim_jobs) {
   return Status(StatusCode::InvalidArgument,
                 "--sim-jobs must be a positive worker count, got " +
                     std::to_string(sim_jobs));
-}
-
-// ----------------------------------------------------------------- ThreadPool
-
-struct ThreadPool::Impl {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::function<void()>> queue;
-  std::vector<std::thread> workers;
-  bool stopping = false;
-
-  void worker_loop() {
-    for (;;) {
-      std::function<void()> task;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return stopping || !queue.empty(); });
-        if (queue.empty()) return;  // stopping and drained
-        task = std::move(queue.front());
-        queue.pop_front();
-      }
-      task();
-    }
-  }
-};
-
-ThreadPool::ThreadPool(int threads) : impl_(new Impl) {
-  SCCPIPE_CHECK(threads >= 1);
-  impl_->workers.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    impl_->workers.emplace_back([this] { impl_->worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->stopping = true;
-  }
-  impl_->cv.notify_all();
-  for (std::thread& t : impl_->workers) t.join();
-  delete impl_;
-}
-
-int ThreadPool::size() const {
-  return static_cast<int>(impl_->workers.size());
-}
-
-void ThreadPool::submit(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    SCCPIPE_CHECK_MSG(!impl_->stopping, "submit() after shutdown");
-    impl_->queue.push_back(std::move(fn));
-  }
-  impl_->cv.notify_one();
 }
 
 // --------------------------------------------------------------- parallel_for

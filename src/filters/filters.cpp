@@ -1,10 +1,14 @@
 #include "sccpipe/filters/filters.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "sccpipe/geom/vec.hpp"
 #include "sccpipe/support/check.hpp"
+#include "sccpipe/support/parallel.hpp"
 
 namespace sccpipe {
 
@@ -16,107 +20,139 @@ std::uint8_t to_byte(float v) {
   return static_cast<std::uint8_t>(std::lround(clamp01(v) * 255.0f));
 }
 
+/// Applies a row-band kernel to \p img on the band pool:
+/// kernel(src, y0, y1, out) writes rows [y0, y1) of the result to \p out,
+/// which arrives holding a copy of those rows of \p src. Bands read a
+/// snapshot of the input rather than \p img itself, because a band's
+/// losing run may still be reading after the call has returned.
+template <class Kernel>
+void transform_row_bands(Image& img, Kernel kernel) {
+  const auto src = std::make_shared<const Image>(img);
+  for_each_row_band_replicated(
+      img.height(), [src, dst = &img, kernel](int y0, int y1,
+                                              BandCommit& commit) {
+        const std::uint8_t* first = src->row(y0);
+        std::vector<std::uint8_t> out(
+            first, first + static_cast<std::size_t>(y1 - y0) *
+                               src->row_bytes());
+        kernel(*src, y0, y1, out.data());
+        if (commit.commit()) std::copy(out.begin(), out.end(), dst->row(y0));
+      });
+}
+
+/// The paper's sepia mix products 0.3*(v/255), 0.59*(v/255), 0.11*(v/255)
+/// for every byte value.
+struct SepiaTables {
+  float r[256], g[256], b[256];
+  SepiaTables() {
+    for (int v = 0; v < 256; ++v) {
+      const float u = to_unit(static_cast<std::uint8_t>(v));
+      r[v] = 0.3f * u;
+      g[v] = 0.59f * u;
+      b[v] = 0.11f * u;
+    }
+  }
+};
+
+/// Horizontal 3-tap sums of one RGBA row of width \p w (clamped at the
+/// edges), three channels per pixel.
+void horizontal_sums(const std::uint8_t* src, int w, std::uint16_t* hs) {
+  if (w == 1) {
+    hs[0] = src[0];
+    hs[1] = src[1];
+    hs[2] = src[2];
+    return;
+  }
+  hs[0] = static_cast<std::uint16_t>(src[0] + src[4]);
+  hs[1] = static_cast<std::uint16_t>(src[1] + src[5]);
+  hs[2] = static_cast<std::uint16_t>(src[2] + src[6]);
+  for (int x = 1; x < w - 1; ++x) {
+    const std::uint8_t* p = src + 4 * (x - 1);
+    std::uint16_t* o = hs + 3 * x;
+    o[0] = static_cast<std::uint16_t>(p[0] + p[4] + p[8]);
+    o[1] = static_cast<std::uint16_t>(p[1] + p[5] + p[9]);
+    o[2] = static_cast<std::uint16_t>(p[2] + p[6] + p[10]);
+  }
+  const std::uint8_t* p = src + 4 * (w - 2);
+  std::uint16_t* o = hs + 3 * (w - 1);
+  o[0] = static_cast<std::uint16_t>(p[0] + p[4]);
+  o[1] = static_cast<std::uint16_t>(p[1] + p[5]);
+  o[2] = static_cast<std::uint16_t>(p[2] + p[6]);
+}
+
 }  // namespace
 
 void apply_sepia(Image& img) {
   // Paper §IV (Sepia stage): constants and formula verbatim — the mix
   // weights are (0.3, 0.59, 0.11), the tone ramp S1=(0.2,0.05,0),
-  // S2=(1,0.9,0.5). The per-byte products 0.3*(v/255), 0.59*(v/255),
-  // 0.11*(v/255) are tabulated once; summing the table entries
-  // left-to-right performs the same two products-then-adds the scalar
-  // expression did, so the result is bit-identical (the build never
-  // contracts into FMA), while the hot loop loses its three divisions and
-  // the per-pixel bounds-checked get/set round trips.
-  float lut_r[256], lut_g[256], lut_b[256];
-  for (int v = 0; v < 256; ++v) {
-    const float u = to_unit(static_cast<std::uint8_t>(v));
-    lut_r[v] = 0.3f * u;
-    lut_g[v] = 0.59f * u;
-    lut_b[v] = 0.11f * u;
-  }
+  // S2=(1,0.9,0.5). The per-byte products are tabulated once; summing the
+  // table entries left-to-right performs the same two products-then-adds
+  // the scalar expression did, so the result is bit-identical (the build
+  // never contracts into FMA), while the hot loop loses its three
+  // divisions and the per-pixel bounds-checked get/set round trips.
+  static const SepiaTables lut;
+  // Per-pixel, so row bands run independently.
   const int w = img.width();
-  const int h = img.height();
-  for (int y = 0; y < h; ++y) {
-    std::uint8_t* row = img.row(y);
-    for (int x = 0; x < w; ++x) {
-      std::uint8_t* p = row + 4 * x;
-      const float mix = clamp01(lut_r[p[0]] + lut_g[p[1]] + lut_b[p[2]]);
+  transform_row_bands(img, [w](const Image&, int y0, int y1,
+                               std::uint8_t* out) {
+    const std::size_t n = static_cast<std::size_t>(y1 - y0) * w;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint8_t* p = out + 4 * i;
+      const float mix = clamp01(lut.r[p[0]] + lut.g[p[1]] + lut.b[p[2]]);
       const float omix = 1.0f - mix;
       p[0] = to_byte(0.2f * omix + 1.0f * mix);
       p[1] = to_byte(0.05f * omix + 0.9f * mix);
       p[2] = to_byte(0.0f * omix + 0.5f * mix);
       // alpha byte untouched
     }
-  }
+  });
 }
 
 void apply_blur(Image& img) {
   // 3x3 box average over the original data (paper §IV, Blur stage). The
-  // naive form re-reads nine neighbours per pixel from a full frame copy;
-  // here each source row's horizontal window sums are computed once into a
-  // three-row ring (max 3*255 fits uint16), and each output pixel folds
-  // three vertical taps over them. The ring always holds sums of *original*
-  // rows: row y+1's sums are taken before row y is overwritten, so the
-  // filter runs in place with O(width) scratch instead of an image copy.
-  // Every pixel's sum and divisor cover exactly the clamped window the
-  // naive loop visited — integer arithmetic, so restructuring is exact.
+  // naive form re-reads nine neighbours per pixel; here each source row's
+  // horizontal window sums are computed once into a three-row ring (max
+  // 3*255 fits uint16), and each output pixel folds three vertical taps
+  // over them. Every pixel's sum and divisor cover exactly the clamped
+  // window the naive loop visited — integer arithmetic, so restructuring
+  // is exact. Each row band reads its own rows and one row on either side
+  // from the unmodified input snapshot.
   const int w = img.width();
   const int h = img.height();
   if (w == 0 || h == 0) return;
-  const std::size_t row_sums = static_cast<std::size_t>(w) * 3;
-  std::vector<std::uint16_t> ring(3 * row_sums);
-  std::vector<std::uint16_t> zeros(row_sums, 0);  // off-image rows
-  const auto ring_row = [&](int y) {
-    return ring.data() + static_cast<std::size_t>(y % 3) * row_sums;
-  };
-  const auto compute_hsums = [&](int y) {
-    const std::uint8_t* src = img.row(y);
-    std::uint16_t* hs = ring_row(y);
-    if (w == 1) {
-      hs[0] = src[0];
-      hs[1] = src[1];
-      hs[2] = src[2];
-      return;
-    }
-    hs[0] = static_cast<std::uint16_t>(src[0] + src[4]);
-    hs[1] = static_cast<std::uint16_t>(src[1] + src[5]);
-    hs[2] = static_cast<std::uint16_t>(src[2] + src[6]);
-    for (int x = 1; x < w - 1; ++x) {
-      const std::uint8_t* p = src + 4 * (x - 1);
-      std::uint16_t* o = hs + 3 * x;
-      o[0] = static_cast<std::uint16_t>(p[0] + p[4] + p[8]);
-      o[1] = static_cast<std::uint16_t>(p[1] + p[5] + p[9]);
-      o[2] = static_cast<std::uint16_t>(p[2] + p[6] + p[10]);
-    }
-    const std::uint8_t* p = src + 4 * (w - 2);
-    std::uint16_t* o = hs + 3 * (w - 1);
-    o[0] = static_cast<std::uint16_t>(p[0] + p[4]);
-    o[1] = static_cast<std::uint16_t>(p[1] + p[5]);
-    o[2] = static_cast<std::uint16_t>(p[2] + p[6]);
-  };
-  compute_hsums(0);
-  for (int y = 0; y < h; ++y) {
-    if (y + 1 < h) compute_hsums(y + 1);
-    const std::uint16_t* above = y > 0 ? ring_row(y - 1) : zeros.data();
-    const std::uint16_t* cur = ring_row(y);
-    const std::uint16_t* below = y + 1 < h ? ring_row(y + 1) : zeros.data();
-    const int wy = 1 + (y > 0 ? 1 : 0) + (y + 1 < h ? 1 : 0);
-    std::uint8_t* dst = img.row(y);
-    const auto emit = [&](int x, int n) {
-      const int i = 3 * x;
-      std::uint8_t* o = dst + 4 * x;
-      o[0] = static_cast<std::uint8_t>((above[i] + cur[i] + below[i]) / n);
-      o[1] = static_cast<std::uint8_t>(
-          (above[i + 1] + cur[i + 1] + below[i + 1]) / n);
-      o[2] = static_cast<std::uint8_t>(
-          (above[i + 2] + cur[i + 2] + below[i + 2]) / n);
-      // alpha byte untouched
+  transform_row_bands(img, [w, h](const Image& src, int y0, int y1,
+                                  std::uint8_t* out) {
+    const std::size_t row_sums = static_cast<std::size_t>(w) * 3;
+    const std::vector<std::uint16_t> zeros(row_sums, 0);  // off-image rows
+    std::vector<std::uint16_t> ring(3 * row_sums);
+    const auto ring_row = [&](int y) {
+      return ring.data() + static_cast<std::size_t>(y % 3) * row_sums;
     };
-    emit(0, wy * (w > 1 ? 2 : 1));
-    const int n3 = wy * 3;  // interior fast path: full-width window
-    for (int x = 1; x < w - 1; ++x) emit(x, n3);
-    if (w > 1) emit(w - 1, wy * 2);
-  }
+    if (y0 > 0) horizontal_sums(src.row(y0 - 1), w, ring_row(y0 - 1));
+    horizontal_sums(src.row(y0), w, ring_row(y0));
+    for (int y = y0; y < y1; ++y) {
+      if (y + 1 < h) horizontal_sums(src.row(y + 1), w, ring_row(y + 1));
+      const std::uint16_t* above = y > 0 ? ring_row(y - 1) : zeros.data();
+      const std::uint16_t* cur = ring_row(y);
+      const std::uint16_t* below = y + 1 < h ? ring_row(y + 1) : zeros.data();
+      const int wy = 1 + (y > 0 ? 1 : 0) + (y + 1 < h ? 1 : 0);
+      std::uint8_t* dst = out + static_cast<std::size_t>(y - y0) * 4 * w;
+      const auto emit = [&](int x, int n) {
+        const int i = 3 * x;
+        std::uint8_t* o = dst + 4 * x;
+        o[0] = static_cast<std::uint8_t>((above[i] + cur[i] + below[i]) / n);
+        o[1] = static_cast<std::uint8_t>(
+            (above[i + 1] + cur[i + 1] + below[i + 1]) / n);
+        o[2] = static_cast<std::uint8_t>(
+            (above[i + 2] + cur[i + 2] + below[i + 2]) / n);
+        // alpha byte untouched
+      };
+      emit(0, wy * (w > 1 ? 2 : 1));
+      const int n3 = wy * 3;  // interior fast path: full-width window
+      for (int x = 1; x < w - 1; ++x) emit(x, n3);
+      if (w > 1) emit(w - 1, wy * 2);
+    }
+  });
 }
 
 ScratchParams ScratchParams::draw(Rng& rng, int image_width,
@@ -157,21 +193,23 @@ void apply_flicker(Image& img, FlickerParams params) {
   // One brightness delta for the whole frame: the 256 possible outputs are
   // tabulated through the exact per-pixel expression, then applied as byte
   // lookups.
-  std::uint8_t lut[256];
+  std::array<std::uint8_t, 256> lut{};
   for (int v = 0; v < 256; ++v) {
-    lut[v] = to_byte(to_unit(static_cast<std::uint8_t>(v)) + params.delta);
+    lut[static_cast<std::size_t>(v)] =
+        to_byte(to_unit(static_cast<std::uint8_t>(v)) + params.delta);
   }
   const int w = img.width();
-  for (int y = 0; y < img.height(); ++y) {
-    std::uint8_t* row = img.row(y);
-    for (int x = 0; x < w; ++x) {
-      std::uint8_t* p = row + 4 * x;
+  transform_row_bands(img, [w, lut](const Image&, int y0, int y1,
+                                    std::uint8_t* out) {
+    const std::size_t n = static_cast<std::size_t>(y1 - y0) * w;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint8_t* p = out + 4 * i;
       p[0] = lut[p[0]];
       p[1] = lut[p[1]];
       p[2] = lut[p[2]];
       // alpha byte untouched
     }
-  }
+  });
 }
 
 ScratchParams scratch_params_for_frame(std::uint64_t seed, int frame,

@@ -31,43 +31,105 @@ void Framebuffer::set_pixel(int x, int y, float z, Color c) {
 
 namespace {
 
-struct ScreenVertex {
-  float x, y, z;  // viewport coordinates + NDC depth
-};
-
 float edge(const ScreenVertex& a, const ScreenVertex& b,
            const ScreenVertex& c) {
   return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
 }
 
-void raster_screen_triangle(Framebuffer& fb, const Viewport& vp,
-                            ScreenVertex v0, ScreenVertex v1, ScreenVertex v2,
-                            Color col, RasterStats* stats) {
+/// Orients and bounds one projected triangle; false when it has no area.
+bool setup_screen_triangle(ScreenVertex v0, ScreenVertex v1, ScreenVertex v2,
+                           Color col, ScreenTriangle& out) {
   // Ensure counter-clockwise orientation for a positive area (no face
   // culling: CAD models are not consistently wound).
   float area = edge(v0, v1, v2);
-  if (area == 0.0f) return;
+  if (area == 0.0f) return false;
   if (area < 0.0f) {
     std::swap(v1, v2);
     area = -area;
   }
+  out.v0 = v0;
+  out.v1 = v1;
+  out.v2 = v2;
+  out.inv_area = 1.0f / area;
+  out.color = col;
+  out.min_x = static_cast<int>(std::floor(std::min({v0.x, v1.x, v2.x})));
+  out.max_x = static_cast<int>(std::ceil(std::max({v0.x, v1.x, v2.x})));
+  out.min_y = static_cast<int>(std::floor(std::min({v0.y, v1.y, v2.y})));
+  out.max_y = static_cast<int>(std::ceil(std::max({v0.y, v1.y, v2.y})));
+  return true;
+}
 
+ScreenVertex to_screen(Vec4 clip, const Viewport& vp) {
+  const float inv_w = 1.0f / clip.w;
+  const float ndc_x = clip.x * inv_w;
+  const float ndc_y = clip.y * inv_w;
+  const float ndc_z = clip.z * inv_w;
+  return ScreenVertex{
+      (ndc_x * 0.5f + 0.5f) * static_cast<float>(vp.width),
+      // NDC +y is up; virtual row 0 is the top of the full frame.
+      (0.5f - ndc_y * 0.5f) * static_cast<float>(vp.height), ndc_z};
+}
+
+}  // namespace
+
+Viewport Viewport::full(const Framebuffer& fb) {
+  return Viewport{fb.width(), fb.height(), 0};
+}
+
+int setup_triangle_clip(const Viewport& vp, Vec4 c0, Vec4 c1, Vec4 c2,
+                        Color col, ScreenTriangle out[2],
+                        RasterStats* stats) {
+  if (stats) ++stats->triangles_submitted;
+
+  // Clip against the near plane w > epsilon (points behind the eye cannot
+  // be projected). Sutherland–Hodgman on the single plane w = kNearW.
+  constexpr float kNearW = 1e-4f;
+  Vec4 in[3] = {c0, c1, c2};
+  Vec4 clipped[4];
+  int clipped_n = 0;
+  for (int i = 0; i < 3; ++i) {
+    const Vec4 a = in[i];
+    const Vec4 b = in[(i + 1) % 3];
+    const bool a_in = a.w > kNearW;
+    const bool b_in = b.w > kNearW;
+    if (a_in) clipped[clipped_n++] = a;
+    if (a_in != b_in) {
+      const float t = (kNearW - a.w) / (b.w - a.w);
+      clipped[clipped_n++] = lerp(a, b, t);
+    }
+  }
+  if (clipped_n < 3) {
+    if (stats) ++stats->triangles_clipped_away;
+    return 0;
+  }
+
+  int n = 0;
+  const ScreenVertex s0 = to_screen(clipped[0], vp);
+  for (int i = 1; i + 1 < clipped_n; ++i) {
+    if (setup_screen_triangle(s0, to_screen(clipped[i], vp),
+                              to_screen(clipped[i + 1], vp), col, out[n])) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+void raster_triangle_rows(Framebuffer& fb, const Viewport& vp,
+                          const ScreenTriangle& t, int row_begin, int row_end,
+                          RasterStats* stats) {
   // Pixel coordinates run over the *virtual* viewport; only rows
-  // [y_offset, y_offset + fb.height()) are materialised.
-  const int w = fb.width();
-  const int min_x = std::max(0, static_cast<int>(std::floor(
-                                    std::min({v0.x, v1.x, v2.x}))));
-  const int max_x = std::min(w - 1, static_cast<int>(std::ceil(
-                                        std::max({v0.x, v1.x, v2.x}))));
-  const int min_y = std::max(vp.y_offset,
-                             static_cast<int>(std::floor(
-                                 std::min({v0.y, v1.y, v2.y}))));
-  const int max_y = std::min(vp.y_offset + fb.height() - 1,
-                             static_cast<int>(std::ceil(
-                                 std::max({v0.y, v1.y, v2.y}))));
+  // [y_offset + row_begin, y_offset + row_end) are touched.
+  const int min_x = std::max(0, t.min_x);
+  const int max_x = std::min(fb.width() - 1, t.max_x);
+  const int min_y = std::max(vp.y_offset + row_begin, t.min_y);
+  const int max_y = std::min(vp.y_offset + row_end - 1, t.max_y);
   if (min_x > max_x || min_y > max_y) return;
 
-  const float inv_area = 1.0f / area;
+  // Locals, not loads through \p t: the pixel stores below could otherwise
+  // alias the triangle and force reloads in the inner loop.
+  const ScreenVertex v0 = t.v0, v1 = t.v1, v2 = t.v2;
+  const float inv_area = t.inv_area;
+  const Color col = t.color;
   // Incremental edge evaluation: each edge function
   //   edge(a, b, p) = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
   // splits into a row-invariant first product (hoisted out of the x loop)
@@ -113,53 +175,12 @@ void raster_screen_triangle(Framebuffer& fb, const Viewport& vp,
   }
 }
 
-ScreenVertex to_screen(Vec4 clip, const Viewport& vp) {
-  const float inv_w = 1.0f / clip.w;
-  const float ndc_x = clip.x * inv_w;
-  const float ndc_y = clip.y * inv_w;
-  const float ndc_z = clip.z * inv_w;
-  return ScreenVertex{
-      (ndc_x * 0.5f + 0.5f) * static_cast<float>(vp.width),
-      // NDC +y is up; virtual row 0 is the top of the full frame.
-      (0.5f - ndc_y * 0.5f) * static_cast<float>(vp.height), ndc_z};
-}
-
-}  // namespace
-
-Viewport Viewport::full(const Framebuffer& fb) {
-  return Viewport{fb.width(), fb.height(), 0};
-}
-
 void draw_triangle_clip(Framebuffer& fb, const Viewport& vp, Vec4 c0, Vec4 c1,
                         Vec4 c2, Color col, RasterStats* stats) {
-  if (stats) ++stats->triangles_submitted;
-
-  // Clip against the near plane w > epsilon (points behind the eye cannot
-  // be projected). Sutherland–Hodgman on the single plane w = kNearW.
-  constexpr float kNearW = 1e-4f;
-  Vec4 in[3] = {c0, c1, c2};
-  Vec4 out[4];
-  int out_n = 0;
-  for (int i = 0; i < 3; ++i) {
-    const Vec4 a = in[i];
-    const Vec4 b = in[(i + 1) % 3];
-    const bool a_in = a.w > kNearW;
-    const bool b_in = b.w > kNearW;
-    if (a_in) out[out_n++] = a;
-    if (a_in != b_in) {
-      const float t = (kNearW - a.w) / (b.w - a.w);
-      out[out_n++] = lerp(a, b, t);
-    }
-  }
-  if (out_n < 3) {
-    if (stats) ++stats->triangles_clipped_away;
-    return;
-  }
-
-  const ScreenVertex s0 = to_screen(out[0], vp);
-  for (int i = 1; i + 1 < out_n; ++i) {
-    raster_screen_triangle(fb, vp, s0, to_screen(out[i], vp),
-                           to_screen(out[i + 1], vp), col, stats);
+  ScreenTriangle tris[2];
+  const int n = setup_triangle_clip(vp, c0, c1, c2, col, tris, stats);
+  for (int i = 0; i < n; ++i) {
+    raster_triangle_rows(fb, vp, tris[i], 0, fb.height(), stats);
   }
 }
 

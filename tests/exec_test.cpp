@@ -205,6 +205,33 @@ TEST(RunGrid, IdenticalResultsAcrossJobCounts) {
   }
 }
 
+TEST(RunGrid, FunctionalFramesIdenticalAcrossJobCounts) {
+  // Functional runs render and filter on the shared band pool, so run_grid
+  // workers call for_each_band concurrently: every config's frames must
+  // match the serial grid's byte for byte.
+  std::vector<RunConfig> cfgs;
+  for (const Scenario sc : {Scenario::RendererPerPipeline,
+                            Scenario::HostRenderer}) {
+    for (const int k : {1, 3, 4}) {
+      RunConfig cfg;
+      cfg.scenario = sc;
+      cfg.pipelines = k;
+      cfg.functional = true;
+      cfgs.push_back(cfg);
+    }
+  }
+  const std::vector<RunResult> serial =
+      exec::run_grid(shared_scene(), shared_trace(), cfgs, 1);
+  const std::vector<RunResult> parallel =
+      exec::run_grid(shared_scene(), shared_trace(), cfgs, 4);
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    ASSERT_FALSE(serial[i].frames.empty()) << "config " << i;
+    EXPECT_EQ(serial[i].frames, parallel[i].frames) << "config " << i;
+    EXPECT_EQ(fingerprint(serial[i]), fingerprint(parallel[i]))
+        << "config " << i;
+  }
+}
+
 TEST(TraceRunner, ParallelTraceBuildIsBitIdentical) {
   // The per-frame estimation pass writes disjoint slices; a parallel build
   // must produce exactly the serial trace.

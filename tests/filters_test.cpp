@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "sccpipe/filters/filters.hpp"
 #include "sccpipe/filters/image.hpp"
+#include "sccpipe/filters/reference.hpp"
+#include "sccpipe/support/rng.hpp"
 #include "sccpipe/support/check.hpp"
 
 namespace sccpipe {
@@ -335,6 +339,66 @@ TEST(Swap, OddHeightKeepsMiddleRow) {
   EXPECT_EQ(img.get(0, 0).r, 3);
   EXPECT_EQ(img.get(0, 1).r, 2);
   EXPECT_EQ(img.get(0, 2).r, 1);
+}
+
+// ------------------------------------------------------------ row bands
+//
+// Sepia, blur and flicker run in kBandRows-row bands on the band pool. Each
+// must stay bit-identical to the naive reference at every band shape:
+// heights below, at and past one band and many bands with a short tail,
+// and the widths where the blur's horizontal window degenerates.
+
+Image noise_image(Rng& rng, int w, int h) {
+  Image img(w, h);
+  std::uint8_t* d = img.data();
+  for (std::size_t i = 0; i < img.byte_size(); ++i) {
+    d[i] = static_cast<std::uint8_t>(rng.below(256));
+  }
+  return img;
+}
+
+std::vector<int> band_test_heights() {
+  std::vector<int> heights;
+  for (int h = 1; h <= 40; ++h) heights.push_back(h);
+  heights.push_back(100);
+  heights.push_back(400);
+  return heights;
+}
+
+template <typename Opt, typename Ref>
+void expect_banded_matches_reference(std::uint64_t seed, Opt opt, Ref ref,
+                                     const char* what) {
+  Rng rng{seed};
+  for (const int w : {1, 2, 3, 400}) {
+    for (const int h : band_test_heights()) {
+      Image got = noise_image(rng, w, h);
+      Image want = got;
+      opt(got);
+      ref(want);
+      ASSERT_EQ(got, want) << what << " diverged on " << w << 'x' << h;
+    }
+  }
+}
+
+TEST(RowBands, SepiaMatchesReference) {
+  expect_banded_matches_reference(
+      0x5e9a0b01, [](Image& img) { apply_sepia(img); },
+      [](Image& img) { reference::apply_sepia(img); }, "sepia");
+}
+
+TEST(RowBands, BlurMatchesReference) {
+  expect_banded_matches_reference(
+      0xb10b0b02, [](Image& img) { apply_blur(img); },
+      [](Image& img) { reference::apply_blur(img); }, "blur");
+}
+
+TEST(RowBands, FlickerMatchesReference) {
+  for (const float delta : {-0.1f, 0.037f, 0.1f}) {
+    const FlickerParams params{delta};
+    expect_banded_matches_reference(
+        0xf11c0b03, [&](Image& img) { apply_flicker(img, params); },
+        [&](Image& img) { reference::apply_flicker(img, params); }, "flicker");
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Perf baseline for the allocation-free hot paths: measures the optimised
-// event engine and pixel kernels against the compiled-in reference
+// event engine, pixel kernels and workload-trace build against the
+// compiled-in reference
 // transcriptions (sim/reference_scheduler.hpp, filters/reference.hpp,
 // render/reference.hpp, support/reference.hpp) and writes
 // BENCH_perf_baseline.json.
@@ -28,6 +29,7 @@
 //   --check PATH   compare against a committed record; exit 1 on regression
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -332,6 +334,56 @@ Metric bench_crc32(std::size_t bytes, int repeats, int passes) {
     SCCPIPE_CHECK(opt_crc == ref_crc);
   }
   return Metric{"crc32", "MB/s", mb / median(ref_s), mb / median(opt_s)};
+}
+
+// ------------------------------------------------------------ trace build
+//
+// The serial workload-trace build of a k = 7 CLI run, strip counts {1, 7}
+// over the 400-frame walkthrough at 400x400: WorkloadTrace::build (one
+// octree pass per frame for all 8 strips) against the same frames estimated
+// strip by strip through reference::estimate_strip (a cull and a full
+// transform per strip). Both sides must yield the same loads bit for bit.
+
+Metric bench_trace_build(int frames, int side, int repeats) {
+  const SceneBundle scene(CityParams{}, CameraConfig{}, side, frames);
+  const StripCounts counts{1, 7};
+  const double loads = static_cast<double>(frames) * 8.0;
+  std::vector<double> ref_s, opt_s;
+  for (int r = 0; r < repeats; ++r) {
+    std::vector<RenderLoad> ref;
+    auto t0 = Clock::now();
+    for (int f = 0; f < frames; ++f) {
+      const Mat4 view = scene.path().view(f);
+      for (const int k : counts.values()) {
+        for (const StripRange& strip : divide_rows(side, k)) {
+          const RenderStats st =
+              reference::estimate_strip(scene.renderer(), view, strip);
+          ref.push_back(RenderLoad{static_cast<double>(st.cull.nodes_visited),
+                                   static_cast<double>(st.cull.tris_accepted),
+                                   st.projected_pixels});
+        }
+      }
+    }
+    ref_s.push_back(seconds_since(t0));
+    t0 = Clock::now();
+    const WorkloadTrace trace = WorkloadTrace::build(scene, counts);
+    opt_s.push_back(seconds_since(t0));
+    std::size_t i = 0;
+    for (int f = 0; f < frames; ++f) {
+      for (const int k : counts.values()) {
+        for (int s = 0; s < k; ++s, ++i) {
+          const RenderLoad& got = trace.load(f, k, s);
+          SCCPIPE_CHECK(got.nodes_visited == ref[i].nodes_visited &&
+                        got.tris_accepted == ref[i].tris_accepted &&
+                        std::bit_cast<std::uint64_t>(got.projected_pixels) ==
+                            std::bit_cast<std::uint64_t>(
+                                ref[i].projected_pixels));
+        }
+      }
+    }
+  }
+  return Metric{"trace_build", "strip loads/s", loads / median(ref_s),
+                loads / median(opt_s)};
 }
 
 // ----------------------------------------------------- sim_jobs scaling sweep
@@ -734,6 +786,7 @@ int main(int argc, char** argv) {
       [](Image& img) { reference::apply_sepia(img); }));
   metrics.push_back(bench_raster(img_side, smoke ? 120 : 400, repeats));
   metrics.push_back(bench_crc32(160'000, repeats, smoke ? 300 : 1000));
+  metrics.push_back(bench_trace_build(400, img_side, repeats));
 
   for (const Metric& m : metrics) {
     std::printf("%-12s reference %10.4g %-14s optimized %10.4g %-14s %6.2fx\n",

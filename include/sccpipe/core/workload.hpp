@@ -93,8 +93,10 @@ class WorkloadTrace {
       std::function<void(std::size_t, const std::function<void(std::size_t)>&)>;
 
   /// Runs the estimation pass of the real renderer for every k in
-  /// \p strip_counts: frames x (sum of the k in the set) strip culls, so
-  /// {1, 7} costs 8 culls per frame where 1..7 costs 28.
+  /// \p strip_counts: one Renderer::estimate_strips call per frame over
+  /// all (sum of the k in the set) strips, which walks the octree once per
+  /// 64 strips and transforms each accepted triangle's x and w once per
+  /// walk. {1, 7} estimates 8 strips per frame in one walk, 1..7 28.
   static WorkloadTrace build(const SceneBundle& scene,
                              const StripCounts& strip_counts,
                              const ForEachFrame& for_each = {});
@@ -104,9 +106,10 @@ class WorkloadTrace {
     return build(scene, StripCounts::up_to(max_k), for_each);
   }
 
-  /// Disk cache: build() is minutes of culling for the full paper
-  /// workload, so benches persist the trace. The fingerprint (scene seed,
-  /// frame count, image size, built strip counts, format version) guards
+  /// Disk cache: benches may persist a trace rather than rebuild it,
+  /// though a serial build of the full paper workload (400 frames at 400²,
+  /// k = 1..8) takes under a second. The fingerprint (scene seed, frame
+  /// count, image size, built strip counts, format version) guards
   /// staleness. load() returns an empty optional on any mismatch — a file
   /// holding other strip counts than \p strip_counts included — or on any
   /// I/O problem.

@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "sccpipe/core/walkthrough.hpp"
@@ -67,11 +68,26 @@ std::vector<T> parallel_map(int jobs, std::size_t n,
   return out;
 }
 
+/// run_grid()'s typed rejection of a configuration that fails
+/// validate_run_config(): the first such config's index and its Status.
+class InvalidConfigError : public std::invalid_argument {
+ public:
+  InvalidConfigError(std::size_t index, Status status);
+  std::size_t index() const { return index_; }
+  const Status& status() const { return status_; }
+
+ private:
+  std::size_t index_;
+  Status status_;
+};
+
 /// Batch experiment executor: run every configuration against one shared
-/// scene/trace and return results in configuration order. The scene and
-/// trace must outlive the call and are shared read-only across workers;
-/// each RunConfig must carry its own timeline recorder (or none) — a
-/// recorder shared between configs would race.
+/// scene/trace and return results in configuration order. Every config is
+/// validated first; the first invalid one throws InvalidConfigError before
+/// any run starts. The scene and trace must outlive the call and are
+/// shared read-only across workers; each RunConfig must carry its own
+/// timeline recorder (or none) — a recorder shared between configs would
+/// race.
 std::vector<RunResult> run_grid(const SceneBundle& scene,
                                 const WorkloadTrace& trace,
                                 const std::vector<RunConfig>& configs,

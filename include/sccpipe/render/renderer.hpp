@@ -8,6 +8,7 @@
 /// rasterization (the discrete-event model only needs the counts).
 
 #include <cstdint>
+#include <span>
 
 #include "sccpipe/render/rasterizer.hpp"
 #include "sccpipe/scene/camera.hpp"
@@ -49,9 +50,23 @@ class Renderer {
   /// Full frame convenience.
   Image render(const Mat4& view, RenderStats* stats = nullptr) const;
 
-  /// Workload estimation without rasterization: same culling and
-  /// transform counts, projected pixel area instead of filled pixels.
+  /// Workload estimation without rasterization for many strips of one
+  /// view: per strip, the same culling and transform counts as a cull with
+  /// that strip's adjusted frustum, and projected pixel area instead of
+  /// filled pixels. out[i] receives the stats of strips[i]. Strips are
+  /// estimated in groups of up to Octree::kMaxMultiFrusta, one octree pass
+  /// per group; each accepted triangle's clip x and w (which no strip
+  /// adjustment changes) are computed once per pass, leaving only the y row
+  /// per strip. Bit-identical to estimating each strip on its own
+  /// (reference::estimate_strip).
+  void estimate_strips(const Mat4& view, std::span<const StripRange> strips,
+                       std::span<RenderStats> out) const;
+
+  /// One-strip estimate_strips().
   RenderStats estimate_strip(const Mat4& view, StripRange strip) const;
+
+  const Mesh& mesh() const { return mesh_; }
+  const Octree& octree() const { return octree_; }
 
  private:
   Color shade(const Triangle& t) const;

@@ -9,6 +9,8 @@
 /// latency-bound memory cost in the timed model.
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "sccpipe/geom/frustum.hpp"
@@ -42,6 +44,23 @@ class Octree {
   void cull(const Frustum& frustum, std::vector<std::uint32_t>& out,
             CullStats* stats = nullptr) const;
 
+  /// Most frusta one cull_multi() pass takes (one bit of a 64-bit mask each).
+  static constexpr std::size_t kMaxMultiFrusta = 64;
+
+  /// cull_multi()'s visitor: the resident triangles of one accepted node
+  /// and the set of frusta accepting it (bit i = frusta[i]).
+  using MultiVisit =
+      std::function<void(std::span<const std::uint32_t>, std::uint64_t)>;
+
+  /// cull() for 1..kMaxMultiFrusta frusta in one traversal. Each frustum is
+  /// classified on its own, with per-node masks of the frusta still live
+  /// and of those wholly containing the node; nodes are visited in cull()'s
+  /// pre-order. So the triangles \p visit reports with bit i set, in call
+  /// order, are exactly what cull(frusta[i]) appends, and \p stats[i] (one
+  /// per frustum, overwritten) is exactly its CullStats.
+  void cull_multi(std::span<const Frustum> frusta, const MultiVisit& visit,
+                  std::span<CullStats> stats) const;
+
   /// Sum of triangle references across all nodes (>= mesh size; duplicates
   /// impossible since each triangle lives in exactly one node).
   std::size_t stored_triangles() const;
@@ -59,6 +78,10 @@ class Octree {
   void cull_node(std::int32_t node_index, const Frustum& frustum,
                  bool fully_inside, std::vector<std::uint32_t>& out,
                  CullStats* stats) const;
+  void cull_node_multi(std::int32_t node_index,
+                       std::span<const Frustum> frusta, std::uint64_t live,
+                       std::uint64_t inside, const MultiVisit& visit,
+                       std::span<CullStats> stats) const;
   static Aabb octant_box(const Aabb& parent, Vec3 center, int oct);
 
   OctreeConfig cfg_;

@@ -176,25 +176,28 @@ WorkloadTrace WorkloadTrace::build(const SceneBundle& scene,
                                    const StripCounts& strip_counts,
                                    const ForEachFrame& for_each) {
   WorkloadTrace trace(scene.frame_count(), strip_counts);
-  const std::vector<int> ks = strip_counts.values();
+  // Every strip of every built k, in the order a frame's slice of loads_
+  // holds them (ascending k, then strip).
+  std::vector<StripRange> strips;
+  for (const int k : strip_counts.values()) {
+    for (const StripRange& s : divide_rows(scene.image_side(), k)) {
+      strips.push_back(s);
+    }
+  }
+  SCCPIPE_CHECK(strips.size() == trace.per_frame_);
   const Renderer& renderer = scene.renderer();
-  const int side = scene.image_side();
   // Frames are independent (culling is const, each frame writes its own
   // slice of loads_), so the estimation pass — the expensive part of every
   // bench start-up — parallelises per frame when a runner is supplied.
   const auto estimate_frame = [&](std::size_t f) {
-    const int frame = static_cast<int>(f);
-    const Mat4 view = scene.path().view(frame);
-    for (const int k : ks) {
-      const auto strips = divide_rows(side, k);
-      for (int s = 0; s < k; ++s) {
-        const RenderStats st =
-            renderer.estimate_strip(view, strips[static_cast<std::size_t>(s)]);
-        RenderLoad& load = trace.loads_[trace.index(frame, k, s)];
-        load.nodes_visited = st.cull.nodes_visited;
-        load.tris_accepted = st.cull.tris_accepted;
-        load.projected_pixels = st.projected_pixels;
-      }
+    std::vector<RenderStats> stats(strips.size());
+    renderer.estimate_strips(scene.path().view(static_cast<int>(f)), strips,
+                             stats);
+    RenderLoad* loads = trace.loads_.data() + f * trace.per_frame_;
+    for (std::size_t i = 0; i < stats.size(); ++i) {
+      loads[i].nodes_visited = stats[i].cull.nodes_visited;
+      loads[i].tris_accepted = stats[i].cull.tris_accepted;
+      loads[i].projected_pixels = stats[i].projected_pixels;
     }
   };
   const std::size_t frames = static_cast<std::size_t>(scene.frame_count());

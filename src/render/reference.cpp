@@ -104,4 +104,51 @@ void draw_triangle_clip(Framebuffer& fb, const Viewport& vp, Vec4 c0, Vec4 c1,
   }
 }
 
+RenderStats estimate_strip(const Renderer& renderer, const Mat4& view,
+                           StripRange strip) {
+  const int width = renderer.frame_width();
+  const int height = renderer.frame_height();
+  RenderStats stats;
+  const Mat4 proj = strip_projection(renderer.camera(), width, height, strip);
+  const Mat4 vp = proj * view;
+  const Frustum frustum(vp);
+
+  std::vector<std::uint32_t> visible;
+  renderer.octree().cull(frustum, visible, &stats.cull);
+
+  const double strip_pixels =
+      static_cast<double>(width) * static_cast<double>(strip.rows);
+  const auto& tris = renderer.mesh().triangles();
+  double area = 0.0;
+  for (const std::uint32_t ti : visible) {
+    const Triangle& t = tris[ti];
+    const Vec4 c0 = vp * Vec4{t.v0, 1.0f};
+    const Vec4 c1 = vp * Vec4{t.v1, 1.0f};
+    const Vec4 c2 = vp * Vec4{t.v2, 1.0f};
+    ++stats.triangles_transformed;
+    ++stats.raster.triangles_submitted;
+    if (c0.w <= 1e-4f && c1.w <= 1e-4f && c2.w <= 1e-4f) {
+      ++stats.raster.triangles_clipped_away;
+      continue;
+    }
+    // Screen-space area of the projection (vertices behind the eye are
+    // clamped to a small positive w — good enough for a workload count).
+    auto sx = [&](Vec4 c) {
+      const float w = std::max(c.w, 1e-2f);
+      return Vec2{(c.x / w * 0.5f + 0.5f) * static_cast<float>(width),
+                  (0.5f - c.y / w * 0.5f) * static_cast<float>(strip.rows)};
+    };
+    const Vec2 p0 = sx(c0), p1 = sx(c1), p2 = sx(c2);
+    const double tri_area = 0.5 * std::fabs(
+        static_cast<double>((p1.x - p0.x) * (p2.y - p0.y) -
+                            (p1.y - p0.y) * (p2.x - p0.x)));
+    // A triangle cannot cover more than the strip.
+    area += std::min(tri_area, strip_pixels);
+  }
+  // Overdraw discounted: roughly half of drawn area survives the z-test in
+  // depth-complex city scenes, and total coverage is bounded by the strip.
+  stats.projected_pixels = std::min(area, 2.5 * strip_pixels);
+  return stats;
+}
+
 }  // namespace sccpipe::reference

@@ -1,6 +1,7 @@
 #include "sccpipe/scene/octree.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "sccpipe/support/check.hpp"
@@ -118,6 +119,56 @@ void Octree::cull_node(std::int32_t node_index, const Frustum& frustum,
   if (node.is_leaf) return;
   for (const std::int32_t child : node.children) {
     if (child >= 0) cull_node(child, frustum, fully_inside, out, stats);
+  }
+}
+
+void Octree::cull_multi(std::span<const Frustum> frusta,
+                        const MultiVisit& visit,
+                        std::span<CullStats> stats) const {
+  SCCPIPE_CHECK(built());
+  SCCPIPE_CHECK_MSG(!frusta.empty() && frusta.size() <= kMaxMultiFrusta,
+                    frusta.size() << " frusta; a pass takes 1.."
+                                  << kMaxMultiFrusta);
+  SCCPIPE_CHECK(stats.size() == frusta.size());
+  for (CullStats& s : stats) {
+    s = CullStats{};
+    s.nodes_total = static_cast<std::uint32_t>(nodes_.size());
+  }
+  const std::uint64_t all = frusta.size() == kMaxMultiFrusta
+                                ? ~std::uint64_t{0}
+                                : (std::uint64_t{1} << frusta.size()) - 1;
+  cull_node_multi(0, frusta, all, 0, visit, stats);
+}
+
+void Octree::cull_node_multi(std::int32_t node_index,
+                             std::span<const Frustum> frusta,
+                             std::uint64_t live, std::uint64_t inside,
+                             const MultiVisit& visit,
+                             std::span<CullStats> stats) const {
+  const Node& node = nodes_[static_cast<std::size_t>(node_index)];
+  // Every frustum that reached this node visits it, as in cull_node()...
+  for (std::uint64_t m = live; m != 0; m &= m - 1) {
+    ++stats[static_cast<std::size_t>(std::countr_zero(m))].nodes_visited;
+  }
+  // ...and those not yet known to contain it classify its box.
+  for (std::uint64_t m = live & ~inside; m != 0; m &= m - 1) {
+    const int i = std::countr_zero(m);
+    const CullResult r = frusta[static_cast<std::size_t>(i)].classify(node.box);
+    if (r == CullResult::Outside) live &= ~(std::uint64_t{1} << i);
+    if (r == CullResult::Inside) inside |= std::uint64_t{1} << i;
+  }
+  if (live == 0) return;
+  const auto resident = static_cast<std::uint32_t>(node.tris.size());
+  for (std::uint64_t m = live; m != 0; m &= m - 1) {
+    stats[static_cast<std::size_t>(std::countr_zero(m))].tris_accepted +=
+        resident;
+  }
+  if (resident > 0) visit(node.tris, live);
+  if (node.is_leaf) return;
+  for (const std::int32_t child : node.children) {
+    if (child >= 0) {
+      cull_node_multi(child, frusta, live, inside, visit, stats);
+    }
   }
 }
 

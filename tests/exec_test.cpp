@@ -232,6 +232,39 @@ TEST(RunGrid, FunctionalFramesIdenticalAcrossJobCounts) {
   }
 }
 
+TEST(RunGrid, InvalidConfigThrowsBeforeAnyRun) {
+  // Every config is validated before the first run starts: a bad config at
+  // the last index must not let the valid ones before it run (each would
+  // fill its own timeline recorder).
+  std::vector<RunConfig> cfgs = determinism_grid();
+  std::vector<TimelineRecorder> timelines(cfgs.size());
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    cfgs[i].timeline = &timelines[i];
+  }
+  RunConfig bad;
+  bad.pipelines = 0;
+  cfgs.push_back(bad);
+  const std::size_t bad_index = cfgs.size() - 1;
+  for (const int jobs : {1, 4}) {
+    try {
+      exec::run_grid(shared_scene(), shared_trace(), cfgs, jobs);
+      ADD_FAILURE() << "run_grid accepted pipelines = 0 at jobs=" << jobs;
+    } catch (const exec::InvalidConfigError& e) {
+      EXPECT_EQ(e.index(), bad_index);
+      EXPECT_EQ(e.status().code(), StatusCode::InvalidArgument);
+      EXPECT_EQ(e.status(), validate_run_config(bad));
+      EXPECT_NE(std::string(e.what()).find(
+                    "config " + std::to_string(bad_index)),
+                std::string::npos)
+          << e.what();
+    }
+    for (const TimelineRecorder& t : timelines) EXPECT_TRUE(t.empty());
+  }
+  // The probe is live: a run does record into its config's timeline.
+  exec::run_grid(shared_scene(), shared_trace(), {cfgs.front()}, 1);
+  EXPECT_FALSE(timelines.front().empty());
+}
+
 TEST(TraceRunner, ParallelTraceBuildIsBitIdentical) {
   // The per-frame estimation pass writes disjoint slices; a parallel build
   // must produce exactly the serial trace.

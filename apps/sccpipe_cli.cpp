@@ -109,7 +109,7 @@ constexpr const char* kIntFlags[] = {
     "pipelines",  "frames",       "size",        "blur-mhz",
     "tail-mhz",   "seed",         "fault-seed",  "max-spares",
     "gray-detect-windows",        "rcce-retries", "window",
-    "queue-depth", "breaker-threshold", "sim-jobs", "checkpoint-every"};
+    "queue-depth", "breaker-threshold", "checkpoint-every"};
 constexpr const char* kDoubleFlags[] = {
     "heartbeat-ms",    "detect-ms",   "gray-detect-factor",
     "rcce-timeout-ms", "offered-fps", "frame-deadline-ms",
@@ -180,10 +180,6 @@ int main(int argc, char** argv) {
   args.add_flag("breaker-cooldown-ms",
                 "open-breaker cooldown before the half-open probe [ms]",
                 "250");
-  args.add_flag("sim-jobs",
-                "worker threads inside the simulation (partitioned engine; "
-                "results are bit-identical at any value >= 1; default "
-                "SCCPIPE_SIM_JOBS or 1)", "0");
   args.add_flag("checkpoint-every",
                 "write a run snapshot every N delivered frames (0 = off)",
                 "0");
@@ -248,16 +244,6 @@ int main(int argc, char** argv) {
   cfg.tail_mhz = args.get_int("tail-mhz");
   cfg.isolate_blur_tile = args.get_bool("isolate-blur");
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  if (args.has("sim-jobs")) {
-    cfg.sim_jobs = args.get_int("sim-jobs");
-    const Status st = exec::validate_sim_jobs(cfg.sim_jobs);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
-      return 2;
-    }
-  } else {
-    cfg.sim_jobs = exec::default_sim_jobs();
-  }
 
   const std::string fault_plan = args.get("fault-plan");
   if (!fault_plan.empty()) {
@@ -364,10 +350,6 @@ int main(int argc, char** argv) {
                  timeline.size(), timeline_path.c_str());
   }
 
-  if (r.parallel_sim.stalled) {
-    std::fprintf(stderr, "error: %s\n%s", r.parallel_sim.stall.c_str(),
-                 r.parallel_sim.flight_recorder.c_str());
-  }
   if (r.checkpoint.error_code != StatusCode::Ok) {
     std::fprintf(stderr, "error: checkpoint: [%s] %s\n",
                  status_code_name(r.checkpoint.error_code),
@@ -420,16 +402,6 @@ int main(int argc, char** argv) {
               r.walkthrough.to_sec(), frames);
   std::printf("chip power:    %.1f W mean, %.0f J\n", r.mean_chip_watts,
               r.chip_energy_joules);
-  if (r.parallel_sim.enabled) {
-    const ParallelSimReport& p = r.parallel_sim;
-    std::printf("sim engine:    %d worker(s) over %d region(s), lookahead "
-                "%lld ns; %llu window(s), %llu cross-region event(s), %llu "
-                "idle region-window(s)\n",
-                p.sim_jobs, p.regions, static_cast<long long>(p.lookahead_ns),
-                static_cast<unsigned long long>(p.windows),
-                static_cast<unsigned long long>(p.cross_region_events),
-                static_cast<unsigned long long>(p.idle_region_windows));
-  }
   if (r.host_busy_sec > 0.0) {
     std::printf("host:          busy %.2f s, extra %.0f J\n", r.host_busy_sec,
                 r.host_extra_energy_joules);

@@ -134,11 +134,6 @@ int main(int argc, char** argv) {
                 "parallel runs (0 = all cores; env SCCPIPE_JOBS overrides "
                 "the default)",
                 "0");
-  args.add_flag("sim-jobs",
-                "worker threads inside each simulation (partitioned engine; "
-                "CSV is bit-identical at any value >= 1; default "
-                "SCCPIPE_SIM_JOBS or 1)",
-                "0");
   args.add_flag("bench-json",
                 "perf record path, or 'none' to disable",
                 "BENCH_sweep.json");
@@ -292,15 +287,6 @@ int main(int argc, char** argv) {
   const std::vector<int> pipeline_list = parse_range(args.get("pipelines"));
   int jobs = args.get_int("jobs");
   if (jobs <= 0) jobs = exec::default_jobs();
-  int sim_jobs = exec::default_sim_jobs();
-  if (args.has("sim-jobs")) {
-    sim_jobs = args.get_int("sim-jobs");
-    const Status st = exec::validate_sim_jobs(sim_jobs);
-    if (!st.ok()) {
-      std::fprintf(stderr, "[sweep] error: %s\n", st.to_string().c_str());
-      return 2;
-    }
-  }
 
   const int frames = args.get_int("frames");
   const int size = args.get_int("size");
@@ -353,7 +339,6 @@ int main(int argc, char** argv) {
           gr.cfg.gray = gray;
           gr.cfg.overload = overload;
           gr.cfg.rcce.retry = retry;
-          gr.cfg.sim_jobs = sim_jobs;
           if (checkpoint.enabled()) {
             gr.cfg.checkpoint = checkpoint;
             gr.cfg.checkpoint.file =

@@ -9,7 +9,7 @@
 //
 // Determinism cross-check: both engines consume the same RNG stream and
 // must dispatch and cancel identical event counts (they share the
-// (time, rank, seq) dispatch order, so the streams cannot diverge).
+// (time, seq) dispatch order, so the streams cannot diverge).
 //
 // Flags:
 //   --smoke       reduced tiers/repeats for CI (drops the 1M tier)

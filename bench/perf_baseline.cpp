@@ -44,11 +44,9 @@
 #include "sccpipe/core/workload.hpp"
 #include "sccpipe/filters/filters.hpp"
 #include "sccpipe/filters/reference.hpp"
-#include "sccpipe/noc/partition.hpp"
 #include "sccpipe/render/rasterizer.hpp"
 #include "sccpipe/render/reference.hpp"
 #include "sccpipe/scc/chip.hpp"
-#include "sccpipe/sim/parallel_sim.hpp"
 #include "sccpipe/sim/reference_scheduler.hpp"
 #include "sccpipe/sim/simulator.hpp"
 #include "sccpipe/support/args.hpp"
@@ -222,7 +220,7 @@ Metric bench_queue_ops(const char* name, std::size_t pending,
     bench::QueueHoldDriver<Simulator, EventHandle> opt(0x9e3779b9u + pending);
     opt_s.push_back(opt.run(pending, dispatches, [] { return Clock::now(); },
                             seconds_since));
-    // Shared (time, rank, seq) dispatch order means the RNG streams — and
+    // Shared (time, seq) dispatch order means the RNG streams — and
     // every derived count — must agree exactly between the engines.
     SCCPIPE_CHECK(opt.dispatched == ref.dispatched);
     SCCPIPE_CHECK(opt.cancels == ref.cancels);
@@ -386,169 +384,6 @@ Metric bench_trace_build(int frames, int side, int repeats) {
                 loads / median(opt_s)};
 }
 
-// ----------------------------------------------------- sim_jobs scaling sweep
-//
-// Intra-run parallelism (PR 6): the same workload executed at --sim-jobs
-// 1/2/4/8 on the partitioned engine. Two workloads:
-//
-//   * churn — the event-churn driver sharded over 8 independent regions
-//     with a huge lookahead, so the whole run fits in one barrier window.
-//     This is the engine's best case and measures raw multi-queue dispatch
-//     scaling with zero synchronisation cost.
-//   * e2e — the reduced walkthrough at each sim_jobs value. The
-//     walkthrough is region-native (noc/fabric.hpp): chip work executes
-//     at the region owning its tile, so partitioned rows genuinely cross
-//     regions and drain in many coalescible barrier windows.
-//
-// Every row is CHECK-verified against the jobs=1 run of the same workload
-// (identical event counts / results), so the sweep doubles as a release-
-// build determinism probe. The e2e jobs=4 row additionally feeds the
-// window-overhead gate: windows per simulated millisecond must not regress
-// more than 2x against the committed record (a cheap canary for lookahead
-// or coalescing regressions that byte-identity cannot see).
-
-struct SimJobsRow {
-  std::string workload;
-  int jobs = 0;
-  int regions = 0;
-  double wall_ms = 0.0;
-  std::uint64_t events = 0;
-  double events_per_sec = 0.0;
-  double speedup_vs_jobs1 = 0.0;
-  std::uint64_t windows = 0;
-  std::uint64_t coalesced_windows = 0;
-  std::uint64_t cross_region_events = 0;
-  double sim_ms = 0.0;  ///< simulated span the windows amortised over
-
-  double windows_per_sim_ms() const {
-    return sim_ms > 0.0 ? static_cast<double>(windows) / sim_ms : 0.0;
-  }
-};
-
-/// Per-region churn chain for the partitioned engine: same
-/// schedule/cancel/dispatch shape as ChurnDriver, confined to one region's
-/// Simulator so regions stay independent (lookahead never binds).
-struct RegionChurn {
-  Simulator* sim = nullptr;
-  std::uint64_t fired = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t target = 0;
-
-  void fire(std::uint32_t id) {
-    ++fired;
-    if (fired >= target) return;
-    const EventHandle timeout =
-        sim->schedule_after(SimTime::us(50), [this, id] { fire(id ^ 1u); });
-    sim->schedule_after(SimTime::ns((id * 7 + 3) % 41 + 1),
-                        [this, timeout, id] {
-                          if (sim->cancel(timeout)) ++cancelled;
-                          fire(id + 1);
-                        });
-  }
-};
-
-std::vector<SimJobsRow> bench_sim_jobs_churn(std::uint64_t fires_per_region,
-                                             int chains_per_region,
-                                             int repeats) {
-  const int kRegions = 8;
-  std::vector<SimJobsRow> rows;
-  std::uint64_t events_at_1 = 0;
-  double wall_at_1 = 0.0;
-  for (const int jobs : {1, 2, 4, 8}) {
-    std::vector<double> secs;
-    std::uint64_t events = 0;
-    ParallelSimStats stats;
-    SimTime sim_end = SimTime::zero();
-    for (int r = 0; r < repeats; ++r) {
-      // Huge lookahead: the snapshot bound of every region is its peers'
-      // first event plus ~an hour, so the run completes in one window.
-      ParallelSimulator eng(kRegions, jobs, SimTime::ms(3'600'000.0));
-      std::vector<RegionChurn> drivers(kRegions);
-      for (int g = 0; g < kRegions; ++g) {
-        drivers[static_cast<std::size_t>(g)].sim = &eng.region(g);
-        drivers[static_cast<std::size_t>(g)].target = fires_per_region;
-      }
-      const auto t0 = Clock::now();
-      for (int g = 0; g < kRegions; ++g) {
-        RegionChurn& d = drivers[static_cast<std::size_t>(g)];
-        for (int c = 0; c < chains_per_region; ++c) {
-          d.sim->schedule_after(SimTime::ns(c + 1), [&d, c] {
-            d.fire(static_cast<std::uint32_t>(c));
-          });
-        }
-      }
-      sim_end = eng.run();
-      secs.push_back(seconds_since(t0));
-      for (const RegionChurn& d : drivers) SCCPIPE_CHECK(d.fired >= fires_per_region);
-      events = eng.dispatched();
-      stats = eng.stats();
-    }
-    const double med = median(secs);
-    SimJobsRow row{"churn", jobs, kRegions, med * 1e3, events,
-                   static_cast<double>(events) / med, 1.0, stats.windows,
-                   stats.coalesced_windows, stats.cross_region_events,
-                   sim_end.to_ms()};
-    if (jobs == 1) {
-      events_at_1 = events;
-      wall_at_1 = med;
-    } else {
-      // Determinism probe: the sharded workload must dispatch the exact
-      // same event population at every worker count.
-      SCCPIPE_CHECK(events == events_at_1);
-      row.speedup_vs_jobs1 = wall_at_1 / med;
-    }
-    rows.push_back(row);
-  }
-  return rows;
-}
-
-std::vector<SimJobsRow> bench_sim_jobs_e2e(int frames, int size, int pipelines,
-                                           int repeats) {
-  const SceneBundle scene(CityParams{}, CameraConfig{}, size, frames);
-  const WorkloadTrace trace = WorkloadTrace::build(scene, pipelines);
-  std::vector<SimJobsRow> rows;
-  std::uint64_t events_at_1 = 0;
-  double wall_at_1 = 0.0;
-  for (const int jobs : {1, 2, 4, 8}) {
-    RunConfig cfg;
-    cfg.scenario = Scenario::HostRenderer;
-    cfg.pipelines = pipelines;
-    cfg.sim_jobs = jobs;
-    std::vector<double> secs;
-    RunResult res;
-    for (int r = 0; r < repeats; ++r) {
-      const auto t0 = Clock::now();
-      res = run_walkthrough(scene, trace, cfg);
-      secs.push_back(seconds_since(t0));
-      SCCPIPE_CHECK(!res.fault.failed);
-    }
-    const double med = median(secs);
-    // Honesty check on the recorded region count: it must be what the
-    // partition map actually produces for this platform and job request,
-    // not an assumed regions == jobs (the map clamps to the column count).
-    const MeshPartition part(ChipConfig::scc().mesh_layout,
-                             std::max(1, jobs));
-    SCCPIPE_CHECK(res.parallel_sim.regions == part.regions());
-    SimJobsRow row{"e2e", jobs, part.regions(), med * 1e3,
-                   res.events_dispatched,
-                   static_cast<double>(res.events_dispatched) / med, 1.0,
-                   res.parallel_sim.windows,
-                   res.parallel_sim.coalesced_windows,
-                   res.parallel_sim.cross_region_events,
-                   res.walkthrough.to_ms()};
-    if (jobs == 1) {
-      events_at_1 = res.events_dispatched;
-      wall_at_1 = med;
-    } else {
-      // The byte-identity contract, release-build flavour.
-      SCCPIPE_CHECK(res.events_dispatched == events_at_1);
-      row.speedup_vs_jobs1 = wall_at_1 / med;
-    }
-    rows.push_back(row);
-  }
-  return rows;
-}
-
 // ------------------------------------------------------- end-to-end context
 
 struct E2e {
@@ -595,8 +430,7 @@ std::vector<E2e> bench_e2e(int frames, int size, int pipelines, int repeats) {
 // ---------------------------------------------------------------- JSON I/O
 
 void write_json(const std::string& path, const std::vector<Metric>& metrics,
-                const std::vector<E2e>& e2e,
-                const std::vector<SimJobsRow>& sim_jobs, bool smoke) {
+                const std::vector<E2e>& e2e, bool smoke) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "[bench] cannot write %s\n", path.c_str());
@@ -641,26 +475,6 @@ void write_json(const std::string& path, const std::vector<Metric>& metrics,
                  static_cast<unsigned long long>(e.events), e.events_per_sec,
                  i + 1 < e2e.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"sim_jobs\": [\n");
-  for (std::size_t i = 0; i < sim_jobs.size(); ++i) {
-    const SimJobsRow& s = sim_jobs[i];
-    std::fprintf(f,
-                 "    {\"workload\": \"%s\", \"jobs\": %d, \"regions\": %d, "
-                 "\"wall_ms\": %.1f, \"events_dispatched\": %llu, "
-                 "\"events_per_sec\": %.4g, \"speedup_vs_jobs1\": %.2f, "
-                 "\"windows\": %llu, \"coalesced_windows\": %llu, "
-                 "\"cross_region_events\": %llu, \"sim_ms\": %.3f, "
-                 "\"windows_per_sim_ms\": %.4g}%s\n",
-                 s.workload.c_str(), s.jobs, s.regions, s.wall_ms,
-                 static_cast<unsigned long long>(s.events), s.events_per_sec,
-                 s.speedup_vs_jobs1,
-                 static_cast<unsigned long long>(s.windows),
-                 static_cast<unsigned long long>(s.coalesced_windows),
-                 static_cast<unsigned long long>(s.cross_region_events),
-                 s.sim_ms, s.windows_per_sim_ms(),
-                 i + 1 < sim_jobs.size() ? "," : "");
-  }
   std::fprintf(f, "  ]\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
@@ -678,28 +492,9 @@ std::string read_file(const std::string& path) {
   return out;
 }
 
-/// Pull `"windows_per_sim_ms": <num>` out of the committed e2e sim_jobs
-/// row for \p jobs (the format is ours, so a scan is enough).
-std::optional<double> committed_window_overhead(const std::string& json,
-                                                int jobs) {
-  const std::string tag =
-      "\"workload\": \"e2e\", \"jobs\": " + std::to_string(jobs) + ",";
-  std::size_t at = json.find(tag);
-  if (at == std::string::npos) return std::nullopt;
-  const std::string key = "\"windows_per_sim_ms\": ";
-  at = json.find(key, at);
-  if (at == std::string::npos) return std::nullopt;
-  return std::strtod(json.c_str() + at + key.size(), nullptr);
-}
-
 /// The CI regression gate: every committed ratio must still be at least
-/// half-reached by the current build, and the partitioned walkthrough's
-/// window overhead (barrier windows per simulated millisecond at the
-/// jobs=4 e2e row) must not have grown past 2x the committed value —
-/// byte-identity cannot see a lookahead or coalescing regression, but
-/// this ratio does. Returns the number of failures.
-int check_against(const std::string& path, const std::vector<Metric>& now,
-                  const std::vector<SimJobsRow>& sim_jobs) {
+/// half-reached by the current build. Returns the number of failures.
+int check_against(const std::string& path, const std::vector<Metric>& now) {
   const std::string json = read_file(path);
   if (json.empty()) {
     std::fprintf(stderr, "[bench] cannot read committed baseline %s\n",
@@ -719,23 +514,6 @@ int check_against(const std::string& path, const std::vector<Metric>& now,
     const bool ok = m.speedup() >= floor;
     std::printf("[check] %-12s committed %.2fx, current %.2fx, floor %.2fx  %s\n",
                 m.name.c_str(), *want, m.speedup(), floor,
-                ok ? "ok" : "REGRESSION");
-    if (!ok) ++failures;
-  }
-  for (const SimJobsRow& s : sim_jobs) {
-    if (s.workload != "e2e" || s.jobs != 4) continue;
-    const std::optional<double> want = committed_window_overhead(json, s.jobs);
-    if (!want || *want <= 0.0) {
-      std::fprintf(stderr,
-                   "[bench] window-overhead: no committed windows_per_sim_ms, "
-                   "skipping\n");
-      continue;
-    }
-    const double ceiling = *want * 2.0;
-    const bool ok = s.windows_per_sim_ms() <= ceiling;
-    std::printf("[check] %-12s committed %.3g w/ms, current %.3g w/ms, "
-                "ceiling %.3g  %s\n",
-                "win-overhead", *want, s.windows_per_sim_ms(), ceiling,
                 ok ? "ok" : "REGRESSION");
     if (!ok) ++failures;
   }
@@ -809,32 +587,11 @@ int main(int argc, char** argv) {
                 e.events_per_sec);
   }
 
-  std::vector<SimJobsRow> sim_jobs =
-      bench_sim_jobs_churn(smoke ? 30'000 : 200'000, 32, smoke ? 2 : 5);
-  {
-    const std::vector<SimJobsRow> e2e_rows =
-        bench_sim_jobs_e2e(smoke ? 10 : 60, 240, 4, smoke ? 2 : 5);
-    sim_jobs.insert(sim_jobs.end(), e2e_rows.begin(), e2e_rows.end());
-  }
-  std::printf("\nsim_jobs sweep (partitioned engine, results checked"
-              " identical to jobs=1):\n");
-  for (const SimJobsRow& s : sim_jobs) {
-    std::printf("  %-6s jobs %d over %d regions: %8.1f ms, %.3g events/s, "
-                "%.2fx vs jobs=1, %llu window(s) (+%llu coalesced), "
-                "%llu cross-region, %.3g windows/sim-ms\n",
-                s.workload.c_str(), s.jobs, s.regions, s.wall_ms,
-                s.events_per_sec, s.speedup_vs_jobs1,
-                static_cast<unsigned long long>(s.windows),
-                static_cast<unsigned long long>(s.coalesced_windows),
-                static_cast<unsigned long long>(s.cross_region_events),
-                s.windows_per_sim_ms());
-  }
-
   const std::string out = args.get("out");
-  if (out != "none") write_json(out, metrics, e2e, sim_jobs, smoke);
+  if (out != "none") write_json(out, metrics, e2e, smoke);
 
   if (args.has("check") && !args.get("check").empty()) {
-    const int failures = check_against(args.get("check"), metrics, sim_jobs);
+    const int failures = check_against(args.get("check"), metrics);
     if (failures > 0) {
       std::fprintf(stderr, "[bench] %d metric(s) regressed >2x vs %s\n",
                    failures, args.get("check").c_str());

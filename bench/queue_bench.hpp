@@ -5,8 +5,7 @@
 //
 // The driver isolates *queue operations* — schedule, cancel, dispatch —
 // from everything else the engines do: it prefills N pending events
-// (duplicate-heavy timestamps on a coarse grid, ~half carrying explicit
-// ranks), then runs a steady-state pop-push churn where every dispatched
+// (duplicate-heavy timestamps on a coarse grid), then runs a steady-state pop-push churn where every dispatched
 // event schedules one replacement, with a periodic cancel + re-arm mixed
 // in. The pending population therefore *holds* at N throughout the
 // measured window, so each tier probes the heap at a controlled depth
@@ -15,7 +14,7 @@
 //
 // Both engines (Simulator with the 4-ary key heap, reference::Scheduler
 // with the binary AoS heap) consume the same deterministic RNG stream and
-// dispatch in the same (time, rank, seq) order, so their op counts are
+// dispatch in the same (time, seq) order, so their op counts are
 // cross-checked equal and the wall-clock ratio isolates queue layout.
 
 #include <cstdint>
@@ -31,8 +30,8 @@
 namespace sccpipe::bench {
 
 /// Deterministic hold-pattern churn on one engine. Engine must expose
-/// schedule_at / schedule_at_ranked / cancel / step / now (Simulator and
-/// reference::Scheduler both qualify).
+/// schedule_at / cancel / step / now (Simulator and reference::Scheduler
+/// both qualify).
 template <class Engine, class Handle>
 struct QueueHoldDriver {
   Engine eng;
@@ -44,17 +43,12 @@ struct QueueHoldDriver {
 
   explicit QueueHoldDriver(std::uint64_t seed) : rng(seed) {}
 
-  /// One replacement event: coarse time grid (heavy same-timestamp
-  /// collisions), ~half ranked — the distribution the partitioned
-  /// engine's merged mail shows.
+  /// One replacement event on a coarse time grid (heavy same-timestamp
+  /// collisions).
   void schedule_one() {
     const SimTime when =
         eng.now() + SimTime::ns(static_cast<std::int64_t>(1 + rng.below(64)) * 100);
-    if (rng.below(2) == 0) {
-      eng.schedule_at_ranked(when, rng.below(4), [this] { pump(); });
-    } else {
-      eng.schedule_at(when, [this] { pump(); });
-    }
+    eng.schedule_at(when, [this] { pump(); });
   }
 
   void pump() {

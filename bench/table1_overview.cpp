@@ -2,12 +2,15 @@
 // renderer configurations x three arrangements, plus the three Mogon HPC
 // configurations, each for 1..7 pipelines. This is the paper's headline
 // result table; the harness prints simulated and published values
-// interleaved and a per-row mean relative error.
+// interleaved and a per-row mean relative error. The published values
+// live in sccpipe/core/table1.hpp, next to the per-cell pins that
+// paper_validation_test enforces.
 
 #include <cmath>
 #include <cstdio>
 
 #include "common.hpp"
+#include "sccpipe/core/table1.hpp"
 
 using namespace sccpipe;
 using namespace sccpipe::bench;
@@ -16,67 +19,31 @@ int main() {
   print_banner("Table I — overview of all results (seconds, 1..7 pipelines)",
                "12 configurations; published values interleaved as (paper)");
 
-  struct Row {
-    SweepSpec spec;
-  };
-  const std::vector<SweepSpec> rows = {
-      {"1 rend., unordered", Scenario::SingleRenderer, Arrangement::Unordered,
-       PlatformKind::Scc, {207, 107, 102, 102, 102, 101, 101}},
-      {"1 rend., ordered", Scenario::SingleRenderer, Arrangement::Ordered,
-       PlatformKind::Scc, {208, 108, 104, 103, 102, 101, 101}},
-      {"1 rend., flipped", Scenario::SingleRenderer, Arrangement::Flipped,
-       PlatformKind::Scc, {208, 107, 102, 102, 102, 101, 101}},
-      {"n rend., unordered", Scenario::RendererPerPipeline,
-       Arrangement::Unordered, PlatformKind::Scc, {235, 117, 78, 69, 65, 62, 58}},
-      {"n rend., ordered", Scenario::RendererPerPipeline, Arrangement::Ordered,
-       PlatformKind::Scc, {236, 118, 79, 68, 65, 61, 58}},
-      {"n rend., flipped", Scenario::RendererPerPipeline, Arrangement::Flipped,
-       PlatformKind::Scc, {236, 117, 79, 68, 65, 61, 59}},
-      {"MCPC, unordered", Scenario::HostRenderer, Arrangement::Unordered,
-       PlatformKind::Scc, {231, 113, 72, 54, 54, 55, 54}},
-      {"MCPC, ordered", Scenario::HostRenderer, Arrangement::Ordered,
-       PlatformKind::Scc, {231, 112, 70, 54, 53, 55, 54}},
-      {"MCPC, flipped", Scenario::HostRenderer, Arrangement::Flipped,
-       PlatformKind::Scc, {232, 113, 72, 54, 51, 54, 54}},
-      {"HPC, external rend.", Scenario::HostRenderer, Arrangement::Ordered,
-       PlatformKind::Cluster, {32, 24, 20, 20, 19, 20, 18}},
-      {"HPC, single rend.", Scenario::SingleRenderer, Arrangement::Ordered,
-       PlatformKind::Cluster, {26, 14, 10, 7, 6, 5, 4}},
-      {"HPC, parallel rend.", Scenario::RendererPerPipeline,
-       Arrangement::Ordered, PlatformKind::Cluster, {25, 14, 10, 8, 6, 5, 4}},
-  };
+  const std::vector<double> secs = run_batch_seconds(table1_configs());
 
   TextTable table({"configuration", "1 pl.", "2 pl.", "3 pl.", "4 pl.",
                    "5 pl.", "6 pl.", "7 pl.", "err"});
   double worst_err = 0.0;
   std::string worst_row;
-  for (const SweepSpec& spec : rows) {
-    table.row().add(spec.label + " (sim)");
+  std::size_t cell = 0;
+  for (const Table1Row& row : kTable1) {
+    table.row().add(std::string(row.label) + " (sim)");
     double err_sum = 0.0;
-    std::vector<double> sim;
-    for (int k = 1; k <= 7; ++k) {
-      RunConfig cfg;
-      cfg.scenario = spec.scenario;
-      cfg.arrangement = spec.arrangement;
-      cfg.platform = spec.platform;
-      cfg.pipelines = k;
-      const double secs = run_seconds(cfg);
-      sim.push_back(secs);
-      table.add(secs, 1);
-      err_sum += std::fabs(secs - spec.paper_seconds[static_cast<std::size_t>(k - 1)]) /
-                 spec.paper_seconds[static_cast<std::size_t>(k - 1)];
+    for (const double paper : row.paper_s) {
+      const double s = secs[cell++];
+      table.add(s, 1);
+      err_sum += std::fabs(s - paper) / paper;
     }
     const double mean_err = 100.0 * err_sum / 7.0;
     table.add(format_fixed(mean_err, 0) + "%");
     if (mean_err > worst_err) {
       worst_err = mean_err;
-      worst_row = spec.label;
+      worst_row = row.label;
     }
 
-    table.row().add(spec.label + " (paper)");
-    for (const double v : spec.paper_seconds) table.add(v, 0);
+    table.row().add(std::string(row.label) + " (paper)");
+    for (const double v : row.paper_s) table.add(v, 0);
     table.add("");
-    std::fflush(stdout);
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf("worst mean relative error: %.0f%% (%s)\n", worst_err,

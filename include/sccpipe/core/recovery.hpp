@@ -51,8 +51,7 @@ struct RecoveryConfig {
   int max_spares = -1;
 };
 
-/// Parse-time validation of a recovery config (the CLI's counterpart of
-/// exec::validate_sim_jobs). Typed InvalidArgument when the heartbeat
+/// Parse-time validation of a recovery config. Typed InvalidArgument when the heartbeat
 /// period is non-positive or when detection_deadline < 2 * heartbeat_period
 /// — below that bound a single heartbeat arriving one mesh transit late can
 /// be declared a death, so the watchdog would fire spuriously on healthy
@@ -188,9 +187,8 @@ class Supervisor {
   /// Feed one per-stage service-time observation (milliseconds) for \p
   /// core's current window. Called by the stage driver at strip completion;
   /// callers must invoke it at deterministic simulated instants (the
-  /// walkthrough records from host-region stage callbacks, whose times are
-  /// partition-invariant), which makes the detector byte-identical at any
-  /// --jobs/--sim-jobs. Unwatched cores are ignored.
+  /// walkthrough records from host-side stage callbacks), which makes the
+  /// detector byte-identical at any --jobs. Unwatched cores are ignored.
   void record_service(CoreId core, double service_ms);
   /// Drop the detector's per-core history for \p core (after a migration:
   /// the spare starts with a fresh baseline).

@@ -4,8 +4,7 @@
 /// The run-level checkpoint record for crash-durable walkthroughs.
 ///
 /// A RunSnapshot is written at a frame boundary (the viewer-arrival
-/// callback — a host-region event, so the captured state is deterministic
-/// at every --sim-jobs value) and holds:
+/// callback) and holds:
 ///
 ///   * a fingerprint of the run configuration, so a resume against the
 ///     wrong scenario/plan/seed is rejected with a typed error instead of
@@ -26,8 +25,8 @@
 /// while a match proves the resumed run is on the recorded trajectory, so
 /// everything after the crash point is exactly what the uninterrupted run
 /// would have produced. This trades replay time for zero serialization of
-/// in-flight simulation structure (event heaps, callbacks, per-region chip
-/// state), which is what keeps the checkpoint format small and stable.
+/// in-flight simulation structure (event heap, callbacks, chip state),
+/// which is what keeps the checkpoint format small and stable.
 
 #include <cstdint>
 #include <string>
@@ -56,9 +55,7 @@ struct RunSnapshot {
 /// FNV-1a fingerprint of everything that shapes the deterministic
 /// trajectory: scenario, arrangement, platform, overrides, pipelines, DVFS
 /// knobs, seed, and the fault/recovery/overload configs. Deliberately
-/// excludes sim_jobs (byte-identity holds across worker counts, so a
-/// snapshot from a --sim-jobs 4 run resumes under --sim-jobs 1 and vice
-/// versa), the crash-at list (a process fate, not simulation config — the
+/// excludes the crash-at list (a process fate, not simulation config — the
 /// real-SIGKILL resume path has no crash keys at all) and the checkpoint
 /// config itself.
 std::uint64_t run_config_fingerprint(const RunConfig& cfg);

@@ -93,16 +93,6 @@ struct RunConfig {
   /// examples and the functional-equivalence tests).
   bool functional = false;
 
-  /// Worker threads *inside* this one simulation (the partitioned engine,
-  /// sim/parallel_sim.hpp). The walkthrough attaches a region fabric
-  /// (noc/fabric.hpp) at every value, so timed chip work — compute, DRAM
-  /// streams, memory walks, mid-run DVFS — executes in the mesh region
-  /// owning its tile and regions dispatch concurrently. Event locations
-  /// depend only on the simulated topology, never on the region count, so
-  /// results are bit-identical at every value; 1 drains inline and spawns
-  /// no threads (see docs/PERF.md §1.3).
-  int sim_jobs = 1;
-
   std::uint64_t seed = 42;  ///< scratch/flicker randomness
   Calibration cal = Calibration::defaults();
   RcceConfig rcce{};
@@ -190,37 +180,6 @@ struct FaultReport {
   std::uint64_t rcce_transfers_failed = 0;
   /// FNV-1a hash of the fault schedule + decision trace (determinism tests).
   std::uint64_t fingerprint = 0;
-};
-
-/// Parallel-engine counters of one run. Every field is deterministic
-/// (derived from queue states, never wall-clock), so the report may appear
-/// in CSV output without breaking the byte-identity contract across
-/// --sim-jobs values.
-struct ParallelSimReport {
-  bool enabled = false;  ///< cfg.sim_jobs > 1 requested the engine
-  int sim_jobs = 1;
-  int regions = 1;
-  std::int64_t lookahead_ns = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t coalesced_windows = 0;
-  std::uint64_t cross_region_events = 0;
-  std::uint64_t idle_region_windows = 0;
-  /// Watchdog verdict: the engine stopped a livelocked/stagnant run with
-  /// DeadlineExceeded instead of hanging. The run is also marked failed
-  /// (RunResult::fault carries the typed code); `stall` holds the verdict
-  /// message and `flight_recorder` the last window summaries as evidence.
-  bool stalled = false;
-  std::string stall;
-  std::string flight_recorder;
-  /// Container growths summed over the region simulators. The engine
-  /// derives each region's queue reservation from the partition's occupied
-  /// tiles (not one global constant), so steady state performs zero
-  /// allocations per region — asserted at sim-jobs 1/4/8 by
-  /// tests/parallel_sim_test.cpp. Not part of the CSV.
-  std::uint64_t region_allocs = 0;
-  /// Max simultaneous pending events over all region simulators (the
-  /// figure the occupancy-derived size hints are calibrated against).
-  std::uint64_t region_peak_events = 0;
 };
 
 /// Checkpoint/crash/resume outcome of one run. Deliberately NOT part of the
@@ -327,8 +286,11 @@ struct RunResult {
   /// cfg.gray armed the detector).
   GrayReport gray;
 
-  /// Parallel-engine counters (sim_jobs = 1 when the serial path ran).
-  ParallelSimReport parallel_sim;
+  /// Event-queue container growths and the peak of simultaneously pending
+  /// events (SimulatorStats). The walkthrough reserves its queue up front,
+  /// so a steady-state run reports zero growths. Not part of the CSV.
+  std::uint64_t sim_allocs = 0;
+  std::uint64_t sim_peak_events = 0;
 
   /// Checkpoint/crash/resume outcome (enabled == false unless
   /// cfg.checkpoint or a crash-at fate was active).

@@ -11,7 +11,6 @@
 #include <functional>
 #include <initializer_list>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,7 +70,6 @@ class StripCounts {
   int max() const;                  ///< 0 for the empty set
   std::vector<int> values() const;  ///< ascending
   std::string to_string() const;    ///< "{1,4}"
-  std::uint32_t mask() const { return mask_; }
 
   friend bool operator==(const StripCounts&, const StripCounts&) = default;
 
@@ -104,35 +102,6 @@ class WorkloadTrace {
   static WorkloadTrace build(const SceneBundle& scene, int max_k,
                              const ForEachFrame& for_each = {}) {
     return build(scene, StripCounts::up_to(max_k), for_each);
-  }
-
-  /// Disk cache: benches may persist a trace rather than rebuild it,
-  /// though a serial build of the full paper workload (400 frames at 400²,
-  /// k = 1..8) takes under a second. The fingerprint (scene seed, frame
-  /// count, image size, built strip counts, format version) guards
-  /// staleness. load() returns an empty optional on any mismatch — a file
-  /// holding other strip counts than \p strip_counts included — or on any
-  /// I/O problem.
-  void save(const std::string& path, const SceneBundle& scene) const;
-  static std::optional<WorkloadTrace> load(const std::string& path,
-                                           const SceneBundle& scene,
-                                           const StripCounts& strip_counts);
-  static std::optional<WorkloadTrace> load(const std::string& path,
-                                           const SceneBundle& scene,
-                                           int max_k) {
-    return load(path, scene, StripCounts::up_to(max_k));
-  }
-
-  /// Load from cache or build and fill the cache.
-  static WorkloadTrace build_cached(const SceneBundle& scene,
-                                    const StripCounts& strip_counts,
-                                    const std::string& cache_path,
-                                    const ForEachFrame& for_each = {});
-  static WorkloadTrace build_cached(const SceneBundle& scene, int max_k,
-                                    const std::string& cache_path,
-                                    const ForEachFrame& for_each = {}) {
-    return build_cached(scene, StripCounts::up_to(max_k), cache_path,
-                        for_each);
   }
 
   int frame_count() const { return frames_; }

@@ -39,19 +39,6 @@ namespace sccpipe::exec {
 using sccpipe::default_jobs;
 using sccpipe::ThreadPool;
 
-/// Worker count for the partitioned engine *inside* one simulation
-/// (RunConfig::sim_jobs = 0): the SCCPIPE_SIM_JOBS environment variable if
-/// set to a positive integer, otherwise 1 — intra-run parallelism is
-/// opt-in, unlike the between-runs default above.
-int default_sim_jobs();
-
-/// Validate an *explicitly requested* --sim-jobs value: the partitioned
-/// engine needs at least one worker, so zero or negative requests are an
-/// InvalidArgument — the CLIs used to substitute the default silently,
-/// which hid typos in experiment scripts. A caller that wants the default
-/// should omit the flag and use default_sim_jobs() instead.
-Status validate_sim_jobs(int sim_jobs);
-
 /// Run fn(0..n-1), spreading indices across \p jobs workers. Blocks until
 /// every index has run. If any invocation throws, the exception from the
 /// lowest index is rethrown after all tasks finish (deterministic error

@@ -30,7 +30,7 @@
 
 namespace sccpipe {
 
-class RegionFabric;
+class MeshFabric;
 
 struct MemoryConfig {
   /// Effective sustained bandwidth per controller (DDR3-800 peak is
@@ -66,15 +66,13 @@ class MemorySystem {
   const CacheModel& cache() const { return cache_; }
   const MeshTopology& topology() const { return topo_; }
 
-  /// Re-home the controllers onto a region fabric (noc/fabric.hpp): each
-  /// controller's fair-share queue is rebuilt on the regional Simulator
-  /// owning its router tile, and bulk() turns into a located event chain
-  /// (mesh charge at the host bridge, queueing at the controller's region,
-  /// completion back at the issuing core's tile). In fabric mode bulk()
-  /// must be called from an event at the issuing core's site and delivers
-  /// on_done there. Must be called while no flow is active; nullptr
-  /// detaches and restores the serial path.
-  void attach_fabric(RegionFabric* fabric);
+  /// Route bulk() through a mesh fabric (noc/fabric.hpp): it turns into a
+  /// located event chain (mesh charge at the host bridge, queueing at the
+  /// controller's tile, completion back at the issuing core's tile). In
+  /// fabric mode bulk() must be called from an event at the issuing core's
+  /// site and delivers on_done there. nullptr detaches and restores the
+  /// plain path.
+  void attach_fabric(MeshFabric* fabric) { fabric_ = fabric; }
 
   /// Stream \p bytes between \p core and its home MC's DRAM.
   /// \p core_rate_cap is the issuing core's copy bandwidth (bytes/s).
@@ -89,8 +87,8 @@ class MemorySystem {
   /// sampling; the caller owns treating it as busy time.
   SimTime latency_bound(CoreId core, double n_accesses) const;
 
-  /// As above against an explicit clock — the fabric's walk segments run
-  /// at the controller's region, whose now() is not the host Simulator's.
+  /// As above against an explicit clock (the fabric's walk segments pass
+  /// the time of the event executing at the controller's tile).
   SimTime latency_bound(CoreId core, double n_accesses, SimTime now) const;
 
   /// Latency-bound streams register while active so concurrent walkers see
@@ -120,14 +118,12 @@ class MemorySystem {
   MeshModel& mesh_;
   MemoryConfig cfg_;
   CacheModel cache_;
-  /// One fair-share queue per controller. Serial mode: all on sim_. Fabric
-  /// mode: each on the regional Simulator owning the controller's tile, so
-  /// flow start/settle events execute in the controller's region.
+  /// One fair-share queue per controller, all on sim_.
   std::vector<std::unique_ptr<FairShareResource>> mcs_;
   std::vector<int> latency_streams_;
   std::vector<McStats> stats_;
   const FaultInjector* fault_ = nullptr;
-  RegionFabric* fabric_ = nullptr;
+  MeshFabric* fabric_ = nullptr;
 };
 
 /// RAII registration of a latency-bound walker.

@@ -1,97 +1,59 @@
 #pragma once
 
 /// \file fabric.hpp
-/// Region-native event fabric: the bridge between the platform models
-/// (scc/chip.hpp, mem/memory.hpp) and the mesh-partitioned parallel engine
-/// (sim/parallel_sim.hpp).
+/// Located event chains: the timing bridge between the platform models
+/// (scc/chip.hpp, mem/memory.hpp) and the walkthrough's one Simulator.
 ///
-/// The serial walkthrough posts every timed event on one host-region
-/// Simulator. A RegionFabric instead gives every *site* (a mesh tile) a
-/// home region — the column band that owns the tile (noc/partition.hpp) —
-/// and turns each timed primitive into a chain of located events:
-/// "run this at tile T" becomes a ranked post against T's regional
-/// Simulator, delayed by the calibrated transit time
+/// Every timed primitive the chip runs through the fabric becomes a chain
+/// of located events: "run this at tile T" is scheduled on the Simulator
+/// after the calibrated transit time from the executing event's site,
 ///
 ///   transit(a, b) = hop_latency * hop_distance(a, b)
 ///
-/// so event chains pay the same simulated mesh latency at every region
-/// count. Determinism across partitionings rests on three properties:
+/// so a chain pays the simulated mesh latency of every leg it crosses.
 ///
-///  * **Located time**: a chain leg's delivery time depends only on the
-///    simulated topology (source site, destination site, hop latency),
-///    never on which region either site landed in.
-///  * **Topology ranks**: every fabric post carries a rank derived from
-///    (source site's post counter, source site). At equal delivery times
-///    the destination heap orders by rank, which is partition-blind;
-///    region-local seq order only breaks ties between *unranked* events,
-///    which are always produced by that region's own deterministic
-///    execution.
-///  * **Adaptive lookahead**: the engine's per-channel lookahead matrix is
-///    installed from band distances (partition.lookahead(hop, a, b)), and
-///    transit(a, b) >= lookahead[region(a)][region(b)] by construction —
-///    the Manhattan distance between two tiles is at least the column gap
-///    between their bands — so every hop clears the engine's conservative
-///    post check with room to spare.
-///
-/// The thread-local *current site* tracks which tile the executing event
-/// belongs to; model code that runs outside any fabric-dispatched callback
-/// (host-side control logic, setup, collection) executes at the bridge
-/// site, the tile the host PCIe link attaches to.
+/// The *current site* tracks which tile the executing event belongs to;
+/// model code that runs outside any fabric-scheduled callback (host-side
+/// control logic, setup, collection) executes at the bridge site, the tile
+/// the host PCIe link attaches to.
 
-#include <cstdint>
-#include <vector>
-
-#include "sccpipe/noc/partition.hpp"
 #include "sccpipe/noc/topology.hpp"
 #include "sccpipe/sim/callback.hpp"
-#include "sccpipe/sim/parallel_sim.hpp"
+#include "sccpipe/sim/simulator.hpp"
 #include "sccpipe/support/time.hpp"
 
 namespace sccpipe {
 
-class RegionFabric {
+class MeshFabric {
  public:
-  /// Binds \p engine (whose region count must equal \p partition's) to the
-  /// partition map, and installs the adaptive per-channel lookahead matrix
-  /// computed from \p hop_latency and the partition's band distances.
-  /// Both referents must outlive the fabric.
-  RegionFabric(ParallelSimulator& engine, const MeshPartition& partition,
-               SimTime hop_latency);
-  RegionFabric(const RegionFabric&) = delete;
-  RegionFabric& operator=(const RegionFabric&) = delete;
-
-  int regions() const { return partition_.regions(); }
-  const MeshPartition& partition() const { return partition_; }
-  SimTime hop_latency() const { return hop_latency_; }
+  /// Schedules on \p sim (which must outlive the fabric) across a mesh of
+  /// \p layout, paying \p hop_latency per router hop.
+  MeshFabric(Simulator& sim, const MeshLayout& layout, SimTime hop_latency);
+  MeshFabric(const MeshFabric&) = delete;
+  MeshFabric& operator=(const MeshFabric&) = delete;
 
   /// The tile the host link attaches to (south-west corner router). Events
-  /// not dispatched by the fabric — host control logic, setup, collection —
+  /// not scheduled by the fabric — host control logic, setup, collection —
   /// execute here.
   TileId bridge_site() const { return bridge_; }
 
-  /// Site of the event the calling thread is executing, or bridge_site()
-  /// when outside any fabric-dispatched callback.
-  TileId current_site() const;
-
-  int region_of(TileId site) const {
-    return site_region_[static_cast<std::size_t>(site)];
-  }
-
-  /// The regional Simulator owning \p site — for building per-region timed
-  /// resources (e.g. a memory controller's fair-share queue) at setup time.
-  Simulator& region_sim(TileId site) { return engine_.region(region_of(site)); }
+  /// Site of the executing fabric-scheduled event, or bridge_site() when
+  /// outside any.
+  TileId current_site() const { return site_; }
 
   /// Calibrated transit delay between two sites: hop_latency x Manhattan
   /// router hops (zero for a == b).
   SimTime transit(TileId from, TileId to) const;
 
-  /// Simulated time at the executing event's region (== the owning
-  /// Simulator's now()); the bridge region's clock when outside run().
-  SimTime now() const;
+  /// Simulated time (the Simulator's now()).
+  SimTime now() const { return sim_.now(); }
 
-  /// True while the parallel engine is draining windows (i.e. the caller
-  /// is inside a region callback).
-  static bool in_run() { return ParallelSimulator::current_region() >= 0; }
+  /// True while the owner drains the event loop — for every event, host-
+  /// side ones included — and false during setup and collection. A DVFS
+  /// command issued in a run crosses the mesh before it takes effect; one
+  /// issued at setup applies at once.
+  bool in_run() const { return in_run_; }
+  void set_in_run(bool in_run) { in_run_ = in_run; }
 
   /// Run \p fn at site \p to, at now() + transit(current_site(), to).
   void hop(TileId to, FabricCallback fn);
@@ -105,19 +67,14 @@ class RegionFabric {
   void after(SimTime delay, FabricCallback fn);
 
  private:
-  std::uint64_t next_rank(TileId from_site);
-  void dispatch(TileId site, SimTime when, FabricCallback fn);
+  void schedule(TileId site, SimTime when, FabricCallback fn);
 
-  ParallelSimulator& engine_;
-  const MeshPartition& partition_;
+  Simulator& sim_;
   MeshTopology topo_;
   SimTime hop_latency_;
   TileId bridge_ = 0;
-  std::vector<int> site_region_;  ///< tile -> owning region (cached)
-  /// Per-site monotone post counters feeding next_rank(). Single-writer:
-  /// posts "from site S" only happen inside events executing at S, which
-  /// all run on S's region; setup-phase bumps happen-before the workers.
-  std::vector<std::uint64_t> site_counter_;
+  TileId site_ = 0;
+  bool in_run_ = false;
 };
 
 }  // namespace sccpipe

@@ -22,7 +22,7 @@
 namespace sccpipe {
 
 class FaultInjector;
-class RegionFabric;
+class MeshFabric;
 
 /// How finely the supply voltage can be set. Frequency is always per tile;
 /// the SCC's silicon couples voltage across 2x2-tile domains (8 cores, six
@@ -115,18 +115,16 @@ class SccChip {
   const PowerModel& power_model() const { return power_model_; }
 
   // --- fail-stop faults ---------------------------------------------------
-  // --- region-native dispatch --------------------------------------------
-  /// Attach a region fabric (noc/fabric.hpp): the timed-execution
-  /// primitives below stop running on the host-region Simulator and become
-  /// located event chains — compute at the core's tile, DRAM streams
-  /// through the controller's region, continuations hopping back to the
-  /// caller's site — so a partitioned run dispatches them concurrently.
-  /// The memory system is re-homed per controller region as a side effect.
-  /// Must be called while no timed work is in flight; nullptr detaches and
-  /// restores the serial (byte-identical to unattached) path. The fabric
-  /// must outlive the chip or be detached first.
-  void attach_fabric(RegionFabric* fabric);
-  RegionFabric* fabric() { return fabric_; }
+  // --- located dispatch ---------------------------------------------------
+  /// Attach a mesh fabric (noc/fabric.hpp): the timed-execution primitives
+  /// below become located event chains — compute at the core's tile, DRAM
+  /// streams through the controller's tile, continuations hopping back to
+  /// the caller's site — and pay the mesh transit of every leg. The memory
+  /// system routes its streams through the fabric as a side effect. Must
+  /// be called while no timed work is in flight; nullptr detaches and
+  /// restores the plain path. The fabric must outlive the chip or be
+  /// detached first.
+  void attach_fabric(MeshFabric* fabric);
 
   /// Attach the fault layer so cores can fail-stop (FaultPlan core-fail).
   /// A dead core starts no new work: compute/memory_walk/dram_stream on it
@@ -171,21 +169,20 @@ class SccChip {
   void fabric_walk_step(WalkState st, TileId ret_site);
   void refresh_power();
   void refresh_voltages();
-  /// Fault query / busy accounting against an explicit region-local clock
-  /// (the fabric's chains execute at the owning tile's region, whose now()
-  /// differs from the host Simulator's).
+  /// Fault query / busy accounting against an explicit clock (the time of
+  /// the fabric event executing at the core's tile).
   bool core_dead_at(CoreId core, SimTime now) const;
   void set_core_busy_at(CoreId core, bool busy, SimTime now);
-  /// Compute speed from the tile's *live* clock — the region-owned mirror
-  /// of the requested frequency that a mid-run DVFS command updates via a
+  /// Compute speed from the tile's *live* clock — the tile-owned mirror of
+  /// the requested frequency that a mid-run DVFS command updates via a
   /// located post (see set_tile_frequency).
   double effective_hz_live(CoreId core) const;
   /// Fail-slow adjustment of a work duration starting at \p now on \p core:
   /// an intermittent-stall window defers the start to its end, and a
   /// slow-core fate multiplies the service time. Identity when no fault
   /// layer is attached or no gray fate covers the instant. Called at the
-  /// core's tile in fabric mode, so the sampled times are region-local and
-  /// partition-independent.
+  /// core's tile in fabric mode, so the sampled times include the transit
+  /// to the tile.
   SimTime gray_adjusted(CoreId core, SimTime dur, SimTime now) const;
 
   Simulator& sim_;
@@ -197,17 +194,18 @@ class SccChip {
   PowerModel power_model_;
   PowerMeter meter_;
   /// Requested frequency and effective operating point per tile. Host-
-  /// owned: written only by host-region events (DVFS commands, setup), and
+  /// owned: written only by host-side events (DVFS commands, setup), and
   /// read by the host-side power/voltage refresh and effective_hz().
   std::vector<int> tile_mhz_;
   std::vector<OperatingPoint> tile_points_;  ///< effective (freq, voltage)
   /// The tile-owned mirror of tile_mhz_: written by an event *at* the tile
   /// (a mid-run DVFS command hops across the mesh before taking effect),
-  /// read by compute() at the tile. Always equals tile_mhz_ in serial mode.
+  /// read by compute() at the tile. Always equals tile_mhz_ without a
+  /// fabric.
   std::vector<int> tile_mhz_live_;
   std::vector<CoreState> cores_;
   const FaultInjector* fault_ = nullptr;
-  RegionFabric* fabric_ = nullptr;
+  MeshFabric* fabric_ = nullptr;
 };
 
 }  // namespace sccpipe

@@ -175,7 +175,7 @@ inline constexpr std::size_t kSimCallbackBytes = 272;
 /// lambda inline; anything bigger is a compile error.
 using StageCallback = InplaceFunction<void(), kStageCallbackBytes>;
 
-/// A region-fabric chain leg (noc/fabric.hpp): one hop of a multi-site
+/// A mesh-fabric chain leg (noc/fabric.hpp): one hop of a multi-site
 /// event chain, carrying the original StageCallback plus a few words of
 /// POD context. Never nest a FabricCallback inside another FabricCallback —
 /// each leg re-captures the primitive continuation instead, so the tier

@@ -25,18 +25,10 @@
 /// slot table), so everything a sift touches is hot sequential POD data.
 ///
 /// Ordering comes from `Key::before(a, b)` — "a dispatches before b" — a
-/// strict total order (the simulator's (time, rank, seq) key is unique),
-/// so any valid heap arrangement pops in exactly one order: internal
-/// strategy changes (bulk appends, rebuilds, compaction timing) can never
-/// change the dispatch sequence.
-///
-/// Bulk merges: `append()` places a key at the tail *without* restoring the
-/// heap property; `commit(k)` restores it for the last k appends — by
-/// sifting each appended key up (k small) or one Floyd rebuild pass over
-/// the whole array (k large), whichever costs less. This is what turns the
-/// parallel engine's barrier flush from k·O(log n) pushes into an
-/// O(k + rebuild) amortised merge. Between append and commit only
-/// append/size/capacity may be called.
+/// strict total order (the simulator's (time, seq) key is unique), so any
+/// valid heap arrangement pops in exactly one order: internal strategy
+/// changes (rebuilds, compaction timing) can never change the dispatch
+/// sequence.
 
 #include <cstddef>
 #include <cstdint>
@@ -92,29 +84,6 @@ class DaryKeyHeap {
     --size_;
     if (size_ == 0) return;
     sift_down(kPad, data_[size_ + kPad]);
-  }
-
-  /// Bulk-merge fast path: place \p key at the tail WITHOUT restoring the
-  /// heap property. Pair with commit(); see the file comment.
-  void append(const Key& key) {
-    if (size_ == cap_) grow_to(cap_ < 8 ? 16 : cap_ * 2);
-    data_[size_ + kPad] = key;
-    ++size_;
-  }
-
-  /// Restore the heap property after the last \p appended append() calls.
-  /// Adaptive: k sift-ups cost ~k·log4(n); a Floyd rebuild costs ~n/ary
-  /// sift-downs with geometrically shrinking depth. Either way the heap
-  /// ends valid, and validity alone fixes the pop order (total-order keys).
-  void commit(std::size_t appended) {
-    if (appended == 0) return;
-    if (appended * 8 >= size_) {
-      rebuild();
-      return;
-    }
-    for (std::size_t p = size_ + kPad - appended; p < size_ + kPad; ++p) {
-      sift_up(p, data_[p]);
-    }
   }
 
   /// Drop every key matching \p dead in one compaction pass, then rebuild.

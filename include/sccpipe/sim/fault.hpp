@@ -130,9 +130,7 @@ struct SlowCore {
 /// A planned mesh-link degradation ("degraded-link=<a>-<b>:<factor>@<time>"):
 /// from `at` onward every hop crossing the link between *adjacent* tiles
 /// `a` and `b` (both directions) pays `factor` times the per-hop router
-/// latency. Latency only inflates (factor >= 1), so the parallel engine's
-/// adaptive lookahead floor — derived from the un-degraded transit — stays
-/// a valid lower bound and window-sync correctness is untouched.
+/// latency. Latency only inflates (factor >= 1).
 struct DegradedLink {
   int tile_a = -1;
   int tile_b = -1;
@@ -291,8 +289,7 @@ class FaultInjector {
   double router_slowdown(int tile, SimTime at) const;
   /// Per-hop latency multiplier (>= 1) for a *degraded* link at \p at.
   /// Unlike link_slowdown (which scales serialisation time), this scales
-  /// the fixed per-hop router latency — latency only ever inflates, so the
-  /// parallel engine's lookahead floor stays valid.
+  /// the fixed per-hop router latency — latency only ever inflates.
   double link_latency_factor(int link_index, SimTime at) const;
 
   // --- memory hooks ------------------------------------------------------

@@ -5,8 +5,7 @@
 /// array-of-structs binary heap whose entries own heap-allocating
 /// std::function callbacks (sifts drag the closures along), with the same
 /// O(1) slot-table cancel and lazy tombstone compaction the optimised
-/// engine uses. Dispatch order is (when, rank, seq) — exactly Simulator's
-/// — so
+/// engine uses. Dispatch order is (when, seq) — exactly Simulator's — so
 ///
 ///  * the event-ordering determinism test replays one chaos workload on
 ///    both engines and diffs the recorded dispatch traces;
@@ -42,14 +41,6 @@ class Scheduler {
   Scheduler() { heap_.reserve(1024); }
 
   Handle schedule_at(SimTime when, Callback fn) {
-    return schedule_at_ranked(when, kUnranked, std::move(fn));
-  }
-
-  /// Explicit tie-break rank, mirroring Simulator::schedule_at_ranked:
-  /// (when, rank, seq) dispatch order, kUnranked sorting last at a
-  /// timestamp. Lets the queue-equivalence property test and the queue
-  /// microbench drive both engines with identical ranked workloads.
-  Handle schedule_at_ranked(SimTime when, std::uint64_t rank, Callback fn) {
     SCCPIPE_CHECK(when >= now_);
     SCCPIPE_CHECK(fn != nullptr);
     const std::uint64_t seq = next_seq_++;
@@ -62,13 +53,11 @@ class Scheduler {
       slot_seq_.push_back(0);
     }
     slot_seq_[slot] = seq;
-    heap_.push_back(Event{when, rank, seq, slot, std::move(fn)});
+    heap_.push_back(Event{when, seq, slot, std::move(fn)});
     std::push_heap(heap_.begin(), heap_.end());
     ++live_pending_;
     return Handle{slot, seq};
   }
-
-  static constexpr std::uint64_t kUnranked = ~std::uint64_t{0};
 
   Handle schedule_after(SimTime delay, Callback fn) {
     SCCPIPE_CHECK(!delay.is_negative());
@@ -111,17 +100,14 @@ class Scheduler {
  private:
   struct Event {
     SimTime when;
-    std::uint64_t rank = kUnranked;
     std::uint64_t seq = 0;
     std::uint32_t slot = 0;
     Callback fn;
 
     // std::push_heap builds a max-heap; invert to dispatch the earliest
-    // (when, rank, seq) first — identical ordering to Simulator's HeapKey
-    // (plain events carry rank = kUnranked, degenerating to (when, seq)).
+    // (when, seq) first — identical ordering to Simulator's HeapKey.
     friend bool operator<(const Event& a, const Event& b) {
       if (a.when != b.when) return a.when > b.when;
-      if (a.rank != b.rank) return a.rank > b.rank;
       return a.seq > b.seq;
     }
   };

@@ -15,8 +15,8 @@
 ///
 /// Hot-path layout (structure of arrays): the priority queue is a
 /// cache-line-aligned 4-ary implicit min-heap (sim/dary_heap.hpp) holding
-/// only 32-byte (time, rank, seq, slot) keys — a sibling group is exactly
-/// two aligned cache lines and a sift walks log4(n) levels — while
+/// only (time, seq, slot) keys padded to 32 bytes — a sibling group is
+/// exactly two aligned cache lines and a sift walks log4(n) levels — while
 /// callbacks live in a pooled slot table indexed by the key's slot.
 /// Callbacks are `SimCallback` (inline fixed-capacity storage, see
 /// callback.hpp), so steady-state schedule/cancel/dispatch performs zero
@@ -31,18 +31,17 @@
 /// retry/timeout-heavy workloads (most armed timeouts are cancelled, not
 /// dispatched) stay linear instead of quadratic.
 ///
-/// Bulk merges: merge_append()/merge_commit() let a batch source (the
-/// parallel engine's barrier flush, sim/parallel_sim.hpp) append a whole
-/// window of events and restore the heap invariant once — O(k + rebuild)
-/// amortised instead of k sift-up passes. Because the (time, rank, seq)
-/// key is a strict total order, the merge strategy can never change the
-/// dispatch sequence, only the constant factor of reaching it.
+/// Livelock guard: run_guarded() drains the queue one timestamp at a time
+/// and stops with DeadlineExceeded when a single timestamp dispatches more
+/// events than its budget — the signature of a zero-delay self-reschedule
+/// cycle, the one way a model can spin without the clock advancing.
 
 #include <cstdint>
 #include <vector>
 
 #include "sccpipe/sim/callback.hpp"
 #include "sccpipe/sim/dary_heap.hpp"
+#include "sccpipe/support/status.hpp"
 #include "sccpipe/support/time.hpp"
 
 namespace sccpipe {
@@ -92,44 +91,13 @@ class Simulator {
   /// (Thin forwarders: the callable is materialised once at the call site
   /// and relocated exactly once, into its slot.)
   EventHandle schedule_at(SimTime when, Callback fn) {
-    return schedule_impl(when, kUnranked, std::move(fn));
+    return schedule_impl(when, std::move(fn));
   }
 
   /// Schedule \p fn \p delay after now (delay must be non-negative).
   EventHandle schedule_after(SimTime delay, Callback fn) {
-    return schedule_impl(delay_to_when(delay), kUnranked, std::move(fn));
+    return schedule_impl(delay_to_when(delay), std::move(fn));
   }
-
-  /// Schedule \p fn at \p when with an explicit tie-break rank. At equal
-  /// timestamps, lower ranks dispatch first and any rank dispatches before
-  /// plain (kUnranked) events; equal ranks fall back to scheduling order.
-  /// The partitioned engine (sim/parallel_sim.hpp) derives ranks from the
-  /// *simulated* topology (source site, per-site post order), so merged
-  /// cross-region mail dispatches in an order independent of both worker
-  /// count and region count.
-  EventHandle schedule_at_ranked(SimTime when, std::uint64_t rank,
-                                 Callback fn) {
-    return schedule_impl(when, rank, std::move(fn));
-  }
-
-  /// Bulk-merge fast path: exactly schedule_at_ranked — same checks, same
-  /// sequence assignment, same handle — except the heap invariant is NOT
-  /// restored until merge_commit(). A batch source (the parallel engine's
-  /// barrier flush) appends a whole window of mail, then commits once:
-  /// O(k + rebuild) amortised instead of k sift passes. Between the first
-  /// merge_append and merge_commit, only merge_append/cancel may be
-  /// called; dispatch and queries CHECK against an uncommitted merge.
-  EventHandle merge_append(SimTime when, std::uint64_t rank, Callback fn);
-
-  /// Restore the heap invariant after a run of merge_append calls (no-op
-  /// when none are outstanding). Dispatch order is provably unaffected:
-  /// (time, rank, seq) is a strict total order, so every valid heap pops
-  /// in the same sequence.
-  void merge_commit();
-
-  /// Rank used by the plain schedule_at/schedule_after paths: sorts after
-  /// every explicit rank at the same timestamp.
-  static constexpr std::uint64_t kUnranked = ~std::uint64_t{0};
 
   /// Cancel a pending event. Returns false if it already ran, was already
   /// cancelled, or the handle is empty. O(1); the captured state is
@@ -143,12 +111,8 @@ class Simulator {
   /// key's timestamp — including events a callback schedules *at* that
   /// same timestamp — up to \p max_events, in one pass over the heap
   /// front. Returns the number dispatched (0 when the queue is empty).
-  /// The drain primitive of the parallel engine's window loop: the
-  /// round-trip cap only ever shrinks to strictly *later* timestamps, so
-  /// the cap needs re-reading once per timestamp, not once per event —
-  /// and the caller's livelock watchdog budget maps onto \p max_events
-  /// (a return value of max_events with the front still at the same
-  /// timestamp is exactly the old per-event counter overflowing).
+  /// A return value of \p max_events with the front still at the same
+  /// timestamp means the batch was cut — what run_guarded() keys on.
   std::uint64_t run_timestamp(std::uint64_t max_events);
 
   /// Run until the queue drains. Returns the final simulated time.
@@ -157,11 +121,6 @@ class Simulator {
   /// Run until the queue drains or simulated time would exceed \p deadline.
   /// Events at exactly \p deadline still run.
   SimTime run_until(SimTime deadline);
-
-  /// Run every event strictly before \p bound (events at exactly \p bound
-  /// stay pending). The drain primitive of the partitioned parallel engine
-  /// (sim/parallel_sim.hpp): a region executes its window [now, bound).
-  SimTime run_before(SimTime bound);
 
   /// Timestamp of the next live event, or SimTime::max() when the queue is
   /// empty. Discards surfaced tombstones as a side effect (which is why it
@@ -180,24 +139,23 @@ class Simulator {
   static constexpr std::size_t kDefaultSizeHint = 1024;
 
  private:
-  EventHandle schedule_impl(SimTime when, std::uint64_t rank, Callback&& fn);
+  EventHandle schedule_impl(SimTime when, Callback&& fn);
   SimTime delay_to_when(SimTime delay) const;
 
   /// Hot heap entry: the ordering key plus the slot that holds the cold
-  /// callback. 32 bytes, trivially copyable — sifts never touch callbacks.
-  struct HeapKey {
+  /// callback. Trivially copyable — sifts never touch callbacks — and
+  /// padded to 32 bytes so a sibling group of four fills exactly two
+  /// cache lines (see dary_heap.hpp).
+  struct alignas(32) HeapKey {
     SimTime when;
-    std::uint64_t rank;
     std::uint64_t seq;
     std::uint32_t slot;
 
-    /// Strict (when, rank, seq) dispatch order — "a dispatches before b".
-    /// Plain events carry rank = kUnranked, so for them this degenerates
-    /// to the historical (when, seq) order. seq is unique, so this is a
-    /// total order: heap-internal strategy cannot change the pop sequence.
+    /// Strict (when, seq) dispatch order — "a dispatches before b". seq is
+    /// unique, so this is a total order: heap-internal strategy cannot
+    /// change the pop sequence.
     static bool before(const HeapKey& a, const HeapKey& b) {
       if (a.when != b.when) return a.when < b.when;
-      if (a.rank != b.rank) return a.rank < b.rank;
       return a.seq < b.seq;
     }
   };
@@ -221,8 +179,7 @@ class Simulator {
   std::uint64_t next_seq_ = 1;
   std::uint64_t dispatched_ = 0;
   std::size_t live_pending_ = 0;
-  std::size_t tombstones_ = 0;      // cancelled keys still in heap_
-  std::size_t merge_appended_ = 0;  // keys appended, invariant pending
+  std::size_t tombstones_ = 0;  // cancelled keys still in heap_
   SimulatorStats stats_;
 
   bool is_tombstone(const HeapKey& key) const {
@@ -232,5 +189,15 @@ class Simulator {
   void compact_if_worthwhile();
   void drop_front_tombstones();
 };
+
+/// Drain \p sim until its queue empties or the next event lies past
+/// \p deadline (events at exactly \p deadline still run), one timestamp at
+/// a time. A timestamp that would dispatch more than
+/// \p max_events_per_timestamp events without the clock advancing is a
+/// livelock: the drain stops there, leaving the rest pending, and returns
+/// DeadlineExceeded instead of spinning forever. The budget counts events,
+/// never wall time, so the verdict is deterministic.
+Status run_guarded(Simulator& sim, SimTime deadline,
+                   std::uint64_t max_events_per_timestamp);
 
 }  // namespace sccpipe

@@ -114,8 +114,7 @@ Status write_file_atomic(const std::string& path,
 /// cannot be opened; the caller validates the frame via Reader::open().
 Status read_file(const std::string& path, std::vector<std::uint8_t>* out);
 
-/// Validate the CLI checkpoint flag combination before a run starts (the
-/// parse-time counterpart of exec::validate_sim_jobs):
+/// Validate the CLI checkpoint flag combination before a run starts:
 ///   * every_frames <= 0 while a checkpoint path is set -> InvalidArgument
 ///   * checkpointing or resume requested without a path  -> InvalidArgument
 ///   * the checkpoint file's directory is not writable   -> InvalidArgument

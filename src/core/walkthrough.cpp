@@ -10,8 +10,6 @@
 #include "sccpipe/filters/filters.hpp"
 #include "sccpipe/noc/fabric.hpp"
 #include "sccpipe/noc/mesh.hpp"
-#include "sccpipe/noc/partition.hpp"
-#include "sccpipe/sim/parallel_sim.hpp"
 #include "sccpipe/support/check.hpp"
 #include "sccpipe/support/snapshot.hpp"
 
@@ -60,50 +58,26 @@ double host_render_cycles(const Calibration& cal, const RenderLoad& load) {
   return w.cycles + 100.0 * w.walk_accesses;
 }
 
-/// Mesh layout of the platform the run will build. The partition and the
-/// fabric's transit calibration must describe the *actual* chip — the
-/// cluster node's mesh is 8 tiles wide, not the 6-wide SCC default — or
-/// located delivery times (and hence the CSV contract) would depend on
-/// which platform's geometry happened to seed the partition.
+/// Mesh layout of the platform the run will build. The fabric's transit
+/// calibration must describe the *actual* chip — the cluster node's mesh
+/// is 8 tiles wide, not the 6-wide SCC default.
 MeshLayout platform_layout(const RunConfig& cfg) {
   return cfg.platform == PlatformKind::Scc
              ? ChipConfig::scc().mesh_layout
              : ChipConfig::mogon_node().mesh_layout;
 }
 
-/// Per-hop router latency of the platform — the fabric's transit unit and
-/// the engine's scalar lookahead floor.
+/// Per-hop router latency of the platform — the fabric's transit unit.
 SimTime platform_router_latency(const RunConfig& cfg) {
   return cfg.platform == PlatformKind::Scc
              ? ChipConfig::scc().mesh_timing.router_latency
              : ChipConfig::mogon_node().mesh_timing.router_latency;
 }
 
-/// Per-region event-queue reservations derived from the partition's
-/// occupancy instead of one global constant. A region's steady-state
-/// pending load scales with the tiles it hosts (each tile keeps a bounded
-/// set of in-flight NoC transfers, memory walks and compute
-/// continuations); the host region additionally carries the frame
-/// source/sink, power sampling and recovery machinery. The constants are
-/// calibrated against measured region_peak_events of the walkthrough
-/// suites (single-digit peaks per region) with an order of magnitude of
-/// headroom, so a steady-state run never grows a region queue —
-/// region_allocs == 0 is asserted at sim-jobs 1/4/8 by
-/// tests/parallel_sim_test.cpp — while reserving far less than the old
-/// flat kDefaultSizeHint did per region.
-std::vector<std::size_t> region_size_hints(const MeshPartition& partition) {
-  constexpr std::size_t kEventsPerTile = 16;
-  constexpr std::size_t kRegionBaseEvents = 128;
-  constexpr std::size_t kHostExtraEvents = 512;
-  std::vector<std::size_t> hints(static_cast<std::size_t>(partition.regions()));
-  for (int r = 0; r < partition.regions(); ++r) {
-    hints[static_cast<std::size_t>(r)] =
-        kRegionBaseEvents +
-        kEventsPerTile * static_cast<std::size_t>(partition.tiles_in_region(r));
-  }
-  hints[static_cast<std::size_t>(partition.host_region())] += kHostExtraEvents;
-  return hints;
-}
+/// Livelock budget of the event loop: more events than this at one
+/// simulated instant means a zero-delay cycle, and the run stops with
+/// DeadlineExceeded instead of hanging (sim/simulator.hpp, run_guarded).
+constexpr std::uint64_t kMaxEventsPerTimestamp = 10'000'000;
 
 void apply_stage_functional(StageKind kind, Image& img, int frame,
                             std::uint64_t seed, int max_scratches) {
@@ -138,12 +112,7 @@ class WalkthroughSim {
       : scene_(scene),
         trace_(trace),
         cfg_(cfg),
-        partition_(platform_layout(cfg), std::max(1, cfg.sim_jobs)),
-        engine_(partition_.regions(), std::max(1, cfg.sim_jobs),
-                partition_.lookahead(platform_router_latency(cfg)),
-                region_size_hints(partition_)),
-        fabric_(engine_, partition_, platform_router_latency(cfg)),
-        sim_(engine_.region(partition_.host_region())) {
+        fabric_(sim_, platform_layout(cfg), platform_router_latency(cfg)) {
     const Status valid = validate_run_config(cfg);
     SCCPIPE_CHECK_MSG(valid.ok(), valid.message());
     SCCPIPE_CHECK_MSG(trace.strip_counts().contains(1) &&
@@ -162,11 +131,8 @@ class WalkthroughSim {
                          SimTime::zero());
     }
     build_platform();
-    // Unconfine the chip: timed work (compute, DRAM streams, memory walks,
-    // mid-run DVFS) now executes at the region owning its tile. The fabric
-    // is attached at every sim_jobs value — with one region every located
-    // post lands on the same queue, so jobs=1 stays the serial reference
-    // the byte-identity contract diffs against.
+    // Timed chip work (compute, DRAM streams, memory walks, mid-run DVFS)
+    // executes at its tile and pays the mesh transit of every leg.
     chip_->attach_fabric(&fabric_);
     build_placement();
     apply_dvfs();
@@ -180,7 +146,7 @@ class WalkthroughSim {
   RunResult run() {
     // Cores are allocated before the resume gate: collect() and the chip
     // teardown both expect an allocated placement even when the resume
-    // snapshot turns out to be unusable and the engine never runs.
+    // snapshot turns out to be unusable and the event loop never runs.
     allocate_cores();
     if (cfg_.checkpoint.resume && !load_resume()) return collect();
     // Arm the first planned crash this attempt has not consumed. The crash
@@ -203,22 +169,20 @@ class WalkthroughSim {
     start_filter_stages();
     start_transfer();
     on_run_start();
-    if (crash_at == SimTime::max()) {
-      engine_.run();
-    } else {
-      engine_.run_until(crash_at);
-      // Work left beyond the crash instant means the run was cut short; a
-      // walkthrough that legitimately finished before T drains to empty
-      // and never counts as crashed.
-      if (engine_.pending() > 0) {
-        crashed_ = true;
-        crashed_at_ = crash_at;
-      }
+    fabric_.set_in_run(true);
+    const Status drained = run_guarded(sim_, crash_at, kMaxEventsPerTimestamp);
+    fabric_.set_in_run(false);
+    // Work left beyond the crash instant means the run was cut short; a
+    // walkthrough that legitimately finished before T drains to empty and
+    // never counts as crashed.
+    if (crash_at != SimTime::max() && sim_.pending() > 0) {
+      crashed_ = true;
+      crashed_at_ = crash_at;
     }
-    if (const Status ws = engine_.watchdog_status(); !ws.ok()) {
-      // The engine refused to hang; surface the typed verdict as the run's
-      // failure so callers see DeadlineExceeded, not a mysterious short run.
-      on_fault("parallel engine watchdog", ws);
+    if (!drained.ok()) {
+      // The event loop refused to hang; surface the typed verdict as the
+      // run's failure so callers see DeadlineExceeded, not a short run.
+      on_fault("event-loop livelock guard", drained);
     }
     return collect();
   }
@@ -417,9 +381,8 @@ class WalkthroughSim {
             out_frames_.push_back(*tok.image);
           }
           // Frame boundary: the one instant where host-side run state is
-          // both quiescent enough and host-region-confined, so a snapshot
-          // captured here is identical at every --sim-jobs value. Pure
-          // host I/O — zero simulated cost, no CSV impact.
+          // quiescent enough to snapshot. Pure host I/O — zero simulated
+          // cost, no CSV impact.
           if (cfg_.checkpoint.enabled()) on_frame_boundary(at);
         });
     if (fault_) viewer_ch->set_fault(fault_.get(), cfg_.rcce.retry);
@@ -975,9 +938,8 @@ class WalkthroughSim {
           // stage's own compute + DRAM work. Deliberately *before* the
           // downstream send, so a straggler's backpressure never inflates
           // its upstream neighbours' samples and mis-attributes the flag.
-          // This callback has hopped back to the host region (chip chains
-          // return to the caller's site), so the instant is partition-
-          // invariant and the detector byte-identical at any --sim-jobs.
+          // This callback has hopped back to the caller's site (chip
+          // chains return there), so the sample includes both transits.
           if (supervisor_ && supervisor_->gray_enabled()) {
             note_service(st.core, (sim_.now() - matched).to_ms());
           }
@@ -1794,9 +1756,7 @@ class WalkthroughSim {
 
   /// Everything save_state-capable plus the host-side frame/ledger
   /// cursors, serialized in one fixed order. Captured at a viewer-arrival
-  /// event, all of it is host-region-confined, so the bytes are identical
-  /// at every --sim-jobs value — which is what lets a snapshot taken under
-  /// one worker count anchor a resume under another.
+  /// event.
   std::vector<std::uint8_t> component_blob(std::uint64_t frames, SimTime at) {
     snapshot::Writer w;
     w.u64(frames);
@@ -2075,26 +2035,9 @@ class WalkthroughSim {
     collect_transport_report(r);
     collect_gray_report(r);
     r.frames = std::move(out_frames_);
-    r.events_dispatched = engine_.dispatched();
-    r.parallel_sim.enabled = cfg_.sim_jobs > 1;
-    r.parallel_sim.sim_jobs = engine_.jobs();
-    r.parallel_sim.regions = engine_.regions();
-    r.parallel_sim.lookahead_ns = engine_.lookahead().to_ns();
-    r.parallel_sim.windows = engine_.stats().windows;
-    r.parallel_sim.coalesced_windows = engine_.stats().coalesced_windows;
-    r.parallel_sim.cross_region_events = engine_.stats().cross_region_events;
-    r.parallel_sim.idle_region_windows = engine_.stats().idle_region_windows;
-    for (int region = 0; region < engine_.regions(); ++region) {
-      const SimulatorStats& rs = engine_.region(region).stats();
-      r.parallel_sim.region_allocs += rs.allocs;
-      r.parallel_sim.region_peak_events =
-          std::max(r.parallel_sim.region_peak_events, rs.peak_events);
-    }
-    if (const Status ws = engine_.watchdog_status(); !ws.ok()) {
-      r.parallel_sim.stalled = true;
-      r.parallel_sim.stall = ws.message();
-      r.parallel_sim.flight_recorder = engine_.flight_recorder_dump();
-    }
+    r.events_dispatched = sim_.dispatched();
+    r.sim_allocs = sim_.stats().allocs;
+    r.sim_peak_events = sim_.stats().peak_events;
     collect_checkpoint_report(r);
     return r;
   }
@@ -2231,16 +2174,14 @@ class WalkthroughSim {
   const WorkloadTrace& trace_;
   RunConfig cfg_;
 
-  // The partitioned engine owns the region queues; the fabric gives every
-  // mesh tile a home region and turns the chip's timed primitives into
-  // located event chains, so a --sim-jobs N run dispatches the pipeline
-  // across bands concurrently (docs/PERF.md §1.3). `sim_` aliases the host
-  // region's Simulator: host-side actors (links, channels, supervisor,
-  // producer) keep their plain Simulator& dependency and stay host-owned.
-  MeshPartition partition_;
-  ParallelSimulator engine_;
-  RegionFabric fabric_;
-  Simulator& sim_;
+  // One event loop for the whole run. Host-side actors (links, channels,
+  // supervisor, producer) schedule on sim_ directly; the fabric turns the
+  // chip's timed primitives into located event chains on the same queue.
+  // The default reservation is far above the measured peak of pending
+  // events (39 over the Table I grid), so a steady-state run never grows
+  // the queue — walkthrough_test asserts RunResult::sim_allocs == 0.
+  Simulator sim_;
+  MeshFabric fabric_;
   std::unique_ptr<SccChip> chip_;
   std::unique_ptr<RcceComm> rcce_;
   std::unique_ptr<FaultInjector> fault_;

@@ -1,10 +1,8 @@
 #include "sccpipe/core/workload.hpp"
 
 #include <bit>
-#include <fstream>
 
 #include "sccpipe/support/check.hpp"
-#include "sccpipe/support/log.hpp"
 
 namespace sccpipe {
 
@@ -84,92 +82,6 @@ std::size_t WorkloadTrace::index(int frame, int k, int strip) const {
 
 const RenderLoad& WorkloadTrace::load(int frame, int k, int strip) const {
   return loads_[index(frame, k, strip)];
-}
-
-namespace {
-
-constexpr std::uint64_t kTraceMagic = 0x5cc9'7bac'e002ULL;  // format v2
-
-struct TraceHeader {
-  std::uint64_t magic = kTraceMagic;
-  std::uint64_t scene_seed = 0;
-  std::int32_t blocks_x = 0;
-  std::int32_t blocks_z = 0;
-  std::int32_t image_side = 0;
-  std::int32_t frames = 0;
-  std::int32_t max_k = 0;
-  std::uint32_t strip_mask = 0;  ///< StripCounts::mask() of the stored set
-};
-
-TraceHeader make_header(const SceneBundle& scene,
-                        const StripCounts& strip_counts) {
-  TraceHeader h;
-  h.scene_seed = scene.city().seed;
-  h.blocks_x = scene.city().blocks_x;
-  h.blocks_z = scene.city().blocks_z;
-  h.image_side = scene.image_side();
-  h.frames = scene.frame_count();
-  h.max_k = strip_counts.max();
-  h.strip_mask = strip_counts.mask();
-  return h;
-}
-
-bool headers_match(const TraceHeader& a, const TraceHeader& b) {
-  return a.magic == b.magic && a.scene_seed == b.scene_seed &&
-         a.blocks_x == b.blocks_x && a.blocks_z == b.blocks_z &&
-         a.image_side == b.image_side && a.frames == b.frames &&
-         a.max_k == b.max_k && a.strip_mask == b.strip_mask;
-}
-
-}  // namespace
-
-void WorkloadTrace::save(const std::string& path,
-                         const SceneBundle& scene) const {
-  std::ofstream f(path, std::ios::binary);
-  SCCPIPE_CHECK_MSG(f.is_open(), "cannot open " << path);
-  const TraceHeader header = make_header(scene, counts_);
-  f.write(reinterpret_cast<const char*>(&header), sizeof header);
-  f.write(reinterpret_cast<const char*>(loads_.data()),
-          static_cast<std::streamsize>(loads_.size() * sizeof(RenderLoad)));
-  SCCPIPE_CHECK_MSG(f.good(), "write failed: " << path);
-}
-
-std::optional<WorkloadTrace> WorkloadTrace::load(
-    const std::string& path, const SceneBundle& scene,
-    const StripCounts& strip_counts) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f.is_open()) return std::nullopt;
-  TraceHeader header;
-  f.read(reinterpret_cast<char*>(&header), sizeof header);
-  if (!f.good() || !headers_match(header, make_header(scene, strip_counts))) {
-    return std::nullopt;
-  }
-  WorkloadTrace trace(scene.frame_count(), strip_counts);
-  f.read(reinterpret_cast<char*>(trace.loads_.data()),
-         static_cast<std::streamsize>(trace.loads_.size() *
-                                      sizeof(RenderLoad)));
-  if (!f.good()) return std::nullopt;
-  // The file must end exactly here (truncated/oversized files rejected).
-  f.peek();
-  if (!f.eof()) return std::nullopt;
-  return trace;
-}
-
-WorkloadTrace WorkloadTrace::build_cached(const SceneBundle& scene,
-                                          const StripCounts& strip_counts,
-                                          const std::string& cache_path,
-                                          const ForEachFrame& for_each) {
-  if (auto cached = load(cache_path, scene, strip_counts)) {
-    SCCPIPE_INFO("workload trace loaded from " << cache_path);
-    return std::move(*cached);
-  }
-  WorkloadTrace trace = build(scene, strip_counts, for_each);
-  try {
-    trace.save(cache_path, scene);
-  } catch (const CheckError&) {
-    SCCPIPE_WARN("could not write workload cache " << cache_path);
-  }
-  return trace;
 }
 
 WorkloadTrace WorkloadTrace::build(const SceneBundle& scene,

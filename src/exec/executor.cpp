@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <string>
@@ -12,21 +11,6 @@
 #include "sccpipe/support/check.hpp"
 
 namespace sccpipe::exec {
-
-int default_sim_jobs() {
-  if (const char* env = std::getenv("SCCPIPE_SIM_JOBS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return 1;
-}
-
-Status validate_sim_jobs(int sim_jobs) {
-  if (sim_jobs >= 1) return Status();
-  return Status(StatusCode::InvalidArgument,
-                "--sim-jobs must be a positive worker count, got " +
-                    std::to_string(sim_jobs));
-}
 
 // --------------------------------------------------------------- parallel_for
 

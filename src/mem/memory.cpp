@@ -19,26 +19,13 @@ MemorySystem::MemorySystem(Simulator& sim, const MeshTopology& topo,
 }
 
 void MemorySystem::rebuild_mcs() {
-  for (const auto& mc : mcs_) {
-    SCCPIPE_CHECK_MSG(mc == nullptr || mc->active_flows() == 0,
-                      "re-homing a controller with flows in flight");
-  }
   mcs_.clear();
   const int n = topo_.mc_count();
   mcs_.reserve(static_cast<std::size_t>(n));
   for (McId m = 0; m < n; ++m) {
-    Simulator& owner =
-        fabric_ != nullptr
-            ? fabric_->region_sim(topo_.tile_at(topo_.mc_position(m)))
-            : sim_;
     mcs_.push_back(std::make_unique<FairShareResource>(
-        owner, "mc" + std::to_string(m), cfg_.mc_bandwidth_bytes_per_sec));
+        sim_, "mc" + std::to_string(m), cfg_.mc_bandwidth_bytes_per_sec));
   }
-}
-
-void MemorySystem::attach_fabric(RegionFabric* fabric) {
-  fabric_ = fabric;
-  rebuild_mcs();
 }
 
 void MemorySystem::bulk(CoreId core, double bytes, double core_rate_cap,
@@ -101,12 +88,12 @@ void MemorySystem::fabric_bulk(CoreId core, double bytes, double core_rate_cap,
   //      route charge and the fault-layer admission decision happen there;
   //   2. located post to the controller's tile, delayed by the head
   //      latency (mesh contention + any MC outage window) plus transit —
-  //      the flow queues on the controller's *regional* fair-share queue;
+  //      the flow then queues on the controller's fair-share queue;
   //   3. completion hops back to the core's tile, where on_done runs.
-  RegionFabric& fab = *fabric_;
+  MeshFabric& fab = *fabric_;
   fab.hop(fab.bridge_site(), [this, core, bytes, core_rate_cap,
                               cb = std::move(on_done)]() mutable {
-    RegionFabric& fab = *fabric_;
+    MeshFabric& fab = *fabric_;
     const McId mc = topo_.home_mc(core);
     const auto mci = static_cast<std::size_t>(mc);
     McStats& st = stats_[mci];

@@ -6,105 +6,43 @@
 
 namespace sccpipe {
 
-namespace {
-
-/// Tile the calling thread's current event belongs to; -1 = not inside a
-/// fabric-dispatched callback (resolved to the bridge site).
-thread_local TileId t_site = -1;
-
-/// RAII site marker around a fabric-dispatched callback.
-struct SiteScope {
-  TileId prev;
-  explicit SiteScope(TileId site) : prev(t_site) { t_site = site; }
-  ~SiteScope() { t_site = prev; }
-  SiteScope(const SiteScope&) = delete;
-  SiteScope& operator=(const SiteScope&) = delete;
-};
-
-}  // namespace
-
-RegionFabric::RegionFabric(ParallelSimulator& engine,
-                           const MeshPartition& partition, SimTime hop_latency)
-    : engine_(engine),
-      partition_(partition),
-      topo_(partition.layout()),
-      hop_latency_(hop_latency) {
-  SCCPIPE_CHECK_MSG(engine.regions() == partition.regions(),
-                    "engine has " << engine.regions() << " regions, partition "
-                                  << partition.regions());
+MeshFabric::MeshFabric(Simulator& sim, const MeshLayout& layout,
+                       SimTime hop_latency)
+    : sim_(sim), topo_(layout), hop_latency_(hop_latency) {
   SCCPIPE_CHECK_MSG(hop_latency > SimTime::zero(),
                     "fabric needs a positive hop latency");
-  bridge_ = topo_.tile_at(TileCoord{0, partition.layout().height - 1});
-  site_region_.resize(static_cast<std::size_t>(topo_.tile_count()));
-  for (TileId t = 0; t < topo_.tile_count(); ++t) {
-    site_region_[static_cast<std::size_t>(t)] = partition_.region_of_tile(t);
-  }
-  site_counter_.assign(static_cast<std::size_t>(topo_.tile_count()), 0);
-  // Calibrated per-channel lookahead: band distance in router hops. Every
-  // located post from band a to band b crosses at least that many columns,
-  // so transit() can never undercut the channel's lookahead.
-  for (int a = 0; a < partition_.regions(); ++a) {
-    for (int b = 0; b < partition_.regions(); ++b) {
-      if (a == b) continue;
-      engine_.set_lookahead(a, b, partition_.lookahead(hop_latency, a, b));
-    }
-  }
+  bridge_ = topo_.tile_at(TileCoord{0, layout.height - 1});
+  site_ = bridge_;
 }
 
-TileId RegionFabric::current_site() const {
-  return t_site >= 0 ? t_site : bridge_;
-}
-
-SimTime RegionFabric::transit(TileId from, TileId to) const {
+SimTime MeshFabric::transit(TileId from, TileId to) const {
   return hop_latency_ *
          static_cast<double>(
              topo_.hop_distance(topo_.coord_of(from), topo_.coord_of(to)));
 }
 
-SimTime RegionFabric::now() const {
-  const int r = ParallelSimulator::current_region();
-  if (r >= 0) return engine_.region(r).now();
-  return engine_.region(region_of(current_site())).now();
-}
-
-std::uint64_t RegionFabric::next_rank(TileId from_site) {
-  std::uint64_t& counter = site_counter_[static_cast<std::size_t>(from_site)];
-  // Counter-major: at equal delivery times, earlier posts from any one
-  // site precede later ones, and ties across sites break by site id.
-  return counter++ * static_cast<std::uint64_t>(topo_.tile_count()) +
-         static_cast<std::uint64_t>(from_site);
-}
-
-void RegionFabric::dispatch(TileId site, SimTime when, FabricCallback fn) {
-  const std::uint64_t rank = next_rank(current_site());
-  const int dst = region_of(site);
-  auto wrapped = [this, site, f = std::move(fn)]() mutable {
-    SiteScope scope(site);
+void MeshFabric::schedule(TileId site, SimTime when, FabricCallback fn) {
+  sim_.schedule_at(when, [this, site, f = std::move(fn)]() mutable {
+    site_ = site;
     f();
-  };
-  if (in_run()) {
-    engine_.post(dst, when, rank, std::move(wrapped));
-  } else {
-    // Setup/collection phase: the engine is not running, so the caller is
-    // single-threaded and may schedule on any region directly.
-    engine_.region(dst).schedule_at_ranked(when, rank, std::move(wrapped));
-  }
+    site_ = bridge_;
+  });
 }
 
-void RegionFabric::hop(TileId to, FabricCallback fn) {
-  dispatch(to, now() + transit(current_site(), to), std::move(fn));
+void MeshFabric::hop(TileId to, FabricCallback fn) {
+  schedule(to, now() + transit(current_site(), to), std::move(fn));
 }
 
-void RegionFabric::post_at(TileId to, SimTime when, FabricCallback fn) {
+void MeshFabric::post_at(TileId to, SimTime when, FabricCallback fn) {
   SCCPIPE_CHECK_MSG(when >= now() + transit(current_site(), to),
                     "post_at(" << when.to_string()
                                << ") undercuts the transit time from site "
                                << current_site() << " to " << to);
-  dispatch(to, when, std::move(fn));
+  schedule(to, when, std::move(fn));
 }
 
-void RegionFabric::after(SimTime delay, FabricCallback fn) {
-  dispatch(current_site(), now() + delay, std::move(fn));
+void MeshFabric::after(SimTime delay, FabricCallback fn) {
+  schedule(current_site(), now() + delay, std::move(fn));
 }
 
 }  // namespace sccpipe

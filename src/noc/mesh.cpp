@@ -43,8 +43,7 @@ SimTime MeshModel::transfer(SimTime start, TileCoord from, TileCoord to,
       // retransmission at degraded timing — delivery stays guaranteed);
       // a degraded link stretches serialisation; a degraded router or a
       // planned degraded-link fate stretches the per-hop forwarding
-      // latency. Latency only ever inflates, so the parallel engine's
-      // lookahead floor (built from un-degraded transit) stays valid.
+      // latency (it only ever inflates).
       t = fault_->link_available(static_cast<int>(idx), t);
       service = service * fault_->link_slowdown(static_cast<int>(idx), t);
       hop_latency = hop_latency * fault_->router_slowdown(tile, t) *

@@ -67,12 +67,12 @@ void SccChip::set_tile_frequency(TileId tile, int mhz) {
   SCCPIPE_CHECK(dvfs_.allowed(mhz));
   // Requested frequency, voltage domains and the power bill are host-side
   // bookkeeping and update synchronously. The tile's live clock is owned
-  // by the tile's region: a mid-run DVFS command crosses the mesh as a
-  // located post before compute() on that tile sees the new speed.
+  // by the tile: a mid-run DVFS command crosses the mesh as a located post
+  // before compute() on that tile sees the new speed.
   tile_mhz_[static_cast<std::size_t>(tile)] = mhz;
   refresh_voltages();
   refresh_power();
-  if (fabric_ != nullptr && RegionFabric::in_run()) {
+  if (fabric_ != nullptr && fabric_->in_run()) {
     fabric_->hop(tile, [this, tile, mhz] {
       tile_mhz_live_[static_cast<std::size_t>(tile)] = mhz;
     });
@@ -81,7 +81,7 @@ void SccChip::set_tile_frequency(TileId tile, int mhz) {
   }
 }
 
-void SccChip::attach_fabric(RegionFabric* fabric) {
+void SccChip::attach_fabric(MeshFabric* fabric) {
   fabric_ = fabric;
   mem_.attach_fabric(fabric);
 }
@@ -207,10 +207,10 @@ void SccChip::compute(CoreId core, double ref_cycles,
   SCCPIPE_CHECK(ref_cycles >= 0.0);
   SCCPIPE_CHECK(on_done != nullptr);
   if (fabric_ != nullptr) {
-    // Region-native chain: hop to the core's tile, run the work on the
-    // tile's regional clock, hop back to the caller's site. The fail-stop
-    // check happens *at the tile* (arrival time is partition-independent),
-    // and the duration reads the tile-owned live clock.
+    // Located chain: hop to the core's tile, run the work there, hop back
+    // to the caller's site. The fail-stop check happens *at the tile*
+    // (after the transit), and the duration reads the tile-owned live
+    // clock.
     const TileId ret = fabric_->current_site();
     const TileId ct = topo_.tile_of(core);
     fabric_->hop(ct, [this, core, ref_cycles, ret,
@@ -245,10 +245,9 @@ void SccChip::memory_walk(CoreId core, double line_accesses,
   // lifetime, not whatever happened to be in flight the instant it began.
   constexpr int kSegments = 4;
   if (fabric_ != nullptr) {
-    // Region-native chain: busy accounting at the core's tile, then the
-    // dependent-miss segments at the home controller's tile — the walker
-    // registration and load sampling touch MC-region-owned state, so they
-    // must execute there.
+    // Located chain: busy accounting at the core's tile, then the
+    // dependent-miss segments at the home controller's tile, where the
+    // walker registration and load sampling execute.
     const TileId ret = fabric_->current_site();
     const TileId ct = topo_.tile_of(core);
     fabric_->hop(ct, [this, core, line_accesses, ret,
@@ -288,7 +287,7 @@ void SccChip::walk_step(WalkState st) {
 }
 
 void SccChip::fabric_walk_step(WalkState st, TileId ret_site) {
-  // Executes at the home controller's tile (load sampled on its region).
+  // Executes at the home controller's tile (load sampled there).
   if (st.remaining == 0) {
     mem_.unregister_latency_stream(st.core);
     const TileId ct = topo_.tile_of(st.core);
@@ -312,9 +311,9 @@ void SccChip::dram_stream(CoreId core, double bytes,
                           StageCallback on_done) {
   SCCPIPE_CHECK(on_done != nullptr);
   if (fabric_ != nullptr) {
-    // Region-native chain: the stream is issued from the core's tile (the
-    // memory system routes it through the controller's region and calls
-    // back at the core's tile), then the continuation hops home.
+    // Located chain: the stream is issued from the core's tile (the memory
+    // system routes it through the controller's tile and calls back at the
+    // core's tile), then the continuation hops home.
     const TileId ret = fabric_->current_site();
     const TileId ct = topo_.tile_of(core);
     fabric_->hop(ct, [this, core, bytes, ret,

@@ -1,6 +1,7 @@
 #include "sccpipe/sim/simulator.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "sccpipe/support/check.hpp"
 
@@ -50,8 +51,7 @@ std::uint32_t Simulator::acquire_slot(std::uint64_t seq, Callback&& fn) {
   return slot;
 }
 
-EventHandle Simulator::schedule_impl(SimTime when, std::uint64_t rank,
-                                     Callback&& fn) {
+EventHandle Simulator::schedule_impl(SimTime when, Callback&& fn) {
   SCCPIPE_CHECK_MSG(when >= now_, "schedule_at(" << when.to_string()
                                                  << ") is before now="
                                                  << now_.to_string());
@@ -59,33 +59,11 @@ EventHandle Simulator::schedule_impl(SimTime when, std::uint64_t rank,
   const std::uint64_t seq = next_seq_++;
   const std::uint32_t slot = acquire_slot(seq, std::move(fn));
   if (heap_.size() == heap_.capacity()) ++stats_.allocs;
-  heap_.push(HeapKey{when, rank, seq, slot});
+  heap_.push(HeapKey{when, seq, slot});
   ++live_pending_;
   stats_.peak_events =
       std::max<std::uint64_t>(stats_.peak_events, live_pending_);
   return EventHandle{slot, seq};
-}
-
-EventHandle Simulator::merge_append(SimTime when, std::uint64_t rank,
-                                    Callback fn) {
-  SCCPIPE_CHECK_MSG(when >= now_, "merge_append(" << when.to_string()
-                                                  << ") is before now="
-                                                  << now_.to_string());
-  SCCPIPE_CHECK(fn != nullptr);
-  const std::uint64_t seq = next_seq_++;
-  const std::uint32_t slot = acquire_slot(seq, std::move(fn));
-  if (heap_.size() == heap_.capacity()) ++stats_.allocs;
-  heap_.append(HeapKey{when, rank, seq, slot});
-  ++merge_appended_;
-  ++live_pending_;
-  stats_.peak_events =
-      std::max<std::uint64_t>(stats_.peak_events, live_pending_);
-  return EventHandle{slot, seq};
-}
-
-void Simulator::merge_commit() {
-  heap_.commit(merge_appended_);
-  merge_appended_ = 0;
 }
 
 SimTime Simulator::delay_to_when(SimTime delay) const {
@@ -125,17 +103,10 @@ void Simulator::compact_if_worthwhile() {
   heap_.remove_and_rebuild(
       [&](const HeapKey& key) { return is_tombstone(key); });
   tombstones_ = 0;
-  // The rebuild re-established the invariant for every key, appended or
-  // not (only reachable if a caller cancels mid-merge, which the barrier
-  // flush never does).
-  merge_appended_ = 0;
   ++stats_.compactions;
 }
 
 void Simulator::drop_front_tombstones() {
-  SCCPIPE_CHECK_MSG(merge_appended_ == 0,
-                    "dispatch/query during an uncommitted bulk merge — "
-                    "call merge_commit() first");
   while (!heap_.empty() && is_tombstone(heap_.front())) {
     heap_.pop_front();
     --tombstones_;
@@ -196,20 +167,30 @@ SimTime Simulator::run_until(SimTime deadline) {
   return now_;
 }
 
-SimTime Simulator::run_before(SimTime bound) {
-  for (;;) {
-    drop_front_tombstones();
-    if (heap_.empty() || heap_.front().when >= bound) break;
-    run_timestamp(~std::uint64_t{0});
-  }
-  return now_;
-}
-
 SimTime Simulator::next_event_time() {
   drop_front_tombstones();
   return heap_.empty() ? SimTime::max() : heap_.front().when;
 }
 
 std::size_t Simulator::pending() const { return live_pending_; }
+
+Status run_guarded(Simulator& sim, SimTime deadline,
+                   std::uint64_t max_events_per_timestamp) {
+  for (;;) {
+    const SimTime ts = sim.next_event_time();
+    if (ts == SimTime::max() || ts > deadline) return Status();
+    // A batch cut at the budget with the front still at the same instant
+    // is budget + 1 events without the clock moving: a livelock.
+    if (sim.run_timestamp(max_events_per_timestamp) ==
+            max_events_per_timestamp &&
+        sim.next_event_time() == ts) {
+      return Status(StatusCode::DeadlineExceeded,
+                    "event loop livelocked: more than " +
+                        std::to_string(max_events_per_timestamp) +
+                        " events at t=" + ts.to_string() +
+                        " without the clock advancing");
+    }
+  }
+}
 
 }  // namespace sccpipe

@@ -1,7 +1,7 @@
 // Crash-durability chaos tests: plant crash-at fates at seeded random
 // instants, let the run die, resume from the snapshot, and demand the final
-// metrics be byte-identical to an uninterrupted run — at sim-jobs 1 and 4,
-// under fault injection, fail-stop recovery, and overload shedding. Plus
+// metrics be byte-identical to an uninterrupted run — plain and under fault
+// injection, fail-stop recovery, and overload shedding. Plus
 // the failure half: corrupted snapshots, config mismatches, and snapshots
 // that claim progress the replay never reaches must all surface as typed
 // checkpoint errors, never as silently wrong results.
@@ -107,95 +107,55 @@ int crash_resume_cycle(RunConfig cfg, const std::vector<double>& fractions,
   return attempts;
 }
 
-RunConfig mcpc_config(int sim_jobs) {
+RunConfig mcpc_config() {
   RunConfig cfg;
   cfg.scenario = Scenario::HostRenderer;
   cfg.pipelines = 3;
-  cfg.sim_jobs = sim_jobs;
   return cfg;
 }
 
 // -------------------------------------------------------------- chaos sweep
 
-// Seeded random crash instants, one and two crashes per plan, serial and
-// parallel engine. Every cycle must converge in (#crashes + 1) attempts and
-// reproduce the uninterrupted metrics byte-for-byte.
+// Seeded random crash instants, one and two crashes per plan. Every cycle
+// must converge in (#crashes + 1) attempts and reproduce the uninterrupted
+// metrics byte-for-byte.
 TEST_F(CheckpointFixture, RandomizedCrashPointsConverge) {
   Rng rng(20260807);
-  for (const int sim_jobs : {1, 4}) {
-    for (int trial = 0; trial < 3; ++trial) {
-      const double f1 = 0.1 + 0.8 * rng.uniform();
-      const std::string tag =
-          "chaos_j" + std::to_string(sim_jobs) + "_t" + std::to_string(trial);
-      const int attempts = crash_resume_cycle(mcpc_config(sim_jobs), {f1}, 3,
-                                              tag);
-      EXPECT_EQ(attempts, 2) << tag;
-    }
-    const double a = 0.1 + 0.3 * rng.uniform();
-    const double b = a + 0.1 + 0.4 * rng.uniform();
-    const std::string tag = "chaos2_j" + std::to_string(sim_jobs);
-    const int attempts =
-        crash_resume_cycle(mcpc_config(sim_jobs), {a, b}, 2, tag);
-    EXPECT_EQ(attempts, 3) << tag;
+  for (int trial = 0; trial < 3; ++trial) {
+    const double f1 = 0.1 + 0.8 * rng.uniform();
+    const std::string tag = "chaos_t" + std::to_string(trial);
+    const int attempts = crash_resume_cycle(mcpc_config(), {f1}, 3, tag);
+    EXPECT_EQ(attempts, 2) << tag;
   }
+  const double a = 0.1 + 0.3 * rng.uniform();
+  const double b = a + 0.1 + 0.4 * rng.uniform();
+  const int attempts = crash_resume_cycle(mcpc_config(), {a, b}, 2, "chaos2");
+  EXPECT_EQ(attempts, 3) << "chaos2";
 }
 
 TEST_F(CheckpointFixture, CrashResumeUnderHostFaultInjection) {
-  for (const int sim_jobs : {1, 4}) {
-    RunConfig cfg = mcpc_config(sim_jobs);
-    ASSERT_TRUE(cfg.fault.parse("host-drop=0.03;host-delay=0.05:2ms").ok());
-    cfg.rcce.retry.max_attempts = 3;
-    cfg.overload.window = 4;
-    cfg.overload.queue_depth = 8;
-    crash_resume_cycle(cfg, {0.5}, 2,
-                       "fault_j" + std::to_string(sim_jobs));
-  }
+  RunConfig cfg = mcpc_config();
+  ASSERT_TRUE(cfg.fault.parse("host-drop=0.03;host-delay=0.05:2ms").ok());
+  cfg.rcce.retry.max_attempts = 3;
+  cfg.overload.window = 4;
+  cfg.overload.queue_depth = 8;
+  crash_resume_cycle(cfg, {0.5}, 2, "fault");
 }
 
 TEST_F(CheckpointFixture, CrashResumeUnderCoreFailureRecovery) {
-  for (const int sim_jobs : {1, 4}) {
-    RunConfig cfg = mcpc_config(sim_jobs);
-    ASSERT_TRUE(cfg.fault.parse("core-fail=5@40").ok());
-    crash_resume_cycle(cfg, {0.6}, 2,
-                       "recovery_j" + std::to_string(sim_jobs));
-  }
+  RunConfig cfg = mcpc_config();
+  ASSERT_TRUE(cfg.fault.parse("core-fail=5@40").ok());
+  crash_resume_cycle(cfg, {0.6}, 2, "recovery");
 }
 
 TEST_F(CheckpointFixture, CrashResumeUnderOverloadShedding) {
-  for (const int sim_jobs : {1, 4}) {
-    RunConfig cfg = mcpc_config(sim_jobs);
-    cfg.overload.offered_fps = 400.0;
-    cfg.overload.window = 4;
-    cfg.overload.queue_depth = 4;
-    cfg.overload.frame_deadline = SimTime::ms(40);
-    cfg.overload.breaker_threshold = 4;
-    crash_resume_cycle(cfg, {0.4}, 2,
-                       "overload_j" + std::to_string(sim_jobs));
-  }
-}
-
-// A snapshot taken by the serial engine must resume under the parallel one
-// (and vice versa): the fingerprint and component blob exclude sim_jobs.
-TEST_F(CheckpointFixture, SnapshotCrossesWorkerCounts) {
-  RunConfig cfg = mcpc_config(1);
-  const RunResult ref = run_walkthrough(scene(), trace(), cfg);
-
-  RunConfig crashed = cfg;
-  crashed.fault.crashes.push_back(ref.walkthrough * 0.5);
-  crashed.checkpoint.every_frames = 2;
-  crashed.checkpoint.file = snap_path("cross");
-  std::remove(crashed.checkpoint.file.c_str());
-  const RunResult dead = run_walkthrough(scene(), trace(), crashed);
-  ASSERT_TRUE(dead.checkpoint.crashed);
-  ASSERT_GT(dead.checkpoint.checkpoints_written, 0u);
-
-  crashed.sim_jobs = 4;  // resume on the parallel engine
-  crashed.checkpoint.resume = true;
-  const RunResult r = run_walkthrough(scene(), trace(), crashed);
-  EXPECT_EQ(r.checkpoint.error_code, StatusCode::Ok) << r.checkpoint.error;
-  EXPECT_TRUE(r.checkpoint.resume_verified);
-  EXPECT_EQ(row(r), row(ref));
-  std::remove(crashed.checkpoint.file.c_str());
+  RunConfig cfg = mcpc_config();
+  cfg.overload.offered_fps = 400.0;
+  cfg.overload.window = 4;
+  cfg.overload.queue_depth = 4;
+  cfg.overload.frame_deadline = SimTime::ms(40);
+  cfg.overload.breaker_threshold = 4;
+  crash_resume_cycle(cfg, {0.4}, 2, "overload");
 }
 
 // ------------------------------------------------------------ failure half
@@ -216,13 +176,13 @@ std::string make_snapshot(RunConfig cfg, const std::string& tag) {
 }
 
 TEST_F(CheckpointFixture, ResumeRejectsCorruptedSnapshot) {
-  const std::string path = make_snapshot(mcpc_config(1), "corrupt");
+  const std::string path = make_snapshot(mcpc_config(), "corrupt");
   std::vector<std::uint8_t> framed;
   ASSERT_TRUE(snapshot::read_file(path, &framed).ok());
   framed[framed.size() / 2] ^= 0x10;  // flip one payload bit
   ASSERT_TRUE(snapshot::write_file_atomic(path, framed).ok());
 
-  RunConfig cfg = mcpc_config(1);
+  RunConfig cfg = mcpc_config();
   cfg.checkpoint.file = path;
   cfg.checkpoint.resume = true;
   const RunResult r = run_walkthrough(scene(), trace(), cfg);
@@ -232,8 +192,8 @@ TEST_F(CheckpointFixture, ResumeRejectsCorruptedSnapshot) {
 }
 
 TEST_F(CheckpointFixture, ResumeRejectsConfigFingerprintMismatch) {
-  const std::string path = make_snapshot(mcpc_config(1), "fpmismatch");
-  RunConfig other = mcpc_config(1);
+  const std::string path = make_snapshot(mcpc_config(), "fpmismatch");
+  RunConfig other = mcpc_config();
   other.seed = 777;  // trajectory-shaping change
   other.checkpoint.file = path;
   other.checkpoint.resume = true;
@@ -243,7 +203,7 @@ TEST_F(CheckpointFixture, ResumeRejectsConfigFingerprintMismatch) {
 }
 
 TEST_F(CheckpointFixture, ResumeDetectsTamperedComponentState) {
-  const std::string path = make_snapshot(mcpc_config(1), "tamper");
+  const std::string path = make_snapshot(mcpc_config(), "tamper");
   std::vector<std::uint8_t> framed;
   ASSERT_TRUE(snapshot::read_file(path, &framed).ok());
   RunSnapshot snap;
@@ -253,7 +213,7 @@ TEST_F(CheckpointFixture, ResumeDetectsTamperedComponentState) {
   ASSERT_TRUE(snapshot::write_file_atomic(path,
                                           serialize_run_snapshot(snap)).ok());
 
-  RunConfig cfg = mcpc_config(1);
+  RunConfig cfg = mcpc_config();
   cfg.checkpoint.file = path;
   cfg.checkpoint.resume = true;
   const RunResult r = run_walkthrough(scene(), trace(), cfg);
@@ -264,7 +224,7 @@ TEST_F(CheckpointFixture, ResumeDetectsTamperedComponentState) {
 }
 
 TEST_F(CheckpointFixture, ResumeDetectsUnreachableAnchor) {
-  const std::string path = make_snapshot(mcpc_config(1), "unreachable");
+  const std::string path = make_snapshot(mcpc_config(), "unreachable");
   std::vector<std::uint8_t> framed;
   ASSERT_TRUE(snapshot::read_file(path, &framed).ok());
   RunSnapshot snap;
@@ -273,7 +233,7 @@ TEST_F(CheckpointFixture, ResumeDetectsUnreachableAnchor) {
   ASSERT_TRUE(snapshot::write_file_atomic(path,
                                           serialize_run_snapshot(snap)).ok());
 
-  RunConfig cfg = mcpc_config(1);
+  RunConfig cfg = mcpc_config();
   cfg.checkpoint.file = path;
   cfg.checkpoint.resume = true;
   const RunResult r = run_walkthrough(scene(), trace(), cfg);
@@ -285,7 +245,7 @@ TEST_F(CheckpointFixture, ResumeDetectsUnreachableAnchor) {
 // --------------------------------------------------------------- behaviors
 
 TEST_F(CheckpointFixture, CheckpointingAloneDoesNotPerturbTheRun) {
-  RunConfig cfg = mcpc_config(1);
+  RunConfig cfg = mcpc_config();
   const RunResult ref = run_walkthrough(scene(), trace(), cfg);
   cfg.checkpoint.every_frames = 2;
   cfg.checkpoint.file = snap_path("noop");
@@ -297,7 +257,7 @@ TEST_F(CheckpointFixture, CheckpointingAloneDoesNotPerturbTheRun) {
 }
 
 TEST_F(CheckpointFixture, CrashAfterTheRunEndsNeverFires) {
-  RunConfig cfg = mcpc_config(1);
+  RunConfig cfg = mcpc_config();
   const RunResult ref = run_walkthrough(scene(), trace(), cfg);
   cfg.fault.crashes.push_back(ref.walkthrough * 4.0);
   const RunResult r = run_walkthrough(scene(), trace(), cfg);

@@ -48,17 +48,6 @@ TEST(DefaultJobs, EnvOverrideWins) {
   EXPECT_GE(exec::default_jobs(), 1);
 }
 
-TEST(DefaultJobs, ExplicitSimJobsMustBePositive) {
-  // An explicit --sim-jobs request of 0 or less is a typed InvalidArgument,
-  // not a silent substitution of the default (that hid script typos).
-  EXPECT_TRUE(exec::validate_sim_jobs(1).ok());
-  EXPECT_TRUE(exec::validate_sim_jobs(8).ok());
-  EXPECT_EQ(exec::validate_sim_jobs(0).code(), StatusCode::InvalidArgument);
-  EXPECT_EQ(exec::validate_sim_jobs(-4).code(), StatusCode::InvalidArgument);
-  EXPECT_NE(exec::validate_sim_jobs(0).message().find("--sim-jobs"),
-            std::string::npos);
-}
-
 // -------------------------------------------------------------- ThreadPool
 
 TEST(ThreadPool, RunsEveryTask) {

@@ -11,10 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "sccpipe/noc/traffic.hpp"
 #include "sccpipe/rcce/rcce.hpp"
 #include "sccpipe/sim/fair_share.hpp"
-#include "sccpipe/sim/parallel_sim.hpp"
 #include "sccpipe/sim/reference_scheduler.hpp"
 #include "sccpipe/sim/simulator.hpp"
 #include "sccpipe/support/rng.hpp"
@@ -139,113 +137,25 @@ TEST_P(FuzzSeeds, RcceRandomTrafficDeliversEverythingInPairFifoOrder) {
   }
 }
 
-// Randomized-partition fuzzer for the parallel engine: random mesh sizes,
-// region counts, worker counts and traffic shapes, asserting the serial
-// reference and the partitioned engine agree on the full result digest.
-// The same binary runs under SCCPIPE_SANITIZE=thread CI, so every randomly
-// shaped barrier/mailbox schedule is also a TSan probe.
-TEST_P(FuzzSeeds, RandomPartitionSerialParallelDigestsAgree) {
-  Rng rng{GetParam() ^ 0x9de5u};
-  for (int round = 0; round < 4; ++round) {
-    TrafficConfig cfg;
-    cfg.layout.width = 2 + static_cast<int>(rng.below(12));
-    cfg.layout.height = 1 + static_cast<int>(rng.below(8));
-    cfg.layout.mc_positions = {{0, 0}};  // any valid corner; unused here
-    cfg.regions = 1 + static_cast<int>(rng.below(6));
-    cfg.jobs = 1 + static_cast<int>(rng.below(8));
-    cfg.ticks = 4 + static_cast<int>(rng.below(40));
-    cfg.tick_spacing = SimTime::us(1.0 + static_cast<double>(rng.below(8)));
-    cfg.send_every = 1 + static_cast<int>(rng.below(4));
-    cfg.hop_latency = SimTime::us(1.0 + static_cast<double>(rng.below(20)));
-    cfg.ttl = static_cast<int>(rng.below(5));
-    cfg.seed = rng.next();
-
-    const TrafficResult serial = run_traffic_serial(cfg);
-    const TrafficResult parallel = run_traffic_parallel(cfg);
-    const std::string label =
-        "seed=" + std::to_string(GetParam()) + " round=" +
-        std::to_string(round) + " mesh=" + std::to_string(cfg.layout.width) +
-        "x" + std::to_string(cfg.layout.height) +
-        " regions=" + std::to_string(cfg.regions) +
-        " jobs=" + std::to_string(cfg.jobs);
-    EXPECT_EQ(serial.digest, parallel.digest) << label;
-    EXPECT_EQ(serial.events, parallel.events) << label;
-    EXPECT_EQ(serial.messages, parallel.messages) << label;
-    EXPECT_EQ(serial.end_time_ns, parallel.end_time_ns) << label;
-  }
-}
-
-// Same idea one level down: a random event soup (self-schedules and legal
-// cross-region posts) executed on the engine at two different worker
-// counts must dispatch identically, region by region.
-TEST_P(FuzzSeeds, RandomEventSoupIsWorkerCountInvariant) {
-  const std::uint64_t seed = GetParam() ^ 0x50f7u;
-  auto run_at = [seed](int jobs) {
-    Rng rng{seed};
-    const int regions = 2 + static_cast<int>(rng.below(5));
-    const SimTime lookahead =
-        SimTime::us(1.0 + static_cast<double>(rng.below(10)));
-    ParallelSimulator eng{regions, jobs, lookahead};
-    // Per-region commutative digests (same-time local schedules may
-    // interleave with merged mail differently than the serial reference,
-    // but per-region sums must match exactly across worker counts).
-    std::vector<std::uint64_t> digests(static_cast<std::size_t>(regions), 0);
-    std::function<void(int, int, int, SimTime)> bounce =
-        [&](int region, int chain, int remaining, SimTime at) {
-          digests[static_cast<std::size_t>(region)] +=
-              static_cast<std::uint64_t>(chain) * 0x9e3779b97f4a7c15ULL +
-              static_cast<std::uint64_t>(at.to_ns());
-          if (remaining <= 0) return;
-          // Derive the next hop from deterministic data only.
-          const int next =
-              (region + 1 + (chain + remaining) % (regions - 1)) % regions;
-          const SimTime when =
-              at + lookahead +
-              SimTime::ns((chain * 7 + remaining * 13) % 1000);
-          eng.post(next, when, [&, next, chain, remaining, when] {
-            bounce(next, chain, remaining - 1, when);
-          });
-        };
-    const int chains = 10 + static_cast<int>(rng.below(30));
-    for (int c = 0; c < chains; ++c) {
-      const int region = static_cast<int>(rng.below(
-          static_cast<std::uint64_t>(regions)));
-      const int hops = 1 + static_cast<int>(rng.below(12));
-      const SimTime at = SimTime::us(static_cast<double>(rng.below(50)));
-      eng.post(region, at,
-               [&, region, c, hops, at] { bounce(region, c, hops, at); });
-    }
-    eng.run();
-    digests.push_back(eng.dispatched());
-    digests.push_back(eng.stats().windows);
-    digests.push_back(eng.stats().cross_region_events);
-    return digests;
-  };
-  const auto one = run_at(1);
-  const auto four = run_at(4);
-  EXPECT_EQ(one, four) << "seed=" << seed;
-}
-
 // ---------------------------------------------------------------------------
 // Queue equivalence: the d-ary key heap vs the reference binary heap.
 // ---------------------------------------------------------------------------
 
 /// One scripted event of a randomized soup: scheduled up-front at a coarse
-/// time grid (heavy timestamp collisions), half ranked; its callback may
+/// time grid (heavy timestamp collisions); its callback may
 /// spawn children *at the current timestamp* (stressing same-time batched
 /// dispatch) and may cancel another scripted event mid-run (stressing
 /// tombstones and compaction).
 struct SoupEvent {
   std::uint64_t id = 0;
   std::uint64_t t_us = 0;
-  std::uint64_t rank = 0;
   int children = 0;
   std::int64_t cancel_idx = -1;
 };
 
 /// Replay one script on either engine (Simulator or reference::Scheduler —
-/// both expose schedule_at/schedule_at_ranked/cancel/run with the same
-/// (when, rank, seq) dispatch order) and record the dispatch sequence.
+/// both expose schedule_at/cancel/run with the same (when, seq) dispatch
+/// order) and record the dispatch sequence.
 template <typename Engine>
 std::vector<std::uint64_t> run_event_soup(
     Engine& eng, const std::vector<SoupEvent>& script,
@@ -263,15 +173,13 @@ std::vector<std::uint64_t> run_event_soup(
       for (int c = 0; c < ev.children; ++c) {
         const std::uint64_t child_id = ev.id * 1000 + static_cast<std::uint64_t>(c);
         // Same-timestamp child: must run within the current batch, after
-        // every already-pending event of this (when, rank) class.
+        // every already-pending event of this timestamp.
         eng.schedule_at(eng.now(),
                         [&order, child_id] { order.push_back(child_id); });
       }
     };
     const SimTime when = SimTime::us(static_cast<double>(ev.t_us));
-    handles.push_back(ev.rank == ~std::uint64_t{0}
-                          ? eng.schedule_at(when, std::move(cb))
-                          : eng.schedule_at_ranked(when, ev.rank, std::move(cb)));
+    handles.push_back(eng.schedule_at(when, std::move(cb)));
   }
   // A burst of up-front cancels (with repeats, so double-cancel paths run
   // too): enough tombstones to cross the compaction threshold in both
@@ -290,7 +198,6 @@ std::vector<SoupEvent> make_soup_script(std::uint64_t seed,
     SoupEvent ev;
     ev.id = i + 1;
     ev.t_us = rng.below(40);  // ~10 events per timestamp on average
-    ev.rank = rng.below(2) == 0 ? rng.below(4) : ~std::uint64_t{0};
     ev.children = rng.below(5) == 0 ? static_cast<int>(1 + rng.below(2)) : 0;
     ev.cancel_idx = rng.below(8) == 0
                         ? static_cast<std::int64_t>(rng.below(n))

@@ -2,14 +2,18 @@
 // full model on a reduced walkthrough (120 frames of the paper's scene at
 // 200x200) and assert the *shapes* the reproduction stands on — if a
 // calibration or model change breaks one of the paper's findings, this
-// file fails before the bench harnesses ever run.
+// file fails before the bench harnesses ever run. The last case runs the
+// full Table I at the paper's size and holds every cell to its pin.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
+#include "sccpipe/core/table1.hpp"
 #include "sccpipe/core/walkthrough.hpp"
+#include "sccpipe/exec/executor.hpp"
 
 namespace sccpipe {
 namespace {
@@ -200,6 +204,31 @@ TEST_F(PaperClaims, IdleTimesMatchTheFig15Pattern) {
     EXPECT_LT(rep->wait_ms.q3 - rep->wait_ms.q1,
               0.25 * rep->wait_ms.median + 1.0);
   }
+}
+
+// Table I at the paper's workload (400 frames at 400x400): every one of the
+// 84 cells must stay within its pinned error (core/table1.hpp), so a model
+// or tie-order change cannot drift the reproduction silently.
+TEST(PaperTable1, EveryCellWithinItsPin) {
+  const SceneBundle scene(CityParams{}, CameraConfig{}, 400, 400);
+  const WorkloadTrace trace =
+      WorkloadTrace::build(scene, 7, exec::trace_runner());
+  const std::vector<RunResult> results =
+      exec::run_grid(scene, trace, table1_configs());
+  ASSERT_EQ(results.size(), kTable1Cells);
+  double err_sum = 0.0;
+  for (std::size_t i = 0; i < kTable1Cells; ++i) {
+    const Table1Row& row = kTable1[i / 7];
+    const double paper = row.paper_s[i % 7];
+    const double sim = results[i].walkthrough.to_sec();
+    const double err = 100.0 * std::fabs(sim - paper) / paper;
+    err_sum += err;
+    EXPECT_LE(err, row.pin_pct[i % 7])
+        << row.label << " k=" << i % 7 + 1 << ": " << sim << " s vs paper "
+        << paper << " s";
+  }
+  RecordProperty("table1_mean_err_pct",
+                 std::to_string(err_sum / static_cast<double>(kTable1Cells)));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "sccpipe/sim/fair_share.hpp"
@@ -124,7 +125,7 @@ TEST(Simulator, RunUntilMidHeapWithTombstonesAndSameCycleCancel) {
   // The tombstone-peek path: run_until must stop mid-heap while cancelled
   // entries are still buried in it — including one cancelled *during the
   // deadline cycle itself*, after dispatch of that cycle has begun — and
-  // the resume primitives (next_event_time / run_before / run) must skip
+  // the resume primitives (next_event_time / run_until / run) must skip
   // every corpse without dispatching it.
   Simulator sim;
   std::vector<int> fired;
@@ -168,8 +169,8 @@ TEST(Simulator, RunUntilMidHeapWithTombstonesAndSameCycleCancel) {
   EXPECT_FALSE(sim.cancel(at5));
   EXPECT_FALSE(sim.cancel(at3_second));
 
-  // run_before is exclusive: the event at exactly the bound stays pending.
-  sim.run_before(9_ms);
+  // A second run_until stops short of the last survivor.
+  sim.run_until(8_ms);
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 7, 8}));
   EXPECT_EQ(sim.next_event_time(), 9_ms);
   sim.run();
@@ -177,18 +178,15 @@ TEST(Simulator, RunUntilMidHeapWithTombstonesAndSameCycleCancel) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
-TEST(Simulator, NextEventTimeAndRunBeforeAreWindowPrimitives) {
-  // The two primitives the partitioned engine is built on: peek the next
-  // live timestamp, drain the half-open window [now, bound).
+TEST(Simulator, NextEventTimePeeksWithoutDispatching) {
   Simulator sim;
   EXPECT_EQ(sim.next_event_time(), SimTime::max());
   int count = 0;
   sim.schedule_at(2_ms, [&] { ++count; });
   EXPECT_EQ(sim.next_event_time(), 2_ms);
-  sim.run_before(2_ms);  // exclusive: nothing runs at exactly the bound
   EXPECT_EQ(count, 0);
   EXPECT_EQ(sim.pending(), 1u);
-  sim.run_before(2_ms + SimTime::ns(1));
+  sim.run_until(2_ms);  // inclusive: the event at exactly the deadline runs
   EXPECT_EQ(count, 1);
   EXPECT_EQ(sim.next_event_time(), SimTime::max());
 }
@@ -598,7 +596,7 @@ TEST(RunTimestamp, BudgetCutsABatchMidTimestamp) {
   EXPECT_EQ(sim.run_timestamp(4), 4u);
   EXPECT_EQ(ran, 4);
   // The front is still at the cut timestamp — exactly the signal the
-  // parallel engine's watchdog keys on.
+  // livelock guard (run_guarded) keys on.
   EXPECT_EQ(sim.next_event_time(), SimTime::us(7));
   EXPECT_EQ(sim.run_timestamp(~std::uint64_t{0}), 6u);
   EXPECT_EQ(ran, 10);
@@ -615,109 +613,64 @@ TEST(RunTimestamp, SkipsFrontTombstones) {
   EXPECT_EQ(sim.now(), SimTime::us(2));
 }
 
-// ------------------------------------------------- bulk window merges
+// ------------------------------------------------- event-loop livelock guard
 
-TEST(MergeAppend, MatchesIndividualRankedSchedulesExactly) {
-  // The same ranked batch delivered two ways — individual pushes vs one
-  // append-then-commit merge — must dispatch identically: the (time,
-  // rank, seq) key is a strict total order, so any valid heap pops the
-  // same way.
-  auto drive = [](bool merged) {
-    Simulator sim;
-    std::vector<int> log;
-    // A little pre-existing queue so the merge lands in a non-empty heap.
-    for (int i = 0; i < 8; ++i) {
-      sim.schedule_at(SimTime::us(5 + i), [&log, i] { log.push_back(100 + i); });
-    }
-    struct Mail {
-      SimTime when;
-      std::uint64_t rank;
-      int id;
-    };
-    std::vector<Mail> batch;
-    for (int i = 0; i < 20; ++i) {
-      batch.push_back(Mail{SimTime::us(4 + (i * 7) % 9),
-                           static_cast<std::uint64_t>((i * 5) % 3), i});
-    }
-    for (const Mail& m : batch) {
-      auto cb = [&log, id = m.id] { log.push_back(id); };
-      if (merged) {
-        sim.merge_append(m.when, m.rank, std::move(cb));
-      } else {
-        sim.schedule_at_ranked(m.when, m.rank, std::move(cb));
-      }
-    }
-    if (merged) sim.merge_commit();
-    sim.run();
-    return log;
-  };
-  EXPECT_EQ(drive(true), drive(false));
-}
-
-TEST(MergeAppend, LargeBatchTakesTheRebuildPathAndStaysOrdered) {
-  // 1000 appends into a 10-deep queue: commit() must take the Floyd
-  // rebuild path (k*8 >= size) and still produce (time, rank, seq) order.
+// A zero-delay self-reschedule cycle pins the clock: without the guard the
+// drain spins forever. With a small event budget it must stop with a typed
+// DeadlineExceeded right at the budget instead of hanging.
+TEST(LivelockGuard, ZeroDelayCycleTripsTypedDeadline) {
   Simulator sim;
-  std::vector<std::pair<std::int64_t, int>> log;
-  for (int i = 0; i < 10; ++i) {
-    sim.schedule_at(SimTime::us(500 + i), [&log, i] {
-      log.push_back({-1, i});
-    });
-  }
-  for (int i = 0; i < 1000; ++i) {
-    const SimTime when = SimTime::us((i * 37) % 1000);
-    sim.merge_append(when, static_cast<std::uint64_t>(i % 5),
-                     [&log, &sim, i] { log.push_back({sim.now().to_ns(), i}); });
-  }
-  sim.merge_commit();
-  sim.run();
-  EXPECT_EQ(sim.pending(), 0u);
-  ASSERT_EQ(log.size(), 1010u);
-  std::int64_t prev = 0;
-  for (const auto& [at, id] : log) {
-    if (at >= 0) {
-      EXPECT_GE(at, prev);
-      prev = at;
-    }
-  }
-}
-
-TEST(MergeAppend, SmallBatchSiftPathMatchesSchedules) {
-  // A 3-event merge into a 100-deep queue stays below the rebuild
-  // threshold: commit() sifts each appended key up instead.
-  auto drive = [](bool merged) {
-    Simulator sim;
-    std::vector<int> log;
-    for (int i = 0; i < 100; ++i) {
-      sim.schedule_at(SimTime::us(i), [&log, i] { log.push_back(1000 + i); });
-    }
-    for (int i = 0; i < 3; ++i) {
-      auto cb = [&log, i] { log.push_back(i); };
-      if (merged) {
-        sim.merge_append(SimTime::us(50 + i), 0, std::move(cb));
-      } else {
-        sim.schedule_at_ranked(SimTime::us(50 + i), 0, std::move(cb));
-      }
-    }
-    if (merged) sim.merge_commit();
-    sim.run();
-    return log;
+  constexpr std::uint64_t kBudget = 1000;
+  std::function<void()> spin;
+  std::uint64_t spins = 0;
+  spin = [&] {
+    ++spins;
+    sim.schedule_at(sim.now(), [&] { spin(); });
   };
-  EXPECT_EQ(drive(true), drive(false));
+  sim.schedule_at(SimTime::us(2), [&] { spin(); });
+  bool later_ran = false;
+  sim.schedule_at(SimTime::us(50), [&] { later_ran = true; });
+  const Status st = run_guarded(sim, SimTime::max(), kBudget);
+
+  EXPECT_EQ(st.code(), StatusCode::DeadlineExceeded) << st.to_string();
+  EXPECT_NE(st.message().find("livelock"), std::string::npos) << st.message();
+  // The budget bounds the wasted work: the cycle was cut off at the limit,
+  // the clock never advanced, and later events stay pending.
+  EXPECT_EQ(spins, kBudget);
+  EXPECT_EQ(sim.now(), SimTime::us(2));
+  EXPECT_FALSE(later_ran);
+  EXPECT_EQ(sim.pending(), 2u);
 }
 
-TEST(MergeAppend, CountsAllocsLikeSchedule) {
-  Simulator sim(16);
-  for (int i = 0; i < 16; ++i) {
-    sim.merge_append(SimTime::us(1), 0, [] {});
+// Same-timestamp bursts *below* the budget are legitimate (a frame boundary
+// routinely fires many co-timed events) and must not trip the guard; nor
+// may a burst of exactly the budget once the clock moves on.
+TEST(LivelockGuard, CoTimedBurstBelowBudgetIsNotAStall) {
+  Simulator sim;
+  int fired = 0;
+  for (int i = 0; i < 60; ++i) {
+    sim.schedule_at(SimTime::us(3), [&] { ++fired; });
   }
-  sim.merge_commit();
-  EXPECT_EQ(sim.stats().allocs, 0u);
-  sim.merge_append(SimTime::us(1), 0, [] {});  // 17th: the heap must grow
-  sim.merge_commit();
-  EXPECT_GT(sim.stats().allocs, 0u);
-  sim.run();
-  EXPECT_EQ(sim.dispatched(), 17u);
+  for (int i = 0; i < 64; ++i) {
+    sim.schedule_at(SimTime::us(4), [&] { ++fired; });
+  }
+  const Status st = run_guarded(sim, SimTime::max(), 64);
+  EXPECT_TRUE(st.ok()) << st.to_string();
+  EXPECT_EQ(fired, 124);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(LivelockGuard, StopsAfterTheDeadlineInclusive) {
+  Simulator sim;
+  std::vector<int> fired;
+  for (int i = 1; i <= 4; ++i) {
+    sim.schedule_at(SimTime::ms(i), [&fired, i] { fired.push_back(i); });
+  }
+  EXPECT_TRUE(run_guarded(sim, 2_ms, 8).ok());
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.next_event_time(), 3_ms);
+  EXPECT_TRUE(run_guarded(sim, SimTime::max(), 8).ok());
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
 }
 
 }  // namespace

@@ -281,6 +281,24 @@ TEST_F(WalkthroughFixture, FabricReportAccountsTraffic) {
   EXPECT_GT(mc_sum, 2.0 * 12.0 * frame_bytes);  // the DRAM bounce
 }
 
+TEST_F(WalkthroughFixture, EventQueueNeverAllocatesInSteadyState) {
+  // The walkthrough reserves its one event queue up front, so a full run —
+  // on either platform, with and without a host renderer — must never grow
+  // the queue's containers.
+  for (const PlatformKind platform :
+       {PlatformKind::Scc, PlatformKind::Cluster}) {
+    for (const Scenario s :
+         {Scenario::HostRenderer, Scenario::RendererPerPipeline}) {
+      RunConfig cfg = config(s, 4);
+      cfg.platform = platform;
+      const RunResult r = run_walkthrough(scene(), trace(), cfg);
+      EXPECT_EQ(r.sim_allocs, 0u)
+          << scenario_name(s) << " peak=" << r.sim_peak_events;
+      EXPECT_GT(r.sim_peak_events, 0u) << scenario_name(s);
+    }
+  }
+}
+
 TEST_F(WalkthroughFixture, RenderersRegisterAsLatencyStreams) {
   const RunResult r = run_walkthrough(
       scene(), trace(), config(Scenario::RendererPerPipeline, 4));

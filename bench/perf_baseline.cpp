@@ -18,9 +18,10 @@
 // never gates on absolute numbers.
 //
 // Run it (and regenerate the committed record) with SCCPIPE_JOBS=1: the
-// optimised blur and sepia split their rows across the band pool
-// (support/parallel.hpp), so at more threads those rows would measure the
-// core count instead of the kernels. The record carries nproc and jobs.
+// functional e2e row composes its frames on SCCPIPE_JOBS threads
+// (support/parallel.hpp), so at more threads that row would measure the
+// core count. The kernel rows run on one thread either way. The record
+// carries nproc and jobs.
 //
 // Flags:
 //   --out PATH     write the JSON record here (default BENCH_perf_baseline.json)
@@ -64,7 +65,7 @@ using namespace sccpipe;
 // test); the counter makes the before/after visible in the JSON record
 // even on allocators whose fast path is cheap in wall-clock terms. The
 // count is per thread: the measured engines run on the main thread, and
-// the band pool's helper threads (functional e2e row) allocate too.
+// the functional e2e row's composition threads allocate too.
 static thread_local std::uint64_t g_heap_allocs = 0;
 
 // Every replacement below stays out of line. Inlined into a caller, GCC's
@@ -306,9 +307,9 @@ Metric bench_raster(int side, int triangles, int repeats) {
 
 // ------------------------------------------------------------------ crc32
 //
-// One 400x100 RGBA strip (160 KB): the buffer every functional hop stamps
-// at the sender and verifies at the receiver. Each pass seeds the next, so
-// neither loop can be hoisted, and both sides must end on the same value.
+// One 400x100 RGBA strip (160 KB), the size of a sort-first strip at 400².
+// Each pass seeds the next, so neither loop can be hoisted, and both sides
+// must end on the same value.
 
 Metric bench_crc32(std::size_t bytes, int repeats, int passes) {
   Rng rng{0xc4c32003};
@@ -399,8 +400,8 @@ struct E2e {
 
 /// Two reduced walkthroughs on one shared scene: the plain run is what the
 /// figure/table harnesses execute (wall time ~= event engine throughput),
-/// the functional run carries real pixel payloads through the pipeline so
-/// the filter kernels show up end to end.
+/// the functional run also composes every delivered frame's pixels after
+/// its event loop, so the render and filter kernels show up end to end.
 std::vector<E2e> bench_e2e(int frames, int size, int pipelines, int repeats) {
   const SceneBundle scene(CityParams{}, CameraConfig{}, size, frames);
   const WorkloadTrace trace = WorkloadTrace::build(scene, pipelines);
@@ -441,8 +442,8 @@ void write_json(const std::string& path, const std::vector<Metric>& metrics,
   std::fprintf(f, "  \"tool\": \"perf_baseline\",\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
   std::fprintf(f, "  \"nproc\": %u,\n", std::thread::hardware_concurrency());
-  // Pixel-kernel band threads (SCCPIPE_JOBS): the blur and sepia rows are
-  // kernel-quality ratios only when this is 1.
+  // Composition threads of the functional e2e row (SCCPIPE_JOBS); that
+  // row measures one thread's work only when this is 1.
   std::fprintf(f, "  \"jobs\": %d,\n", default_jobs());
   std::fprintf(f, "  \"note\": \"speedup = optimized/reference on one machine; the CI gate compares ratios only\",\n");
   std::fprintf(f, "  \"metrics\": [\n");

@@ -11,7 +11,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <utility>
 
 #include "sccpipe/filters/image.hpp"
@@ -22,14 +21,16 @@
 
 namespace sccpipe {
 
-/// One strip (or whole frame) travelling between stages.
+/// One strip (or whole frame) travelling between stages. Tokens carry no
+/// pixels: a functional run composes the frames the viewer received after
+/// its event loop drains (run_walkthrough), so timed and functional runs
+/// move the same tokens.
 struct FrameToken {
   int frame = 0;
   StripRange strip{};
   double bytes = 0.0;
-  std::shared_ptr<Image> image;  ///< present only in functional runs
-  /// End-to-end CRC-32 over the header (and pixels, when functional),
-  /// stamped by Channel::send and verified at delivery. Transport-level
+  /// End-to-end CRC-32 over the header (frame, strip, bytes), stamped by
+  /// Channel::send and verified at delivery. Transport-level
   /// corruption (MessageFate::Corrupt) is caught *below* this layer by the
   /// transports' own CRC check and retried, so a token that reaches a
   /// consumer with a bad checksum is a simulator bug, not a modelled fault.

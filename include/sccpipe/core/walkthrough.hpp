@@ -89,8 +89,9 @@ struct RunConfig {
   int tail_mhz = 0;  ///< frequency of the post-blur stages and transfer
   bool isolate_blur_tile = false;
 
-  /// Carry real pixel payloads through the pipeline (slower; used by the
-  /// examples and the functional-equivalence tests).
+  /// Also produce the pixels of every delivered frame (RunResult::frames;
+  /// slower; used by the examples and the functional-equivalence tests).
+  /// Timing is unaffected: the pixels are composed after the event loop.
   bool functional = false;
 
   std::uint64_t seed = 42;  ///< scratch/flicker randomness
@@ -267,7 +268,8 @@ struct RunResult {
   /// sweep's BENCH_sweep.json derives events/sec from it).
   std::uint64_t events_dispatched = 0;
 
-  /// Functional runs only: the assembled final frames, in order.
+  /// Functional runs only: the final frames, in viewer delivery order;
+  /// shed or lost frames are absent.
   std::vector<Image> frames;
 
   /// Fault-injection outcome (enabled == false for ordinary runs).
@@ -303,7 +305,9 @@ struct RunResult {
 /// Run the full walkthrough. \p scene supplies geometry + camera path;
 /// \p trace must come from the same scene and hold the strip counts
 /// strip_counts_for({cfg}) names (1 and cfg.pipelines), and \p cfg must
-/// pass validate_run_config(); both are CHECKed.
+/// pass validate_run_config(); both are CHECKed. A functional run then
+/// composes the frames the viewer received from the strips the transfer
+/// stage logged for them, on default_jobs() threads (RunResult::frames).
 RunResult run_walkthrough(const SceneBundle& scene, const WorkloadTrace& trace,
                           const RunConfig& cfg);
 

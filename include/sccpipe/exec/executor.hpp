@@ -7,11 +7,11 @@
 /// configurations parallelises embarrassingly: one Simulator per task, no
 /// shared mutable state, results keyed by configuration index.
 ///
-/// A run's event loop is single-threaded. Only a functional run's pixel
-/// kernels (render_strip, sepia, blur, flicker) fan out further: they split
-/// their rows into fixed bands on the process-wide band pool of
-/// support/parallel.hpp, which every concurrent run shares and which never
-/// changes a pixel. Timed runs never start that pool.
+/// A run's event loop is single-threaded and carries no pixels. Only a
+/// functional run fans out further: after its event loop drains it
+/// composes the delivered frames with one parallel_for over (frame, strip)
+/// tasks on default_jobs() threads of its own; the thread count never
+/// changes a pixel. Timed runs start no thread.
 ///
 /// Determinism guarantee: run_grid()/parallel_map() return results in
 /// input order regardless of the job count or completion order, and each
@@ -33,27 +33,13 @@
 
 namespace sccpipe::exec {
 
-/// The worker-count default and the pool type live in support (the pixel
-/// kernels below core share them); exec forwards them so there is one of
-/// each.
+/// The worker-count default, the pool type and the parallel loops live in
+/// support (core's functional composition uses them); exec forwards them
+/// so there is one of each.
 using sccpipe::default_jobs;
+using sccpipe::parallel_for;
+using sccpipe::parallel_map;
 using sccpipe::ThreadPool;
-
-/// Run fn(0..n-1), spreading indices across \p jobs workers. Blocks until
-/// every index has run. If any invocation throws, the exception from the
-/// lowest index is rethrown after all tasks finish (deterministic error
-/// reporting); later indices still run.
-void parallel_for(int jobs, std::size_t n,
-                  const std::function<void(std::size_t)>& fn);
-
-/// Map fn over [0, n) into a vector ordered by index.
-template <typename T>
-std::vector<T> parallel_map(int jobs, std::size_t n,
-                            const std::function<T(std::size_t)>& fn) {
-  std::vector<T> out(n);
-  parallel_for(jobs, n, [&](std::size_t i) { out[i] = fn(i); });
-  return out;
-}
 
 /// run_grid()'s typed rejection of a configuration that fails
 /// validate_run_config(): the first such config's index and its Status.

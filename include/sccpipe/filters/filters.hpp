@@ -7,12 +7,6 @@
 /// one documented exception: the blur reads one row of context beyond each
 /// strip edge, so strip-wise blurring differs from whole-frame blurring on
 /// the seam rows (the paper's pipelines accept the same seam).
-///
-/// Inside one image, sepia, blur and flicker also split the rows into fixed
-/// 16-row bands on the band pool (support/parallel.hpp). Unlike strips,
-/// bands are invisible in the output: the blur saves the original rows on
-/// both sides of every band boundary before any band writes, so each
-/// result is bit-identical to the single-threaded kernel.
 
 #include "sccpipe/filters/image.hpp"
 #include "sccpipe/support/rng.hpp"

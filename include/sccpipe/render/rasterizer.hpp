@@ -65,44 +65,9 @@ struct Viewport {
   static Viewport full(const Framebuffer& fb);
 };
 
-/// Viewport coordinates plus NDC depth.
-struct ScreenVertex {
-  float x = 0.0f, y = 0.0f, z = 0.0f;
-};
-
-/// One near-clipped, projected, counter-clockwise triangle: the part of
-/// draw_triangle_clip that does not depend on which rows get rasterised.
-struct ScreenTriangle {
-  ScreenVertex v0, v1, v2;
-  float inv_area = 0.0f;
-  Color color;
-  /// Pixel bounding box in virtual-viewport coordinates, not yet clamped
-  /// to any framebuffer.
-  int min_x = 0, max_x = 0, min_y = 0, max_y = 0;
-};
-
-/// Setup half of draw_triangle_clip: clip against the near plane, project
-/// onto \p vp and orient. Writes 0..2 screen triangles to \p out (none when
-/// clipped away or degenerate) and returns how many. Counts
-/// triangles_submitted and triangles_clipped_away.
-int setup_triangle_clip(const Viewport& vp, Vec4 c0, Vec4 c1, Vec4 c2,
-                        Color col, ScreenTriangle out[2],
-                        RasterStats* stats = nullptr);
-
-/// Raster half: fill the part of \p t that lies in framebuffer rows
-/// [row_begin, row_end), i.e. virtual rows vp.y_offset + row. Counts
-/// pixels_tested and pixels_filled. Disjoint row windows touch disjoint
-/// pixels, and a pixel's coverage and depth never depend on the window, so
-/// any split of the rows reproduces the single whole-framebuffer pass bit
-/// for bit.
-void raster_triangle_rows(Framebuffer& fb, const Viewport& vp,
-                          const ScreenTriangle& t, int row_begin, int row_end,
-                          RasterStats* stats = nullptr);
-
 /// Draw one triangle given in clip space (pre-multiplied by
-/// projection * view * model): setup_triangle_clip, then
-/// raster_triangle_rows over the whole framebuffer. Near-plane clipping may
-/// emit up to two screen triangles.
+/// projection * view * model). Near-plane clipping may emit up to two
+/// screen triangles.
 void draw_triangle_clip(Framebuffer& fb, const Viewport& vp, Vec4 c0, Vec4 c1,
                         Vec4 c2, Color col, RasterStats* stats = nullptr);
 

@@ -1,20 +1,17 @@
 #pragma once
 
 /// \file parallel.hpp
-/// Host threads for the layers below `core`: the worker-count default, the
-/// fixed-size thread pool, and the process-wide band pool the pixel kernels
-/// (render, filters) split their rows across.
+/// Host threads for every layer: the worker-count default, the fixed-size
+/// thread pool, and the index-parallel loop over it. `exec` re-exports all
+/// of them; `core` composes a functional run's frames with parallel_for.
 ///
-/// Band contract: for_each_band(n, fn) runs fn(0..n-1), each index exactly
-/// once, and returns when every index has finished. Callers choose bands
-/// whose writes are disjoint and whose boundaries never depend on the
-/// thread count, so the result is bit-identical to running the bands in
-/// index order on one thread — which is exactly what happens when
-/// SCCPIPE_JOBS=1.
+/// jobs semantics: 0 = default_jobs(); 1 = run inline on the calling
+/// thread (no pool, no thread creation); N > 1 = fixed pool of N worker
+/// threads for the duration of the call.
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
+#include <vector>
 
 namespace sccpipe {
 
@@ -42,64 +39,21 @@ class ThreadPool {
   Impl* impl_;
 };
 
-/// Rows per pixel band. Fixed, so band boundaries (and thus every
-/// floating-point decision inside a band) never depend on the thread count.
-inline constexpr int kBandRows = 16;
+/// Run fn(0..n-1), spreading indices across \p jobs workers. Blocks until
+/// every index has run. If any invocation throws, the exception from the
+/// lowest index is rethrown after all tasks finish (deterministic error
+/// reporting); later indices still run. Each call owns its workers, so
+/// nested and concurrent calls cannot deadlock.
+void parallel_for(int jobs, std::size_t n,
+                  const std::function<void(std::size_t)>& fn);
 
-/// Number of kBandRows-row bands covering \p rows rows.
-inline std::size_t band_count(int rows) {
-  return rows <= 0 ? 0
-                   : static_cast<std::size_t>((rows + kBandRows - 1) /
-                                              kBandRows);
+/// Map fn over [0, n) into a vector ordered by index.
+template <typename T>
+std::vector<T> parallel_map(int jobs, std::size_t n,
+                            const std::function<T(std::size_t)>& fn) {
+  std::vector<T> out(n);
+  parallel_for(jobs, n, [&](std::size_t i) { out[i] = fn(i); });
+  return out;
 }
-
-/// Run fn(0..n-1) on the process-wide band pool and block until every
-/// index has run. The pool starts at the first call with n > 1, with
-/// default_jobs() - 1 helper threads; the calling thread drains bands too,
-/// so a call always makes progress even when every helper is busy. With
-/// SCCPIPE_JOBS=1 (read once, at that first call) everything runs inline
-/// and no thread is ever created.
-///
-/// Safe to call from several threads at once and from inside a band: the
-/// callers share the helpers without deadlock. If any invocation throws,
-/// the exception of the lowest index is rethrown after all indices have
-/// finished (exec::parallel_for's contract).
-void for_each_band(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-/// Handed to every run of a replicated band (for_each_row_band_replicated).
-class BandCommit {
- public:
-  explicit BandCommit(std::atomic<unsigned char>& state) : state_(state) {}
-
-  /// True for exactly one run of the band, the first to ask; only that run
-  /// may write the band's output, and it must do so before it returns.
-  /// Asking again repeats the first answer.
-  bool commit();
-
-  /// True once another run of the band has committed: this run's result
-  /// will be dropped, so it may stop early.
-  bool taken() const;
-
- private:
-  std::atomic<unsigned char>& state_;
-  bool asked_ = false;
-  bool won_ = false;
-};
-
-/// Row bands that never wait on a stalled thread: fn(row_begin, row_end,
-/// commit) for the kBandRows-row bands of \p rows rows (half-open, disjoint
-/// windows). fn must compute its band into storage of its own and copy it
-/// out only if commit.commit() says so. A band whose run is still going
-/// well after the typical band has finished is run again by the caller,
-/// and the first run to finish wins: a helper thread that lost its core
-/// mid-band then costs one band's work instead of the whole time it is
-/// off-core. The call returns once every band has a committed run.
-///
-/// A losing run can still be executing after the call has returned. fn is
-/// therefore moved into the call's shared state, must own everything it
-/// reads (capture by value or shared_ptr), and may touch the caller's
-/// output only after winning its commit. fn must not throw.
-void for_each_row_band_replicated(
-    int rows, std::function<void(int, int, BandCommit&)> fn);
 
 }  // namespace sccpipe

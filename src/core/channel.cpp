@@ -13,9 +13,6 @@ std::uint32_t frame_token_crc(const FrameToken& token) {
   crc.update(&token.strip.y0, sizeof(token.strip.y0));
   crc.update(&token.strip.rows, sizeof(token.strip.rows));
   crc.update(&token.bytes, sizeof(token.bytes));
-  if (token.image != nullptr) {
-    crc.update(token.image->data(), token.image->byte_size());
-  }
   return crc.value();
 }
 

@@ -4,6 +4,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "sccpipe/core/run_snapshot.hpp"
@@ -11,6 +12,7 @@
 #include "sccpipe/noc/fabric.hpp"
 #include "sccpipe/noc/mesh.hpp"
 #include "sccpipe/support/check.hpp"
+#include "sccpipe/support/parallel.hpp"
 #include "sccpipe/support/snapshot.hpp"
 
 namespace sccpipe {
@@ -79,8 +81,8 @@ SimTime platform_router_latency(const RunConfig& cfg) {
 /// DeadlineExceeded instead of hanging (sim/simulator.hpp, run_guarded).
 constexpr std::uint64_t kMaxEventsPerTimestamp = 10'000'000;
 
-void apply_stage_functional(StageKind kind, Image& img, int frame,
-                            std::uint64_t seed, int max_scratches) {
+void apply_filter_stage(StageKind kind, Image& img, int frame,
+                        std::uint64_t seed, int max_scratches) {
   switch (kind) {
     case StageKind::Sepia:
       apply_sepia(img);
@@ -99,8 +101,62 @@ void apply_stage_functional(StageKind kind, Image& img, int frame,
       apply_vflip(img);
       break;
     default:
-      SCCPIPE_CHECK_MSG(false, "not a functional filter stage");
+      SCCPIPE_CHECK_MSG(false, "not a filter stage");
   }
+}
+
+/// One strip the transfer stage received for a frame.
+struct DeliveredStrip {
+  int frame = 0;
+  StripRange strip{};
+};
+
+/// The pixels of the frames in \p log, one per run of equal frame numbers,
+/// in log order. Each strip is rendered, put through kFilterChain and
+/// pasted mirrored (the swap stage flipped it; reversing the strip order
+/// completes the whole-frame flip the viewer expects). Strips are
+/// independent tasks that write disjoint rows, so the frames do not depend
+/// on the thread count.
+std::vector<Image> compose_frames(const SceneBundle& scene,
+                                  const RunConfig& cfg,
+                                  std::span<const DeliveredStrip> log) {
+  const int side = scene.image_side();
+  std::vector<std::size_t> frame_of(log.size());
+  std::vector<StripRange> rows;  // one frame's strips, for the tiling check
+  std::size_t frames = 0;
+  for (std::size_t i = 0; i < log.size();) {
+    const int frame = log[i].frame;
+    rows.clear();
+    for (; i < log.size() && log[i].frame == frame; ++i) {
+      frame_of[i] = frames;
+      rows.push_back(log[i].strip);
+    }
+    ++frames;
+    // Pixel integrity: the strips of a delivered frame tile it exactly.
+    std::sort(rows.begin(), rows.end(),
+              [](StripRange a, StripRange b) { return a.y0 < b.y0; });
+    int next = 0;
+    for (const StripRange& r : rows) {
+      SCCPIPE_CHECK_MSG(r.y0 == next && r.rows > 0,
+                        "frame " << frame << " strips leave a gap or overlap"
+                                 << " at row " << next);
+      next += r.rows;
+    }
+    SCCPIPE_CHECK_MSG(next == side, "frame " << frame << " strips cover "
+                                             << next << " of " << side
+                                             << " rows");
+  }
+  std::vector<Image> out(frames, Image(side, side));
+  parallel_for(default_jobs(), log.size(), [&](std::size_t i) {
+    const DeliveredStrip& d = log[i];
+    Image img =
+        scene.renderer().render_strip(scene.path().view(d.frame), d.strip);
+    for (const StageKind kind : kFilterChain) {
+      apply_filter_stage(kind, img, d.frame, cfg.seed, cfg.cal.max_scratches);
+    }
+    out[frame_of[i]].paste(img, side - d.strip.y0 - d.strip.rows);
+  });
+  return out;
 }
 
 /// One timed walkthrough run. Owns the simulator, the platform models and
@@ -141,6 +197,13 @@ class WalkthroughSim {
     crash_plan_ = cfg_.fault.crashes;
     std::sort(crash_plan_.begin(), crash_plan_.end());
     config_fp_ = run_config_fingerprint(cfg_);
+    transfer_assembly_.reserve(static_cast<std::size_t>(frames_total()) *
+                               static_cast<std::size_t>(cfg.pipelines));
+  }
+
+  /// The strips of the frames the viewer received, in delivery order.
+  std::span<const DeliveredStrip> delivery_log() const {
+    return {transfer_assembly_.data(), delivered_end_};
   }
 
   RunResult run() {
@@ -377,9 +440,7 @@ class WalkthroughSim {
                 (at - arrival_at_[static_cast<std::size_t>(tok.frame)])
                     .to_ms());
           }
-          if (cfg_.functional && tok.image) {
-            out_frames_.push_back(*tok.image);
-          }
+          commit_delivered(tok.frame);
           // Frame boundary: the one instant where host-side run state is
           // quiescent enough to snapshot. Pure host I/O — zero simulated
           // cost, no CSV impact.
@@ -535,14 +596,8 @@ class WalkthroughSim {
     const StageWork w = scaled_render_work(load, /*adjust_frustum=*/false);
     chip_->memory_walk(core, w.walk_accesses, [this, frame, core, w] {
       chip_->compute(core, w.cycles, [this, frame, core, w] {
-        chip_->dram_stream(core, w.dram_bytes, [this, frame] {
-          std::shared_ptr<Image> whole;
-          if (cfg_.functional) {
-            whole = std::make_shared<Image>(
-                scene_.renderer().render(scene_.path().view(frame)));
-          }
-          begin_distribution(frame, whole);
-        });
+        chip_->dram_stream(core, w.dram_bytes,
+                           [this, frame] { begin_distribution(frame); });
       });
     });
   }
@@ -552,10 +607,10 @@ class WalkthroughSim {
   /// as a checkpoint in the producer's DRAM partition (so a remapped
   /// pipeline can replay its strips), and routing honours degraded
   /// pipelines.
-  void begin_distribution(int frame, std::shared_ptr<Image> whole) {
+  void begin_distribution(int frame) {
     if (failed_) return;
     if (!supervisor_) {
-      send_strips(frame, 0, whole);
+      send_strips(frame, 0);
       return;
     }
     std::vector<int> route;
@@ -585,16 +640,14 @@ class WalkthroughSim {
     dist_active_ = true;
     dist_frame_ = frame;
     dist_slot_ = 0;
-    dist_image_ = whole;
     const double frame_bytes =
         static_cast<double>(side()) * static_cast<double>(side()) * 4.0;
     ++recovery_.checkpoint_writes;
     recovery_.checkpoint_bytes += frame_bytes;
-    chip_->dram_stream(placement_.producer, frame_bytes,
-                       [this, frame, whole] {
-                         if (failed_) return;
-                         send_strips_routed(frame, 0, whole);
-                       });
+    chip_->dram_stream(placement_.producer, frame_bytes, [this, frame] {
+      if (failed_) return;
+      send_strips_routed(frame, 0);
+    });
     // The transfer stage may have been stalled waiting to learn this
     // frame's route.
     if (transfer_deferred_) transfer_begin_frame();
@@ -602,7 +655,7 @@ class WalkthroughSim {
 
   /// Sequentially hand strip s of \p frame to pipeline s (scenario 1 and
   /// the connect stage of scenario 3 share this).
-  void send_strips(int frame, int s, std::shared_ptr<Image> whole) {
+  void send_strips(int frame, int s) {
     if (failed_) return;
     if (s >= cfg_.pipelines) {
       // Frame fully distributed; produce the next one.
@@ -622,18 +675,15 @@ class WalkthroughSim {
     tok.frame = frame;
     tok.strip = strips[static_cast<std::size_t>(s)];
     tok.bytes = strip_bytes(tok.strip);
-    if (whole) tok.image = std::make_shared<Image>(whole->strip(tok.strip));
     head_channels_[static_cast<std::size_t>(s)]->send(
-        std::move(tok), [this, frame, s, whole] {
-          send_strips(frame, s + 1, whole);
-        });
+        std::move(tok), [this, frame, s] { send_strips(frame, s + 1); });
   }
 
   /// Supervisor-mode distribution: slot \p s indexes the frame's *route*
   /// (the pipelines alive when distribution began), and the frame is split
   /// across exactly those pipelines — a degraded run re-splits subsequent
   /// frames across the survivors instead of leaving a hole.
-  void send_strips_routed(int frame, int s, std::shared_ptr<Image> whole) {
+  void send_strips_routed(int frame, int s) {
     if (failed_) return;
     const std::vector<int>& route = frame_routes_[frame];
     // A pipeline that died after the route was snapped already marked this
@@ -671,7 +721,6 @@ class WalkthroughSim {
     tok.frame = frame;
     tok.strip = strips[static_cast<std::size_t>(s)];
     tok.bytes = strip_bytes(tok.strip);
-    if (whole) tok.image = std::make_shared<Image>(whole->strip(tok.strip));
     record_outstanding(p, frame, tok);
     dist_slot_ = s;
     if (replay_active_[static_cast<std::size_t>(p)]) {
@@ -679,18 +728,18 @@ class WalkthroughSim {
       // behind it (the pump reads the strip we just checkpointed) so the
       // head channel sees frames in order, and keep distributing.
       replay_q_[static_cast<std::size_t>(p)].push_back(frame);
-      send_strips_routed(frame, s + 1, whole);
+      send_strips_routed(frame, s + 1);
       return;
     }
     dist_pending_pipeline_ = p;
     const int gen = pipeline_gen_[static_cast<std::size_t>(p)];
     head_channels_[static_cast<std::size_t>(p)]->send(
-        std::move(tok), [this, frame, s, whole, p, gen] {
+        std::move(tok), [this, frame, s, p, gen] {
           if (failed_) return;
           // A remap while this send was pending already resumed the chain.
           if (gen != pipeline_gen_[static_cast<std::size_t>(p)]) return;
           dist_pending_pipeline_ = -1;
-          send_strips_routed(frame, s + 1, whole);
+          send_strips_routed(frame, s + 1);
         });
   }
 
@@ -718,10 +767,6 @@ class WalkthroughSim {
           tok.frame = frame;
           tok.strip = strips[static_cast<std::size_t>(p)];
           tok.bytes = strip_bytes(tok.strip);
-          if (cfg_.functional) {
-            tok.image = std::make_shared<Image>(scene_.renderer().render_strip(
-                scene_.path().view(frame), tok.strip));
-          }
           if (!supervisor_) {
             head_channels_[static_cast<std::size_t>(p)]->send(
                 std::move(tok),
@@ -773,10 +818,6 @@ class WalkthroughSim {
       tok.frame = frame;
       tok.strip = StripRange{0, side()};
       tok.bytes = static_cast<double>(side()) * side() * 4.0;
-      if (cfg_.functional) {
-        tok.image = std::make_shared<Image>(
-            scene_.renderer().render(scene_.path().view(frame)));
-      }
       host_in_->send(std::move(tok),
                      [this, frame] { host_render_frame(frame + 1); });
     });
@@ -854,10 +895,6 @@ class WalkthroughSim {
       tok.frame = frame;
       tok.strip = StripRange{0, side()};
       tok.bytes = static_cast<double>(side()) * side() * 4.0;
-      if (cfg_.functional) {
-        tok.image = std::make_shared<Image>(
-            scene_.renderer().render(scene_.path().view(frame)));
-      }
       // The link's accept callback (window slot + credit held) paces the
       // feeder; the admission queue above absorbs the offered-rate burst.
       host_in_->send(std::move(tok), [this] { feeder_pump(); });
@@ -889,9 +926,7 @@ class WalkthroughSim {
         SCCPIPE_CHECK(frame == connect_frames_ - 1);
       }
       chip_->dram_stream(core, 2.0 * tok.bytes,
-                         [this, frame, img = tok.image] {
-                           begin_distribution(frame, img);
-                         });
+                         [this, frame] { begin_distribution(frame); });
     });
   }
 
@@ -943,10 +978,6 @@ class WalkthroughSim {
           if (supervisor_ && supervisor_->gray_enabled()) {
             note_service(st.core, (sim_.now() - matched).to_ms());
           }
-          if (cfg_.functional && tok.image) {
-            apply_stage_functional(st.kind, *tok.image, tok.frame, cfg_.seed,
-                                   cfg_.cal.max_scratches);
-          }
           const int frame = tok.frame;
           st.out->send(std::move(tok), [this, &st, gen, frame, matched] {
             if (supervisor_ && (failed_ || st.gen != gen)) return;
@@ -975,10 +1006,7 @@ class WalkthroughSim {
     if (failed_) return;
     if (s == 0) {
       transfer_wait_posted_ = sim_.now();
-      transfer_assembly_.clear();
-      if (cfg_.functional) {
-        transfer_image_ = std::make_shared<Image>(side(), side());
-      }
+      transfer_assembly_.resize(assembled_end_);
     }
     if (s >= cfg_.pipelines) {
       transfer_assemble();
@@ -989,23 +1017,37 @@ class WalkthroughSim {
           if (s == 0) {
             transfer_wait_.add((matched - transfer_wait_posted_).to_ms());
           }
-          if (cfg_.functional && tok.image) {
-            // The swap stage flipped each strip; mirroring the strip order
-            // completes the whole-frame vertical flip the viewer expects.
-            const int dst_y0 = side() - tok.strip.y0 - tok.strip.rows;
-            transfer_image_->paste(*tok.image, dst_y0);
-          }
-          transfer_assembly_.push_back(tok.frame);
+          transfer_assembly_.push_back({tok.frame, tok.strip});
           transfer_collect(s + 1);
         });
   }
 
+  /// Checks that the strips collected since the last assembly all belong
+  /// to \p frame and hands them to the viewer link.
+  void close_assembly(int frame) {
+    for (std::size_t i = assembled_end_; i < transfer_assembly_.size(); ++i) {
+      SCCPIPE_CHECK_MSG(transfer_assembly_[i].frame == frame,
+                        "transfer stage mixed frames");
+    }
+    assembled_end_ = transfer_assembly_.size();
+  }
+
+  /// The viewer received \p frame: the oldest assembled frame on its link.
+  void commit_delivered(int frame) {
+    SCCPIPE_CHECK_MSG(delivered_end_ < assembled_end_ &&
+                          transfer_assembly_[delivered_end_].frame == frame,
+                      "viewer received frame " << frame
+                                               << " out of assembly order");
+    while (delivered_end_ < assembled_end_ &&
+           transfer_assembly_[delivered_end_].frame == frame) {
+      ++delivered_end_;
+    }
+  }
+
   void transfer_assemble() {
     const CoreId core = placement_.transfer;
-    const int frame = transfer_assembly_.front();
-    for (const int f : transfer_assembly_) {
-      SCCPIPE_CHECK_MSG(f == frame, "transfer stage mixed frames");
-    }
+    const int frame = transfer_assembly_[assembled_end_].frame;
+    close_assembly(frame);
     const double frame_bytes = static_cast<double>(side()) * side() * 4.0;
     const StageWork w = assemble_work(cfg_.cal, frame_bytes);
     chip_->compute(core, w.cycles, [this, core, w, frame, frame_bytes] {
@@ -1014,8 +1056,6 @@ class WalkthroughSim {
         tok.frame = frame;
         tok.strip = StripRange{0, side()};
         tok.bytes = frame_bytes;
-        tok.image = transfer_image_;
-        transfer_image_.reset();
         const SimTime span_start = sim_.now();
         viewer_->send(std::move(tok), [this, frame, span_start] {
           record_span(placement_.transfer, StageKind::Transfer, frame,
@@ -1070,10 +1110,7 @@ class WalkthroughSim {
     transfer_deferred_ = false;
     transfer_slot_ = 0;
     transfer_wait_posted_ = sim_.now();
-    transfer_assembly_.clear();
-    if (cfg_.functional) {
-      transfer_image_ = std::make_shared<Image>(side(), side());
-    }
+    transfer_assembly_.resize(assembled_end_);
     transfer_recv_slot();
   }
 
@@ -1105,11 +1142,7 @@ class WalkthroughSim {
           if (slot == 0) {
             transfer_wait_.add((matched - transfer_wait_posted_).to_ms());
           }
-          if (cfg_.functional && tok.image) {
-            const int dst_y0 = side() - tok.strip.y0 - tok.strip.rows;
-            transfer_image_->paste(*tok.image, dst_y0);
-          }
-          transfer_assembly_.push_back(tok.frame);
+          transfer_assembly_.push_back({tok.frame, tok.strip});
           ++transfer_slot_;
           transfer_recv_slot();
         });
@@ -1118,9 +1151,7 @@ class WalkthroughSim {
   void transfer_assemble_supervised() {
     const CoreId core = placement_.transfer;
     const int frame = transfer_frame_;
-    for (const int f : transfer_assembly_) {
-      SCCPIPE_CHECK_MSG(f == frame, "transfer stage mixed frames");
-    }
+    close_assembly(frame);
     const double frame_bytes =
         static_cast<double>(side()) * static_cast<double>(side()) * 4.0;
     const StageWork w = assemble_work(cfg_.cal, frame_bytes);
@@ -1130,8 +1161,6 @@ class WalkthroughSim {
         tok.frame = frame;
         tok.strip = StripRange{0, side()};
         tok.bytes = frame_bytes;
-        tok.image = transfer_image_;
-        transfer_image_.reset();
         const SimTime span_start = sim_.now();
         viewer_->send(std::move(tok), [this, frame, span_start] {
           record_span(placement_.transfer, StageKind::Transfer, frame,
@@ -1146,20 +1175,15 @@ class WalkthroughSim {
   // ------------------------------------------------- failure handling
 
   /// Checkpoint bookkeeping: what each pipeline has been handed but not
-  /// yet delivered to the transfer stage. The image copy (functional runs)
-  /// stands in for the strip staged in the owning DRAM partition.
+  /// yet delivered to the transfer stage.
   struct SentStrip {
     StripRange strip{};
     double bytes = 0.0;
-    std::shared_ptr<Image> image;
   };
 
   void record_outstanding(int p, int frame, const FrameToken& tok) {
-    SentStrip m;
-    m.strip = tok.strip;
-    m.bytes = tok.bytes;
-    if (tok.image) m.image = std::make_shared<Image>(*tok.image);
-    outstanding_[static_cast<std::size_t>(p)][frame] = std::move(m);
+    outstanding_[static_cast<std::size_t>(p)][frame] =
+        SentStrip{tok.strip, tok.bytes};
   }
 
   void ack_pipeline(int p, int frame) {
@@ -1329,7 +1353,7 @@ class WalkthroughSim {
     // core, resume it; the stuck strip is outstanding and will be replayed.
     if (dist_pending_pipeline_ == p) {
       dist_pending_pipeline_ = -1;
-      send_strips_routed(dist_frame_, dist_slot_ + 1, dist_image_);
+      send_strips_routed(dist_frame_, dist_slot_ + 1);
     }
     queue_replay(p);
   }
@@ -1362,7 +1386,7 @@ class WalkthroughSim {
     }
     if (dist_pending_pipeline_ == p) {
       dist_pending_pipeline_ = -1;
-      send_strips_routed(dist_frame_, dist_slot_ + 1, dist_image_);
+      send_strips_routed(dist_frame_, dist_slot_ + 1);
     }
     // The transfer stage may be waiting on a frame that just became lost
     // (if it waits on *this* pipeline, the frame necessarily is).
@@ -1501,9 +1525,6 @@ class WalkthroughSim {
       tok.frame = frame;
       tok.strip = it->second.strip;
       tok.bytes = it->second.bytes;
-      if (it->second.image) {
-        tok.image = std::make_shared<Image>(*it->second.image);
-      }
       head_channels_[sp]->send(std::move(tok), [this, p, gen] {
         if (failed_ || gen != pipeline_gen_[static_cast<std::size_t>(p)]) {
           return;
@@ -1588,7 +1609,7 @@ class WalkthroughSim {
     }
     if (dist_pending_pipeline_ == p) {
       dist_pending_pipeline_ = -1;
-      send_strips_routed(dist_frame_, dist_slot_ + 1, dist_image_);
+      send_strips_routed(dist_frame_, dist_slot_ + 1);
     }
     gray_drain_[sp] = 1;
     queue_replay(p);
@@ -2034,7 +2055,6 @@ class WalkthroughSim {
     collect_recovery_report(r);
     collect_transport_report(r);
     collect_gray_report(r);
-    r.frames = std::move(out_frames_);
     r.events_dispatched = sim_.dispatched();
     r.sim_allocs = sim_.stats().allocs;
     r.sim_peak_events = sim_.stats().peak_events;
@@ -2202,13 +2222,18 @@ class WalkthroughSim {
   SimTime producer_span_start_ = SimTime::zero();
   SampleSet connect_wait_;
 
-  std::vector<int> transfer_assembly_;
+  /// Every strip the transfer stage received, in arrival order: first the
+  /// strips of frames the viewer got, [0, delivered_end_); then those of
+  /// assembled frames still on the viewer link, up to assembled_end_; then
+  /// the frame being collected. A collection that restarts (its frame was
+  /// lost) drops its tail.
+  std::vector<DeliveredStrip> transfer_assembly_;
+  std::size_t assembled_end_ = 0;
+  std::size_t delivered_end_ = 0;
   SimTime transfer_wait_posted_ = SimTime::zero();
   SampleSet transfer_wait_;
-  std::shared_ptr<Image> transfer_image_;
 
   std::vector<double> frame_done_ms_;
-  std::vector<Image> out_frames_;
 
   // Fault-run state: typed wire handles for retransmission counters, and
   // the first-failure record that stops the pumps.
@@ -2283,7 +2308,6 @@ class WalkthroughSim {
   int dist_frame_ = -1;
   int dist_slot_ = 0;
   int dist_pending_pipeline_ = -1;
-  std::shared_ptr<Image> dist_image_;
   int transfer_frame_ = 0;
   int transfer_slot_ = 0;
   std::vector<int> transfer_route_;
@@ -2374,7 +2398,9 @@ StripCounts strip_counts_for(const std::vector<RunConfig>& configs) {
 RunResult run_walkthrough(const SceneBundle& scene, const WorkloadTrace& trace,
                           const RunConfig& cfg) {
   WalkthroughSim sim(scene, trace, cfg);
-  return sim.run();
+  RunResult r = sim.run();
+  if (cfg.functional) r.frames = compose_frames(scene, cfg, sim.delivery_log());
+  return r;
 }
 
 SingleCoreBreakdown run_single_core(const SceneBundle& scene,

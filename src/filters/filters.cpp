@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "sccpipe/geom/vec.hpp"
 #include "sccpipe/support/check.hpp"
-#include "sccpipe/support/parallel.hpp"
 
 namespace sccpipe {
 
@@ -18,26 +17,6 @@ float to_unit(std::uint8_t v) { return static_cast<float>(v) / 255.0f; }
 
 std::uint8_t to_byte(float v) {
   return static_cast<std::uint8_t>(std::lround(clamp01(v) * 255.0f));
-}
-
-/// Applies a row-band kernel to \p img on the band pool:
-/// kernel(src, y0, y1, out) writes rows [y0, y1) of the result to \p out,
-/// which arrives holding a copy of those rows of \p src. Bands read a
-/// snapshot of the input rather than \p img itself, because a band's
-/// losing run may still be reading after the call has returned.
-template <class Kernel>
-void transform_row_bands(Image& img, Kernel kernel) {
-  const auto src = std::make_shared<const Image>(img);
-  for_each_row_band_replicated(
-      img.height(), [src, dst = &img, kernel](int y0, int y1,
-                                              BandCommit& commit) {
-        const std::uint8_t* first = src->row(y0);
-        std::vector<std::uint8_t> out(
-            first, first + static_cast<std::size_t>(y1 - y0) *
-                               src->row_bytes());
-        kernel(*src, y0, y1, out.data());
-        if (commit.commit()) std::copy(out.begin(), out.end(), dst->row(y0));
-      });
 }
 
 /// The paper's sepia mix products 0.3*(v/255), 0.59*(v/255), 0.11*(v/255)
@@ -91,21 +70,16 @@ void apply_sepia(Image& img) {
   // never contracts into FMA), while the hot loop loses its three
   // divisions and the per-pixel bounds-checked get/set round trips.
   static const SepiaTables lut;
-  // Per-pixel, so row bands run independently.
-  const int w = img.width();
-  transform_row_bands(img, [w](const Image&, int y0, int y1,
-                               std::uint8_t* out) {
-    const std::size_t n = static_cast<std::size_t>(y1 - y0) * w;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint8_t* p = out + 4 * i;
-      const float mix = clamp01(lut.r[p[0]] + lut.g[p[1]] + lut.b[p[2]]);
-      const float omix = 1.0f - mix;
-      p[0] = to_byte(0.2f * omix + 1.0f * mix);
-      p[1] = to_byte(0.05f * omix + 0.9f * mix);
-      p[2] = to_byte(0.0f * omix + 0.5f * mix);
-      // alpha byte untouched
-    }
-  });
+  std::uint8_t* const data = img.data();
+  for (std::size_t i = 0; i < img.byte_size(); i += 4) {
+    std::uint8_t* p = data + i;
+    const float mix = clamp01(lut.r[p[0]] + lut.g[p[1]] + lut.b[p[2]]);
+    const float omix = 1.0f - mix;
+    p[0] = to_byte(0.2f * omix + 1.0f * mix);
+    p[1] = to_byte(0.05f * omix + 0.9f * mix);
+    p[2] = to_byte(0.0f * omix + 0.5f * mix);
+    // alpha byte untouched
+  }
 }
 
 void apply_blur(Image& img) {
@@ -115,44 +89,51 @@ void apply_blur(Image& img) {
   // 3*255 fits uint16), and each output pixel folds three vertical taps
   // over them. Every pixel's sum and divisor cover exactly the clamped
   // window the naive loop visited — integer arithmetic, so restructuring
-  // is exact. Each row band reads its own rows and one row on either side
-  // from the unmodified input snapshot.
+  // is exact. Row y + 1 is summed before row y is written, so the ring
+  // always holds original data and the blur runs in place.
   const int w = img.width();
   const int h = img.height();
   if (w == 0 || h == 0) return;
-  transform_row_bands(img, [w, h](const Image& src, int y0, int y1,
-                                  std::uint8_t* out) {
-    const std::size_t row_sums = static_cast<std::size_t>(w) * 3;
-    const std::vector<std::uint16_t> zeros(row_sums, 0);  // off-image rows
-    std::vector<std::uint16_t> ring(3 * row_sums);
-    const auto ring_row = [&](int y) {
-      return ring.data() + static_cast<std::size_t>(y % 3) * row_sums;
+  const std::size_t row_sums = static_cast<std::size_t>(w) * 3;
+  const std::vector<std::uint16_t> zeros(row_sums, 0);  // off-image rows
+  std::vector<std::uint16_t> ring(3 * row_sums);
+  const auto ring_row = [&](int y) {
+    return ring.data() + static_cast<std::size_t>(y % 3) * row_sums;
+  };
+  horizontal_sums(img.row(0), w, ring_row(0));
+  for (int y = 0; y < h; ++y) {
+    if (y + 1 < h) horizontal_sums(img.row(y + 1), w, ring_row(y + 1));
+    const std::uint16_t* above = y > 0 ? ring_row(y - 1) : zeros.data();
+    const std::uint16_t* cur = ring_row(y);
+    const std::uint16_t* below = y + 1 < h ? ring_row(y + 1) : zeros.data();
+    const int wy = 1 + (y > 0 ? 1 : 0) + (y + 1 < h ? 1 : 0);
+    std::uint8_t* dst = img.row(y);
+    const auto emit = [&](int x, auto n) {
+      const int i = 3 * x;
+      std::uint8_t* o = dst + 4 * x;
+      o[0] = static_cast<std::uint8_t>((above[i] + cur[i] + below[i]) / n);
+      o[1] = static_cast<std::uint8_t>(
+          (above[i + 1] + cur[i + 1] + below[i + 1]) / n);
+      o[2] = static_cast<std::uint8_t>(
+          (above[i + 2] + cur[i + 2] + below[i + 2]) / n);
+      // alpha byte untouched
     };
-    if (y0 > 0) horizontal_sums(src.row(y0 - 1), w, ring_row(y0 - 1));
-    horizontal_sums(src.row(y0), w, ring_row(y0));
-    for (int y = y0; y < y1; ++y) {
-      if (y + 1 < h) horizontal_sums(src.row(y + 1), w, ring_row(y + 1));
-      const std::uint16_t* above = y > 0 ? ring_row(y - 1) : zeros.data();
-      const std::uint16_t* cur = ring_row(y);
-      const std::uint16_t* below = y + 1 < h ? ring_row(y + 1) : zeros.data();
-      const int wy = 1 + (y > 0 ? 1 : 0) + (y + 1 < h ? 1 : 0);
-      std::uint8_t* dst = out + static_cast<std::size_t>(y - y0) * 4 * w;
-      const auto emit = [&](int x, int n) {
-        const int i = 3 * x;
-        std::uint8_t* o = dst + 4 * x;
-        o[0] = static_cast<std::uint8_t>((above[i] + cur[i] + below[i]) / n);
-        o[1] = static_cast<std::uint8_t>(
-            (above[i + 1] + cur[i + 1] + below[i + 1]) / n);
-        o[2] = static_cast<std::uint8_t>(
-            (above[i + 2] + cur[i + 2] + below[i + 2]) / n);
-        // alpha byte untouched
-      };
-      emit(0, wy * (w > 1 ? 2 : 1));
-      const int n3 = wy * 3;  // interior fast path: full-width window
+    emit(0, wy * (w > 1 ? 2 : 1));
+    // Interior fast path: a full-width window, whose divisor (3 per row of
+    // the window) is a compile-time constant, so the divisions become
+    // multiplies.
+    const auto interior = [&](auto n3) {
       for (int x = 1; x < w - 1; ++x) emit(x, n3);
-      if (w > 1) emit(w - 1, wy * 2);
+    };
+    if (wy == 3) {
+      interior(std::integral_constant<int, 9>{});
+    } else if (wy == 2) {
+      interior(std::integral_constant<int, 6>{});
+    } else {
+      interior(std::integral_constant<int, 3>{});
     }
-  });
+    if (w > 1) emit(w - 1, wy * 2);
+  }
 }
 
 ScratchParams ScratchParams::draw(Rng& rng, int image_width,
@@ -198,18 +179,14 @@ void apply_flicker(Image& img, FlickerParams params) {
     lut[static_cast<std::size_t>(v)] =
         to_byte(to_unit(static_cast<std::uint8_t>(v)) + params.delta);
   }
-  const int w = img.width();
-  transform_row_bands(img, [w, lut](const Image&, int y0, int y1,
-                                    std::uint8_t* out) {
-    const std::size_t n = static_cast<std::size_t>(y1 - y0) * w;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint8_t* p = out + 4 * i;
-      p[0] = lut[p[0]];
-      p[1] = lut[p[1]];
-      p[2] = lut[p[2]];
-      // alpha byte untouched
-    }
-  });
+  std::uint8_t* const data = img.data();
+  for (std::size_t i = 0; i < img.byte_size(); i += 4) {
+    std::uint8_t* p = data + i;
+    p[0] = lut[p[0]];
+    p[1] = lut[p[1]];
+    p[2] = lut[p[2]];
+    // alpha byte untouched
+  }
 }
 
 ScratchParams scratch_params_for_frame(std::uint64_t seed, int frame,

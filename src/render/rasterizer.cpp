@@ -31,6 +31,21 @@ void Framebuffer::set_pixel(int x, int y, float z, Color c) {
 
 namespace {
 
+/// Viewport coordinates plus NDC depth.
+struct ScreenVertex {
+  float x = 0.0f, y = 0.0f, z = 0.0f;
+};
+
+/// One near-clipped, projected, counter-clockwise triangle.
+struct ScreenTriangle {
+  ScreenVertex v0, v1, v2;
+  float inv_area = 0.0f;
+  Color color;
+  /// Pixel bounding box in virtual-viewport coordinates, not yet clamped
+  /// to any framebuffer.
+  int min_x = 0, max_x = 0, min_y = 0, max_y = 0;
+};
+
 float edge(const ScreenVertex& a, const ScreenVertex& b,
            const ScreenVertex& c) {
   return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
@@ -70,12 +85,10 @@ ScreenVertex to_screen(Vec4 clip, const Viewport& vp) {
       (0.5f - ndc_y * 0.5f) * static_cast<float>(vp.height), ndc_z};
 }
 
-}  // namespace
-
-Viewport Viewport::full(const Framebuffer& fb) {
-  return Viewport{fb.width(), fb.height(), 0};
-}
-
+/// Clips against the near plane, projects onto \p vp and orients. Writes
+/// 0..2 screen triangles to \p out (none when clipped away or degenerate)
+/// and returns how many. Counts triangles_submitted and
+/// triangles_clipped_away.
 int setup_triangle_clip(const Viewport& vp, Vec4 c0, Vec4 c1, Vec4 c2,
                         Color col, ScreenTriangle out[2],
                         RasterStats* stats) {
@@ -114,15 +127,16 @@ int setup_triangle_clip(const Viewport& vp, Vec4 c0, Vec4 c1, Vec4 c2,
   return n;
 }
 
-void raster_triangle_rows(Framebuffer& fb, const Viewport& vp,
-                          const ScreenTriangle& t, int row_begin, int row_end,
-                          RasterStats* stats) {
-  // Pixel coordinates run over the *virtual* viewport; only rows
-  // [y_offset + row_begin, y_offset + row_end) are touched.
+/// Fills the part of \p t that lies in the framebuffer's rows, i.e.
+/// virtual rows [vp.y_offset, vp.y_offset + fb.height()). Counts
+/// pixels_tested and pixels_filled.
+void raster_triangle(Framebuffer& fb, const Viewport& vp,
+                     const ScreenTriangle& t, RasterStats* stats) {
+  // Pixel coordinates run over the *virtual* viewport.
   const int min_x = std::max(0, t.min_x);
   const int max_x = std::min(fb.width() - 1, t.max_x);
-  const int min_y = std::max(vp.y_offset + row_begin, t.min_y);
-  const int max_y = std::min(vp.y_offset + row_end - 1, t.max_y);
+  const int min_y = std::max(vp.y_offset, t.min_y);
+  const int max_y = std::min(vp.y_offset + fb.height() - 1, t.max_y);
   if (min_x > max_x || min_y > max_y) return;
 
   // Locals, not loads through \p t: the pixel stores below could otherwise
@@ -175,13 +189,17 @@ void raster_triangle_rows(Framebuffer& fb, const Viewport& vp,
   }
 }
 
+}  // namespace
+
+Viewport Viewport::full(const Framebuffer& fb) {
+  return Viewport{fb.width(), fb.height(), 0};
+}
+
 void draw_triangle_clip(Framebuffer& fb, const Viewport& vp, Vec4 c0, Vec4 c1,
                         Vec4 c2, Color col, RasterStats* stats) {
   ScreenTriangle tris[2];
   const int n = setup_triangle_clip(vp, c0, c1, c2, col, tris, stats);
-  for (int i = 0; i < n; ++i) {
-    raster_triangle_rows(fb, vp, tris[i], 0, fb.height(), stats);
-  }
+  for (int i = 0; i < n; ++i) raster_triangle(fb, vp, tris[i], stats);
 }
 
 }  // namespace sccpipe

@@ -4,10 +4,8 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <memory>
 
 #include "sccpipe/support/check.hpp"
-#include "sccpipe/support/parallel.hpp"
 
 namespace sccpipe {
 
@@ -48,61 +46,22 @@ Image Renderer::render_strip(const Mat4& view, StripRange strip,
   octree_.cull(frustum, visible, stats ? &stats->cull : nullptr);
 
   // ...but rasterise in full-frame screen coordinates with a row window,
-  // so strips assemble into exactly the whole-frame image. Each triangle is
-  // transformed, near-clipped and projected once, in draw order...
+  // so strips assemble into exactly the whole-frame image.
   const Mat4 full_vp =
       strip_projection(camera_, width_, height_, StripRange{0, height_}) *
       view;
   const Viewport vp{width_, height_, strip.y0};
-  // Shared: a band's losing run may outlive this call (see below).
-  const auto screen = std::make_shared<std::vector<ScreenTriangle>>();
-  screen->reserve(visible.size());
+  Framebuffer fb(width_, strip.rows);
+  fb.clear();
   const auto& tris = mesh_.triangles();
   for (const std::uint32_t ti : visible) {
     const Triangle& t = tris[ti];
-    const Vec4 c0 = full_vp * Vec4{t.v0, 1.0f};
-    const Vec4 c1 = full_vp * Vec4{t.v1, 1.0f};
-    const Vec4 c2 = full_vp * Vec4{t.v2, 1.0f};
     if (stats) ++stats->triangles_transformed;
-    ScreenTriangle fan[2];
-    const int n = setup_triangle_clip(vp, c0, c1, c2, shade(t), fan,
-                                      stats ? &stats->raster : nullptr);
-    screen->insert(screen->end(), fan, fan + n);
+    draw_triangle_clip(fb, vp, full_vp * Vec4{t.v0, 1.0f},
+                       full_vp * Vec4{t.v1, 1.0f}, full_vp * Vec4{t.v2, 1.0f},
+                       shade(t), stats ? &stats->raster : nullptr);
   }
-
-  // ...then fixed row bands rasterise the list concurrently, each into a
-  // framebuffer of its own rows that the winning run copies out. Every
-  // pixel sees the same triangles in the same order as one whole-strip
-  // pass, so the strip is bit-identical whatever the thread count.
-  Image out(width_, strip.rows);
-  std::vector<RasterStats> band_stats(band_count(strip.rows));
-  for_each_row_band_replicated(
-      strip.rows, [screen, vp, dst = &out, slots = band_stats.data()](
-                      int row_begin, int row_end, BandCommit& commit) {
-        Framebuffer fb(vp.width, row_end - row_begin);
-        fb.clear();
-        const Viewport band_vp{vp.width, vp.height, vp.y_offset + row_begin};
-        const int first = band_vp.y_offset;
-        const int last = band_vp.y_offset + fb.height() - 1;
-        RasterStats band;
-        std::size_t drawn = 0;
-        for (const ScreenTriangle& t : *screen) {
-          if (t.max_y < first || t.min_y > last) continue;
-          raster_triangle_rows(fb, band_vp, t, 0, fb.height(), &band);
-          if (++drawn % 256 == 0 && commit.taken()) return;
-        }
-        if (!commit.commit()) return;
-        std::copy_n(fb.color().data(), fb.color().byte_size(),
-                    dst->row(row_begin));
-        slots[static_cast<std::size_t>(row_begin / kBandRows)] = band;
-      });
-  if (stats) {
-    for (const RasterStats& band : band_stats) {
-      stats->raster.pixels_tested += band.pixels_tested;
-      stats->raster.pixels_filled += band.pixels_filled;
-    }
-  }
-  return out;
+  return std::move(fb.color());
 }
 
 Image Renderer::render(const Mat4& view, RenderStats* stats) const {

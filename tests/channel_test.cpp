@@ -28,8 +28,8 @@ struct ChannelFixture : ::testing::Test {
 
 TEST_F(ChannelFixture, DeliversTokenWithPayloadIntact) {
   SccChannel ch(comm, 0, 2);
-  FrameToken tok = token(7);
-  tok.image = std::make_shared<Image>(4, 4, Color{1, 2, 3, 255});
+  FrameToken tok = token(7, 4096.0);
+  tok.strip = StripRange{30, 12};
   bool sent = false;
   FrameToken got;
   ch.send(std::move(tok), [&] { sent = true; });
@@ -37,8 +37,10 @@ TEST_F(ChannelFixture, DeliversTokenWithPayloadIntact) {
   sim.run();
   EXPECT_TRUE(sent);
   EXPECT_EQ(got.frame, 7);
-  ASSERT_NE(got.image, nullptr);
-  EXPECT_EQ(got.image->get(1, 1), (Color{1, 2, 3, 255}));
+  EXPECT_EQ(got.strip.y0, 30);
+  EXPECT_EQ(got.strip.rows, 12);
+  EXPECT_EQ(got.bytes, 4096.0);
+  EXPECT_EQ(got.crc, frame_token_crc(got));
 }
 
 TEST_F(ChannelFixture, MatchedAtIsRendezvousInstant) {

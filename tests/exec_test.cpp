@@ -89,6 +89,31 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(n);
   exec::parallel_for(8, n, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
+
+  // Nested: every outer index runs an inner loop of its own, so the outer
+  // workers call parallel_for concurrently from inside a parallel_for.
+  constexpr std::size_t kOuter = 12, kInner = 40;
+  std::vector<std::atomic<int>> nested(kOuter * kInner);
+  exec::parallel_for(4, kOuter, [&](std::size_t o) {
+    exec::parallel_for(3, kInner, [&](std::size_t i) {
+      nested[o * kInner + i].fetch_add(1);
+    });
+  });
+  for (const auto& hit : nested) EXPECT_EQ(hit.load(), 1);
+
+  // Inside run_grid's workers: a functional run composes its frames with a
+  // parallel_for, so four concurrent workers each start one.
+  std::vector<RunConfig> cfgs(4);
+  for (std::size_t c = 0; c < cfgs.size(); ++c) {
+    cfgs[c].scenario = c % 2 ? Scenario::HostRenderer
+                             : Scenario::RendererPerPipeline;
+    cfgs[c].pipelines = 1 + static_cast<int>(c);
+    cfgs[c].functional = true;
+  }
+  for (const RunResult& r :
+       exec::run_grid(shared_scene(), shared_trace(), cfgs, 4)) {
+    EXPECT_EQ(r.frames.size(), 8u);
+  }
 }
 
 TEST(ParallelFor, HandlesEdgeShapes) {
@@ -118,6 +143,21 @@ TEST(ParallelFor, RethrowsLowestIndexError) {
       EXPECT_STREQ(e.what(), "boom 7") << "jobs=" << jobs;
     }
     EXPECT_EQ(ran.load(), 64) << "remaining indices still run";
+  }
+
+  // A nested loop's error surfaces through the outer call, still the
+  // lowest outer index's.
+  try {
+    exec::parallel_for(4, 8, [](std::size_t o) {
+      exec::parallel_for(4, 16, [o](std::size_t i) {
+        if (o % 3 == 2 && i == 5) {
+          throw std::runtime_error("inner " + std::to_string(o));
+        }
+      });
+    });
+    FAIL() << "expected an exception from a nested loop";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "inner 2");
   }
 }
 
@@ -195,9 +235,9 @@ TEST(RunGrid, IdenticalResultsAcrossJobCounts) {
 }
 
 TEST(RunGrid, FunctionalFramesIdenticalAcrossJobCounts) {
-  // Functional runs render and filter on the shared band pool, so run_grid
-  // workers call for_each_band concurrently: every config's frames must
-  // match the serial grid's byte for byte.
+  // Functional runs compose their frames with a parallel_for of their own,
+  // so run_grid workers nest parallel_for calls and run them concurrently:
+  // every config's frames must match the serial grid's byte for byte.
   std::vector<RunConfig> cfgs;
   for (const Scenario sc : {Scenario::RendererPerPipeline,
                             Scenario::HostRenderer}) {

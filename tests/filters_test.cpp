@@ -341,12 +341,12 @@ TEST(Swap, OddHeightKeepsMiddleRow) {
   EXPECT_EQ(img.get(0, 2).r, 1);
 }
 
-// ------------------------------------------------------------ row bands
+// ---------------------------------------------------------- height sweeps
 //
-// Sepia, blur and flicker run in kBandRows-row bands on the band pool. Each
-// must stay bit-identical to the naive reference at every band shape:
-// heights below, at and past one band and many bands with a short tail,
-// and the widths where the blur's horizontal window degenerates.
+// Sepia, blur and flicker must stay bit-identical to the naive reference
+// over a sweep of image heights (every height up to 40 rows, then 100 and
+// 400) and the widths where the blur's horizontal window degenerates. The
+// blur's three-row ring runs in place, so the short heights pin its edges.
 
 Image noise_image(Rng& rng, int w, int h) {
   Image img(w, h);
@@ -357,7 +357,7 @@ Image noise_image(Rng& rng, int w, int h) {
   return img;
 }
 
-std::vector<int> band_test_heights() {
+std::vector<int> test_heights() {
   std::vector<int> heights;
   for (int h = 1; h <= 40; ++h) heights.push_back(h);
   heights.push_back(100);
@@ -366,11 +366,11 @@ std::vector<int> band_test_heights() {
 }
 
 template <typename Opt, typename Ref>
-void expect_banded_matches_reference(std::uint64_t seed, Opt opt, Ref ref,
-                                     const char* what) {
+void expect_matches_reference(std::uint64_t seed, Opt opt, Ref ref,
+                              const char* what) {
   Rng rng{seed};
   for (const int w : {1, 2, 3, 400}) {
-    for (const int h : band_test_heights()) {
+    for (const int h : test_heights()) {
       Image got = noise_image(rng, w, h);
       Image want = got;
       opt(got);
@@ -381,13 +381,13 @@ void expect_banded_matches_reference(std::uint64_t seed, Opt opt, Ref ref,
 }
 
 TEST(RowBands, SepiaMatchesReference) {
-  expect_banded_matches_reference(
+  expect_matches_reference(
       0x5e9a0b01, [](Image& img) { apply_sepia(img); },
       [](Image& img) { reference::apply_sepia(img); }, "sepia");
 }
 
 TEST(RowBands, BlurMatchesReference) {
-  expect_banded_matches_reference(
+  expect_matches_reference(
       0xb10b0b02, [](Image& img) { apply_blur(img); },
       [](Image& img) { reference::apply_blur(img); }, "blur");
 }
@@ -395,7 +395,7 @@ TEST(RowBands, BlurMatchesReference) {
 TEST(RowBands, FlickerMatchesReference) {
   for (const float delta : {-0.1f, 0.037f, 0.1f}) {
     const FlickerParams params{delta};
-    expect_banded_matches_reference(
+    expect_matches_reference(
         0xf11c0b03, [&](Image& img) { apply_flicker(img, params); },
         [&](Image& img) { reference::apply_flicker(img, params); }, "flicker");
   }

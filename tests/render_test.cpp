@@ -184,7 +184,7 @@ TEST_F(RendererFixture, StripWorkloadsShrinkWithK) {
   EXPECT_GT(strip_sum_pixels, 0.0);
 }
 
-// ------------------------------------------------------ banded render_strip
+// ------------------------------------------------ render_strip vs reference
 
 /// Field-for-field RenderStats equality.
 void expect_stats_equal(const RenderStats& got, const RenderStats& want,
@@ -205,7 +205,7 @@ void expect_stats_equal(const RenderStats& got, const RenderStats& want,
 
 /// Unlit renderer (shade() is then the triangle colour), tall enough for a
 /// 400-row strip at a non-zero y0.
-struct BandedRenderFixture : ::testing::Test {
+struct StripRenderFixture : ::testing::Test {
   static constexpr int kWidth = 96;
   static constexpr int kHeight = 512;
   static LightingConfig unlit() {
@@ -244,9 +244,9 @@ struct BandedRenderFixture : ::testing::Test {
   }
 };
 
-TEST_F(BandedRenderFixture, MatchesWholeStripReferenceAtEveryBandShape) {
-  // Heights below, at and just past one band, several bands with a short
-  // tail, and a 25-band strip; y0 values on and off band boundaries.
+TEST_F(StripRenderFixture, MatchesWholeStripReferenceAtEveryStripShape) {
+  // Strips from one row to 400 rows, at y0 values from the top of the
+  // frame to deep inside it.
   for (const int frame : {2, 19}) {
     const Mat4 view = path.view(frame);
     for (const int rows : {1, 15, 16, 17, 100, 400}) {
@@ -256,16 +256,16 @@ TEST_F(BandedRenderFixture, MatchesWholeStripReferenceAtEveryBandShape) {
                                   std::to_string(y0) + " rows " +
                                   std::to_string(rows);
         RenderStats got, want;
-        const Image banded = renderer.render_strip(view, strip, &got);
-        const Image serial = reference_strip(view, strip, want);
-        EXPECT_EQ(banded, serial) << where;
+        const Image strip_image = renderer.render_strip(view, strip, &got);
+        const Image reference = reference_strip(view, strip, want);
+        EXPECT_EQ(strip_image, reference) << where;
         expect_stats_equal(got, want, where);
       }
     }
   }
 }
 
-TEST_F(BandedRenderFixture, ReferenceOracleSeesGeometry) {
+TEST_F(StripRenderFixture, ReferenceOracleSeesGeometry) {
   // Guard against a vacuous comparison above: the strips do fill pixels.
   RenderStats stats;
   reference_strip(path.view(2), StripRange{111, 400}, stats);

@@ -1,18 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstring>
 #include <latch>
-#include <memory>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "sccpipe/support/check.hpp"
 #include "sccpipe/support/crc.hpp"
-#include "sccpipe/support/parallel.hpp"
 #include "sccpipe/support/reference.hpp"
 #include "sccpipe/support/rng.hpp"
 #include "sccpipe/support/stats.hpp"
@@ -145,152 +140,6 @@ TEST(Crc32, GoldenValuesOfStripAndFrameSizedBuffers) {
   EXPECT_EQ(crc32(frame.data(), frame.size()), kGolden640k);
   EXPECT_EQ(reference::crc32(strip.data(), strip.size()), kGolden160k);
   EXPECT_EQ(reference::crc32(frame.data(), frame.size()), kGolden640k);
-}
-
-// ---------------------------------------------------------- for_each_band
-//
-// The first-use test comes before every other band call in the file, so
-// run as one binary it races the band pool's lazy construction.
-
-TEST(ForEachBand, FirstUseFromEightThreadsRunsEveryBandOnce) {
-  constexpr int kThreads = 8;
-  constexpr std::size_t kBands = 37;
-  std::vector<std::vector<int>> hits(kThreads, std::vector<int>(kBands, 0));
-  std::latch start(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      start.arrive_and_wait();
-      std::vector<int>& mine = hits[static_cast<std::size_t>(t)];
-      for_each_band(kBands, [&](std::size_t b) { ++mine[b]; });
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  for (const std::vector<int>& mine : hits) {
-    EXPECT_EQ(mine, std::vector<int>(kBands, 1));
-  }
-}
-
-TEST(ForEachBand, EveryIndexRunsExactlyOnce) {
-  for (std::size_t n = 0; n <= 100; ++n) {
-    std::vector<std::atomic<int>> hits(n);
-    for_each_band(n, [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(ForEachBand, ConcurrentAndNestedCallersShareThePool) {
-  // 8 callers at once, each of whose band 3 makes a nested call from inside
-  // a band: with fewer helpers than callers this deadlocks unless every
-  // caller drains its own bands and waits only for claimed ones.
-  constexpr int kThreads = 8;
-  constexpr std::size_t kOuter = 24, kInner = 40;
-  std::vector<std::vector<std::atomic<int>>> outer(kThreads);
-  std::vector<std::vector<std::atomic<int>>> inner(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    outer[static_cast<std::size_t>(t)] = std::vector<std::atomic<int>>(kOuter);
-    inner[static_cast<std::size_t>(t)] = std::vector<std::atomic<int>>(kInner);
-  }
-  std::latch start(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      auto& o = outer[static_cast<std::size_t>(t)];
-      auto& in = inner[static_cast<std::size_t>(t)];
-      start.arrive_and_wait();
-      for_each_band(kOuter, [&](std::size_t b) {
-        o[b].fetch_add(1);
-        if (b == 3) {
-          for_each_band(kInner, [&](std::size_t i) { in[i].fetch_add(1); });
-        }
-      });
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  for (int t = 0; t < kThreads; ++t) {
-    for (const auto& hit : outer[static_cast<std::size_t>(t)]) {
-      EXPECT_EQ(hit.load(), 1);
-    }
-    for (const auto& hit : inner[static_cast<std::size_t>(t)]) {
-      EXPECT_EQ(hit.load(), 1);
-    }
-  }
-}
-
-TEST(ForEachBand, RethrowsTheLowestIndexAfterEveryBandRan) {
-  constexpr std::size_t kBands = 64;
-  std::vector<std::atomic<int>> hits(kBands);
-  try {
-    for_each_band(kBands, [&](std::size_t i) {
-      hits[i].fetch_add(1);
-      if (i == 41 || i == 7 || i == 63) {
-        throw std::runtime_error("band " + std::to_string(i));
-      }
-    });
-    FAIL() << "expected a rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "band 7");
-  }
-  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
-}
-
-// ------------------------------------------------ for_each_row_band_replicated
-
-TEST(ReplicatedRowBands, CoversRowsInFixedWindowsWithOneCommitEach) {
-  for (const int rows : {0, 1, 15, 16, 17, 100, 400}) {
-    std::vector<int> committed(band_count(rows), 0);
-    std::vector<int> covered(static_cast<std::size_t>(rows), 0);
-    for_each_row_band_replicated(
-        rows, [rows, c = committed.data(), rows_out = covered.data()](
-                  int begin, int end, BandCommit& commit) {
-          EXPECT_EQ(begin % kBandRows, 0);
-          EXPECT_LT(begin, end);
-          EXPECT_TRUE(end == rows || end - begin == kBandRows);
-          if (!commit.commit()) return;
-          ++c[static_cast<std::size_t>(begin / kBandRows)];
-          for (int y = begin; y < end; ++y) ++rows_out[y];
-        });
-    EXPECT_EQ(committed, std::vector<int>(band_count(rows), 1))
-        << "rows=" << rows;
-    EXPECT_EQ(covered, std::vector<int>(static_cast<std::size_t>(rows), 1));
-  }
-}
-
-TEST(ReplicatedRowBands, CallerRerunsABandWhoseHelperStalls) {
-  // Every helper run blocks until the call has returned, so the call can
-  // only finish by rerunning those bands on the caller; the stalled runs
-  // then lose their commits. The state is shared because they outlive the
-  // call.
-  struct State {
-    std::thread::id caller = std::this_thread::get_id();
-    std::atomic<bool> released{false};
-    std::atomic<int> helper_runs{0}, finished_helper_runs{0};
-    std::vector<std::atomic<int>> commits;
-    explicit State(std::size_t bands) : commits(bands) {}
-  };
-  constexpr int kRows = 8 * kBandRows;
-  const auto st = std::make_shared<State>(band_count(kRows));
-  for_each_row_band_replicated(kRows, [st](int begin, int, BandCommit& c) {
-    if (std::this_thread::get_id() == st->caller) {
-      // Slow caller: gives the helpers time to claim bands.
-      if (begin == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    } else {
-      st->helper_runs.fetch_add(1);
-      while (!st->released.load()) std::this_thread::yield();
-    }
-    if (c.commit()) st->commits[static_cast<std::size_t>(begin / kBandRows)]++;
-    if (std::this_thread::get_id() != st->caller) {
-      st->finished_helper_runs.fetch_add(1);
-    }
-  });
-  for (const auto& n : st->commits) EXPECT_EQ(n.load(), 1);
-  st->released = true;
-  while (st->finished_helper_runs.load() != st->helper_runs.load()) {
-    std::this_thread::yield();
-  }
-  for (const auto& n : st->commits) EXPECT_EQ(n.load(), 1);
 }
 
 // ------------------------------------------------------------------ SimTime

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "sccpipe/core/walkthrough.hpp"
 #include "sccpipe/filters/filters.hpp"
+#include "sccpipe/sim/fault.hpp"
+#include "sccpipe/support/crc.hpp"
 
 namespace sccpipe {
 namespace {
@@ -385,6 +393,144 @@ TEST_F(WalkthroughFixture, FunctionalOutputIndependentOfTiming) {
   const RunResult ra = run_walkthrough(scene(), trace(), a);
   const RunResult rb = run_walkthrough(scene(), trace(), b);
   EXPECT_EQ(ra.frames[7], rb.frames[7]);
+}
+
+// ------------------------------------------------- pinned functional frames
+//
+// Every delivered frame of runs that exercise each way the transfer stage
+// can receive a frame: whole renders split by a producer, per-pipeline
+// renderers, a remap onto a spare with checkpoint replay, a degraded
+// pipeline count, gray-ladder weighted shares and overload shedding. The
+// digests (one CRC-32 per delivered frame, in delivery order) were recorded
+// with pixels carried through the event loop; each run must also show that
+// its feature fired, or the pin would prove nothing.
+
+struct PinnedRun {
+  const char* name;
+  RunConfig cfg;
+  std::function<bool(const RunResult&)> fired;
+  std::vector<std::uint32_t> digests;
+};
+
+std::vector<std::uint32_t> frame_digests(const RunResult& r) {
+  std::vector<std::uint32_t> out;
+  for (const Image& img : r.frames) {
+    out.push_back(crc32(img.data(), img.byte_size()));
+  }
+  return out;
+}
+
+std::string format_digests(const std::vector<std::uint32_t>& d) {
+  std::string s = "{";
+  char buf[16];
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    std::snprintf(buf, sizeof buf, "%s0x%08x", i ? ", " : "", d[i]);
+    s += buf;
+  }
+  return s + "}";
+}
+
+TEST_F(WalkthroughFixture, FunctionalFramesMatchPinnedDigests) {
+  const auto functional = [](RunConfig cfg) {
+    cfg.functional = true;
+    return cfg;
+  };
+  const RunConfig mcpc = config(Scenario::HostRenderer, 3);
+  const RunResult clean = run_walkthrough(scene(), trace(), mcpc);
+  const RunResult clean_nrend = run_walkthrough(
+      scene(), trace(), config(Scenario::RendererPerPipeline, 3));
+  const auto at = [](const RunResult& r, double fraction) {
+    return SimTime::ms(r.walkthrough.to_ms() * fraction);
+  };
+  RecoveryConfig fast;
+  fast.heartbeat_period = SimTime::us(200);
+  fast.detection_deadline = SimTime::us(500);
+
+  // Twelve frames at three equal strips, however they were produced.
+  const std::vector<std::uint32_t> k3 = {
+      0xc7249581, 0x9e6a148b, 0x452ad562, 0xc45fbda6, 0x0b707b7d, 0xa374fb68,
+      0xf9a119f4, 0x0971de86, 0x2f237647, 0x4c43ccff, 0x816bd0b2, 0x792e7b15};
+
+  std::vector<PinnedRun> runs;
+  const auto always = [](const RunResult&) { return true; };
+  runs.push_back({"1-rend k=3", functional(config(Scenario::SingleRenderer, 3)),
+                  always, k3});
+  runs.push_back({"n-rend k=3",
+                  functional(config(Scenario::RendererPerPipeline, 3)), always,
+                  k3});
+  runs.push_back({"mcpc k=3", functional(mcpc), always, k3});
+  {
+    RunConfig cfg = functional(config(Scenario::RendererPerPipeline, 3));
+    cfg.fault.seed = 4;
+    cfg.fault.core_failures.push_back(
+        {clean_nrend.placement.pipeline_cores[1][2], at(clean_nrend, 0.3)});
+    cfg.recovery = fast;
+    runs.push_back({"n-rend core-fail remap", cfg,
+                    [](const RunResult& r) {
+                      return r.recovery.spares_used > 0 &&
+                             r.recovery.frames_replayed > 0;
+                    },
+                    k3});
+  }
+  {
+    RunConfig cfg = functional(mcpc);
+    cfg.fault.seed = 4;
+    cfg.fault.core_failures.push_back(
+        {clean.placement.pipeline_cores[0][1], at(clean, 0.3)});
+    cfg.recovery = fast;
+    cfg.recovery.max_spares = 0;
+    runs.push_back({"mcpc core-fail degrade", cfg,
+                    [](const RunResult& r) {
+                      return r.recovery.pipelines_lost > 0;
+                    },
+                    {0xc7249581, 0x9e6a148b, 0x6aab00bf, 0xf9a119f4, 0x9699270a,
+                     0x2c9d03d4, 0xfa106bd1, 0x816bd0b2, 0x6b197e90}});
+  }
+  {
+    RunConfig cfg = functional(mcpc);
+    cfg.recovery.heartbeat_period = SimTime::ms(2);
+    cfg.recovery.detection_deadline = SimTime::ms(5);
+    cfg.recovery.max_spares = 0;
+    cfg.gray.detect_factor = 1.2;
+    cfg.gray.detect_windows = 2;
+    cfg.gray.policy = GrayPolicy::Rebalance;
+    cfg.fault.seed = 11;
+    cfg.fault.slow_cores.push_back(
+        SlowCore{clean.placement.pipeline_cores[1][0], 8.0, at(clean, 0.1)});
+    runs.push_back({"mcpc gray rebalance", cfg,
+                    [](const RunResult& r) { return r.gray.rebalances > 0; },
+                    {0xc7249581, 0x9e6a148b, 0x452ad562, 0xc45fbda6, 0x0b707b7d,
+                     0x5e3509ce, 0xf9a119f4, 0x9d608a70, 0x3b2b9215, 0x5c93f86e,
+                     0x816bd0b2, 0x9441408c}});
+  }
+  {
+    RunConfig cfg = functional(mcpc);
+    cfg.overload.window = 4;
+    cfg.overload.queue_depth = 2;
+    cfg.overload.offered_fps = 1e5;
+    cfg.overload.frame_deadline = SimTime::ms(50);
+    runs.push_back({"mcpc overload shed", cfg,
+                    [](const RunResult& r) {
+                      return r.transport.shed_admission +
+                                 r.transport.shed_deadline >
+                             0;
+                    },
+                    {0xc7249581, 0x816bd0b2, 0x792e7b15}});
+  }
+
+  for (const char* jobs : {"1", "4"}) {
+    ASSERT_EQ(setenv("SCCPIPE_JOBS", jobs, 1), 0);
+    for (const PinnedRun& run : runs) {
+      const RunResult r = run_walkthrough(scene(), trace(), run.cfg);
+      const std::string where =
+          std::string(run.name) + " at SCCPIPE_JOBS=" + jobs;
+      EXPECT_FALSE(r.fault.failed) << where << ": " << r.fault.failure;
+      EXPECT_TRUE(run.fired(r)) << where << ": the feature did not fire";
+      EXPECT_EQ(frame_digests(r), run.digests)
+          << where << ": got " << format_digests(frame_digests(r));
+    }
+  }
+  ASSERT_EQ(unsetenv("SCCPIPE_JOBS"), 0);
 }
 
 }  // namespace

@@ -332,6 +332,11 @@ int main(int argc, char** argv) {
     }
     return 2;
   }
+  if (const Status st = validate_frame_size(size, strip_counts_for({cfg}));
+      !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
+    return 2;
+  }
 
   std::fprintf(stderr, "[sccpipe] building scene (%d frames at %dx%d)...\n",
                frames, size, size);

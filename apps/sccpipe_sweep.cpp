@@ -370,6 +370,10 @@ int main(int argc, char** argv) {
     configs.push_back(runs[i].cfg);
   }
   const StripCounts strip_counts = strip_counts_for(configs);
+  if (const Status st = validate_frame_size(size, strip_counts); !st.ok()) {
+    std::fprintf(stderr, "[sweep] error: %s\n", st.to_string().c_str());
+    return 2;
+  }
   std::fprintf(stderr, "[sweep] scene + trace (%d frames, %dx%d, k %s)\n",
                frames, size, size, strip_counts.to_string().c_str());
   SceneBundle scene(CityParams{}, CameraConfig{}, size, frames);

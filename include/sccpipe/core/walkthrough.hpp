@@ -324,6 +324,11 @@ Status validate_run_config(const RunConfig& cfg);
 /// k = 1 (whole frames) and each cfg.pipelines (sort-first strips).
 StripCounts strip_counts_for(const std::vector<RunConfig>& configs);
 
+/// Checks, before any scene is built, that square frames of side \p size
+/// can be cut into every strip count in \p counts: each strip needs at
+/// least one row. InvalidArgument otherwise.
+Status validate_frame_size(int size, const StripCounts& counts);
+
 /// Per-stage busy time of the one-core baseline (Fig. 8). Flags reproduce
 /// the paper's reduced variants ("render and transfer stages only",
 /// "without the transfer stage").

@@ -6,19 +6,23 @@
 ///
 /// Every timed primitive the chip runs through the fabric becomes a chain
 /// of located events: "run this at tile T" is scheduled on the Simulator
-/// after the calibrated transit time from the executing event's site,
+/// after the calibrated transit time from the tile the chain is at,
 ///
 ///   transit(a, b) = hop_latency * hop_distance(a, b)
 ///
 /// so a chain pays the simulated mesh latency of every leg it crosses.
 ///
-/// The *current site* tracks which tile the executing event belongs to;
-/// model code that runs outside any fabric-scheduled callback (host-side
-/// control logic, setup, collection) executes at the bridge site, the tile
-/// the host PCIe link attaches to.
+/// Origins are explicit: each hop names the tile it leaves from, and the
+/// fabric keeps no notion of a current site. Model code that runs outside
+/// any located chain (host-side control logic, setup, collection, and the
+/// plain events of the shared resources) executes at the bridge site, the
+/// tile the host PCIe link attaches to. The fabric wraps nothing: the
+/// caller's callable goes straight to the Simulator, which builds it once
+/// in its event slot.
+
+#include <utility>
 
 #include "sccpipe/noc/topology.hpp"
-#include "sccpipe/sim/callback.hpp"
 #include "sccpipe/sim/simulator.hpp"
 #include "sccpipe/support/time.hpp"
 
@@ -33,13 +37,9 @@ class MeshFabric {
   MeshFabric& operator=(const MeshFabric&) = delete;
 
   /// The tile the host link attaches to (south-west corner router). Events
-  /// not scheduled by the fabric — host control logic, setup, collection —
+  /// outside any located chain — host control logic, setup, collection —
   /// execute here.
   TileId bridge_site() const { return bridge_; }
-
-  /// Site of the executing fabric-scheduled event, or bridge_site() when
-  /// outside any.
-  TileId current_site() const { return site_; }
 
   /// Calibrated transit delay between two sites: hop_latency x Manhattan
   /// router hops (zero for a == b).
@@ -55,25 +55,34 @@ class MeshFabric {
   bool in_run() const { return in_run_; }
   void set_in_run(bool in_run) { in_run_ = in_run; }
 
-  /// Run \p fn at site \p to, at now() + transit(current_site(), to).
-  void hop(TileId to, FabricCallback fn);
+  /// Run \p fn at site \p to, at now() + transit(from, to).
+  template <typename F>
+  void hop(TileId from, TileId to, F&& fn) {
+    sim_.schedule_at(now() + transit(from, to), std::forward<F>(fn));
+  }
 
   /// Run \p fn at site \p to at the explicit instant \p when, which must
-  /// be >= now() + transit(current_site(), to) — for deferred admissions
-  /// (e.g. a fault window's admit-at time).
-  void post_at(TileId to, SimTime when, FabricCallback fn);
+  /// be >= now() + transit(from, to) — for deferred admissions (e.g. a
+  /// fault window's admit-at time).
+  template <typename F>
+  void post_at(TileId from, TileId to, SimTime when, F&& fn) {
+    check_post(from, to, when);
+    sim_.schedule_at(when, std::forward<F>(fn));
+  }
 
-  /// Run \p fn \p delay later at the *current* site (no mesh crossing).
-  void after(SimTime delay, FabricCallback fn);
+  /// Run \p fn \p delay later at the same site (no mesh crossing).
+  template <typename F>
+  void after(SimTime delay, F&& fn) {
+    sim_.schedule_after(delay, std::forward<F>(fn));
+  }
 
  private:
-  void schedule(TileId site, SimTime when, FabricCallback fn);
+  void check_post(TileId from, TileId to, SimTime when) const;
 
   Simulator& sim_;
   MeshTopology topo_;
   SimTime hop_latency_;
   TileId bridge_ = 0;
-  TileId site_ = 0;
   bool in_run_ = false;
 };
 

@@ -119,7 +119,9 @@ class SccChip {
   /// Attach a mesh fabric (noc/fabric.hpp): the timed-execution primitives
   /// below become located event chains — compute at the core's tile, DRAM
   /// streams through the controller's tile, continuations hopping back to
-  /// the caller's site — and pay the mesh transit of every leg. The memory
+  /// the bridge site — and pay the mesh transit of every leg. In fabric
+  /// mode every operation must be issued by an event at the bridge site
+  /// (host-side logic or a continuation of an earlier operation). The memory
   /// system routes its streams through the fabric as a side effect. Must
   /// be called while no timed work is in flight; nullptr detaches and
   /// restores the plain path. The fabric must outlive the chip or be
@@ -166,7 +168,9 @@ class SccChip {
   };
 
   void walk_step(WalkState st);
-  void fabric_walk_step(WalkState st, TileId ret_site);
+  void fabric_walk_step(WalkState st);
+  /// Tile of \p core's home memory controller.
+  TileId home_mc_tile(CoreId core) const;
   void refresh_power();
   void refresh_voltages();
   /// Fault query / busy accounting against an explicit clock (the time of

@@ -50,17 +50,7 @@ class InplaceFunction<R(Args...), Capacity> {
                 !std::is_same_v<D, std::nullptr_t> &&
                 std::is_invocable_r_v<R, D&, Args...>>>
   InplaceFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    static_assert(sizeof(D) <= Capacity,
-                  "callable capture exceeds InplaceFunction capacity — "
-                  "shrink the capture (pack context into a struct, capture "
-                  "indices instead of fat objects) or raise the tier");
-    static_assert(alignof(D) <= alignof(std::max_align_t),
-                  "over-aligned callable");
-    static_assert(std::is_nothrow_move_constructible_v<D>,
-                  "callable must be nothrow-move-constructible (it is "
-                  "relocated when the slot pool grows)");
-    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-    ops_ = &kOps<D>;
+    emplace(std::forward<F>(f));
   }
 
   InplaceFunction(InplaceFunction&& other) noexcept {
@@ -88,6 +78,31 @@ class InplaceFunction<R(Args...), Capacity> {
 
   InplaceFunction(const InplaceFunction&) = delete;
   InplaceFunction& operator=(const InplaceFunction&) = delete;
+
+  /// Build \p f directly in this wrapper's buffer, destroying whatever it
+  /// held first: the callable is constructed once, where it will run. An
+  /// InplaceFunction of this same type is moved in rather than nested.
+  template <typename F, typename D = std::remove_cvref_t<F>>
+  void emplace(F&& f) {
+    if constexpr (std::is_same_v<D, InplaceFunction>) {
+      *this = std::forward<F>(f);
+    } else {
+      static_assert(std::is_invocable_r_v<R, D&, Args...>,
+                    "callable has the wrong signature");
+      static_assert(sizeof(D) <= Capacity,
+                    "callable capture exceeds InplaceFunction capacity — "
+                    "shrink the capture (pack context into a struct, capture "
+                    "indices instead of fat objects) or raise the tier");
+      static_assert(alignof(D) <= alignof(std::max_align_t),
+                    "over-aligned callable");
+      static_assert(std::is_nothrow_move_constructible_v<D>,
+                    "callable must be nothrow-move-constructible (moving an "
+                    "InplaceFunction relocates it)");
+      reset();
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &kOps<D>;
+    }
+  }
 
   ~InplaceFunction() { reset(); }
 
@@ -154,36 +169,38 @@ class InplaceFunction<R(Args...), Capacity> {
 
 /// Capacity tower (bytes of inline capture storage). Each tier must hold a
 /// callback object of the tier below (capacity + one ops pointer + padding)
-/// plus the wrapper's own context words; the chain is
+/// plus the capturing lambda's own context words; the chain is
 ///
 ///   MPB put/get continuations
 ///     -> chip compute/dram continuations (stage callbacks)
 ///       -> memory-system bulk continuations
 ///         -> fair-share flow completions
 ///           -> the Simulator event queue itself.
+///
+/// The mesh fabric adds no tier: a located hop hands the caller's callable
+/// straight to the Simulator, which builds it in its event slot.
 inline constexpr std::size_t kMpbCallbackBytes = 104;
 inline constexpr std::size_t kStageCallbackBytes = 160;
 inline constexpr std::size_t kMemCallbackBytes = 192;
 inline constexpr std::size_t kFlowCallbackBytes = 224;
 inline constexpr std::size_t kHostPushCallbackBytes = 120;
 inline constexpr std::size_t kHostPopCallbackBytes = 120;
-inline constexpr std::size_t kFabricCallbackBytes = 240;
-inline constexpr std::size_t kSimCallbackBytes = 272;
+inline constexpr std::size_t kSimCallbackBytes = 256;
 
 /// The continuation type of the timed-execution façade (chip compute /
 /// memory walks / DRAM streams / host compute). Fits every pipeline-stage
 /// lambda inline; anything bigger is a compile error.
 using StageCallback = InplaceFunction<void(), kStageCallbackBytes>;
 
-/// A mesh-fabric chain leg (noc/fabric.hpp): one hop of a multi-site
-/// event chain, carrying the original StageCallback plus a few words of
-/// POD context. Never nest a FabricCallback inside another FabricCallback —
-/// each leg re-captures the primitive continuation instead, so the tier
-/// stays one below SimCallback (the fabric's site-scoping wrapper adds a
-/// pointer + a site id on top).
-using FabricCallback = InplaceFunction<void(), kFabricCallbackBytes>;
-
 /// The Simulator's event callback — the outermost tier.
 using SimCallback = InplaceFunction<void(), kSimCallbackBytes>;
+
+/// True for every InplaceFunction instantiation: the one kind of callable
+/// that can be empty, so the Simulator CHECKs it before scheduling.
+template <typename T>
+inline constexpr bool kIsInplaceFunction = false;
+template <typename Signature, std::size_t Capacity>
+inline constexpr bool kIsInplaceFunction<InplaceFunction<Signature, Capacity>> =
+    true;
 
 }  // namespace sccpipe

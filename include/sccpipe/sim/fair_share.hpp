@@ -42,6 +42,13 @@ class FairShareResource {
   /// copying through a memory controller); 0 means "no cap".
   void start_flow(double bytes, Callback on_done, double rate_cap = 0.0);
 
+  /// True when start_flow(\p bytes, ...) calls its on_done before
+  /// returning (a flow too small to queue); otherwise on_done runs in a
+  /// later completion event of its own.
+  static bool completes_at_once(double bytes) {
+    return bytes <= kEpsilonBytes;
+  }
+
   std::size_t active_flows() const { return flows_.size(); }
   double capacity() const { return capacity_; }
   const std::string& name() const { return name_; }
@@ -51,6 +58,10 @@ class FairShareResource {
   std::uint64_t flows_completed() const { return flows_completed_; }
 
  private:
+  /// Flows with less than this many bytes left are considered finished;
+  /// guards against floating-point residue keeping a flow alive forever.
+  static constexpr double kEpsilonBytes = 1e-6;
+
   struct Flow {
     double remaining_bytes;
     double rate_cap;  // 0 = uncapped

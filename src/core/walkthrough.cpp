@@ -1,16 +1,19 @@
 #include "sccpipe/core/walkthrough.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <deque>
 #include <map>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "sccpipe/core/run_snapshot.hpp"
 #include "sccpipe/filters/filters.hpp"
 #include "sccpipe/noc/fabric.hpp"
 #include "sccpipe/noc/mesh.hpp"
+#include "sccpipe/scc/dvfs.hpp"
 #include "sccpipe/support/check.hpp"
 #include "sccpipe/support/parallel.hpp"
 #include "sccpipe/support/snapshot.hpp"
@@ -973,7 +976,7 @@ class WalkthroughSim {
           // stage's own compute + DRAM work. Deliberately *before* the
           // downstream send, so a straggler's backpressure never inflates
           // its upstream neighbours' samples and mis-attributes the flag.
-          // This callback has hopped back to the caller's site (chip
+          // This callback has hopped back to the bridge site (chip
           // chains return there), so the sample includes both transits.
           if (supervisor_ && supervisor_->gray_enabled()) {
             note_service(st.core, (sim_.now() - matched).to_ms());
@@ -2367,6 +2370,36 @@ Status validate_run_config(const RunConfig& cfg) {
       return st;
     }
   }
+  for (const DegradedLink& dl : cfg.fault.degraded_links) {
+    const std::string link =
+        std::to_string(dl.tile_a) + "-" + std::to_string(dl.tile_b);
+    const auto on_mesh = [&](TileId t) {
+      return t >= 0 && t < topo.tile_count();
+    };
+    if (!on_mesh(dl.tile_a) || !on_mesh(dl.tile_b)) {
+      return invalid("degraded-link " + link + " names a tile off the " +
+                     std::to_string(topo.tile_count()) + "-tile mesh");
+    }
+    const TileCoord a = topo.coord_of(dl.tile_a);
+    const TileCoord b = topo.coord_of(dl.tile_b);
+    if (std::abs(a.x - b.x) + std::abs(a.y - b.y) != 1) {
+      return invalid("degraded-link " + link +
+                     " is not a mesh link (tiles not adjacent)");
+    }
+  }
+  const DvfsTable dvfs;
+  const auto check_mhz = [&](const char* flag, int mhz) {
+    if (mhz == 0 || dvfs.allowed(mhz)) return Status();  // 0 = default
+    std::string levels;
+    for (const OperatingPoint& p : dvfs.points()) {
+      levels += (levels.empty() ? "" : ", ") + std::to_string(p.mhz);
+    }
+    return invalid(std::string(flag) + " " + std::to_string(mhz) +
+                   " is not a DVFS level (0 = default, or one of " + levels +
+                   ")");
+  };
+  if (Status st = check_mhz("blur-mhz", cfg.blur_mhz); !st.ok()) return st;
+  if (Status st = check_mhz("tail-mhz", cfg.tail_mhz); !st.ok()) return st;
   if (cfg.overload.enabled()) {
     if (cfg.scenario != Scenario::HostRenderer) {
       return invalid("overload controls govern the host feed path; only the "
@@ -2393,6 +2426,15 @@ StripCounts strip_counts_for(const std::vector<RunConfig>& configs) {
   StripCounts counts{1};
   for (const RunConfig& cfg : configs) counts.insert(cfg.pipelines);
   return counts;
+}
+
+Status validate_frame_size(int size, const StripCounts& counts) {
+  const int strips = std::max(1, counts.max());
+  if (size >= strips) return Status();
+  return Status(StatusCode::InvalidArgument,
+                "frames of " + std::to_string(size) + " rows cannot be cut "
+                "into " + std::to_string(strips) + " strips (size must be "
+                "at least the pipeline count)");
 }
 
 RunResult run_walkthrough(const SceneBundle& scene, const WorkloadTrace& trace,

@@ -89,10 +89,14 @@ void MemorySystem::fabric_bulk(CoreId core, double bytes, double core_rate_cap,
   //   2. located post to the controller's tile, delayed by the head
   //      latency (mesh contention + any MC outage window) plus transit —
   //      the flow then queues on the controller's fair-share queue;
-  //   3. completion hops back to the core's tile, where on_done runs.
+  //   3. completion hops back to the core's tile, where on_done runs. The
+  //      controller completes flows in plain events, which execute at the
+  //      bridge, so that hop leaves from the bridge — except for a flow
+  //      too small to queue, which completes at once at the controller.
   MeshFabric& fab = *fabric_;
-  fab.hop(fab.bridge_site(), [this, core, bytes, core_rate_cap,
-                              cb = std::move(on_done)]() mutable {
+  fab.hop(topo_.tile_of(core), fab.bridge_site(),
+          [this, core, bytes, core_rate_cap,
+           cb = std::move(on_done)]() mutable {
     MeshFabric& fab = *fabric_;
     const McId mc = topo_.home_mc(core);
     const auto mci = static_cast<std::size_t>(mc);
@@ -112,14 +116,18 @@ void MemorySystem::fabric_bulk(CoreId core, double bytes, double core_rate_cap,
     const TileId mc_tile = topo_.tile_at(topo_.mc_position(mc));
     const SimTime start = max(now, admit_at) + mesh_extra +
                           fab.transit(fab.bridge_site(), mc_tile);
-    fab.post_at(mc_tile, start, [this, core, service_bytes, core_rate_cap,
-                                 cb = std::move(cb)]() mutable {
+    const TileId done_from =
+        FairShareResource::completes_at_once(service_bytes)
+            ? mc_tile
+            : fab.bridge_site();
+    fab.post_at(fab.bridge_site(), mc_tile, start,
+                [this, core, done_from, service_bytes, core_rate_cap,
+                 cb = std::move(cb)]() mutable {
       const auto mci = static_cast<std::size_t>(topo_.home_mc(core));
       mcs_[mci]->start_flow(
           service_bytes,
-          [this, core, cb = std::move(cb)]() mutable {
-            fabric_->hop(topo_.tile_of(core),
-                         [cb = std::move(cb)]() mutable { cb(); });
+          [this, core, done_from, cb = std::move(cb)]() mutable {
+            fabric_->hop(done_from, topo_.tile_of(core), std::move(cb));
           },
           core_rate_cap);
     });

@@ -1,7 +1,5 @@
 #include "sccpipe/noc/fabric.hpp"
 
-#include <utility>
-
 #include "sccpipe/support/check.hpp"
 
 namespace sccpipe {
@@ -12,7 +10,6 @@ MeshFabric::MeshFabric(Simulator& sim, const MeshLayout& layout,
   SCCPIPE_CHECK_MSG(hop_latency > SimTime::zero(),
                     "fabric needs a positive hop latency");
   bridge_ = topo_.tile_at(TileCoord{0, layout.height - 1});
-  site_ = bridge_;
 }
 
 SimTime MeshFabric::transit(TileId from, TileId to) const {
@@ -21,28 +18,11 @@ SimTime MeshFabric::transit(TileId from, TileId to) const {
              topo_.hop_distance(topo_.coord_of(from), topo_.coord_of(to)));
 }
 
-void MeshFabric::schedule(TileId site, SimTime when, FabricCallback fn) {
-  sim_.schedule_at(when, [this, site, f = std::move(fn)]() mutable {
-    site_ = site;
-    f();
-    site_ = bridge_;
-  });
-}
-
-void MeshFabric::hop(TileId to, FabricCallback fn) {
-  schedule(to, now() + transit(current_site(), to), std::move(fn));
-}
-
-void MeshFabric::post_at(TileId to, SimTime when, FabricCallback fn) {
-  SCCPIPE_CHECK_MSG(when >= now() + transit(current_site(), to),
+void MeshFabric::check_post(TileId from, TileId to, SimTime when) const {
+  SCCPIPE_CHECK_MSG(when >= now() + transit(from, to),
                     "post_at(" << when.to_string()
                                << ") undercuts the transit time from site "
-                               << current_site() << " to " << to);
-  schedule(to, when, std::move(fn));
-}
-
-void MeshFabric::after(SimTime delay, FabricCallback fn) {
-  schedule(current_site(), now() + delay, std::move(fn));
+                               << from << " to " << to);
 }
 
 }  // namespace sccpipe

@@ -67,13 +67,14 @@ void SccChip::set_tile_frequency(TileId tile, int mhz) {
   SCCPIPE_CHECK(dvfs_.allowed(mhz));
   // Requested frequency, voltage domains and the power bill are host-side
   // bookkeeping and update synchronously. The tile's live clock is owned
-  // by the tile: a mid-run DVFS command crosses the mesh as a located post
-  // before compute() on that tile sees the new speed.
+  // by the tile: a mid-run DVFS command crosses the mesh from the bridge
+  // (it is issued by host-side control logic) before compute() on that
+  // tile sees the new speed.
   tile_mhz_[static_cast<std::size_t>(tile)] = mhz;
   refresh_voltages();
   refresh_power();
   if (fabric_ != nullptr && fabric_->in_run()) {
-    fabric_->hop(tile, [this, tile, mhz] {
+    fabric_->hop(fabric_->bridge_site(), tile, [this, tile, mhz] {
       tile_mhz_live_[static_cast<std::size_t>(tile)] = mhz;
     });
   } else {
@@ -207,22 +208,20 @@ void SccChip::compute(CoreId core, double ref_cycles,
   SCCPIPE_CHECK(ref_cycles >= 0.0);
   SCCPIPE_CHECK(on_done != nullptr);
   if (fabric_ != nullptr) {
-    // Located chain: hop to the core's tile, run the work there, hop back
-    // to the caller's site. The fail-stop check happens *at the tile*
-    // (after the transit), and the duration reads the tile-owned live
-    // clock.
-    const TileId ret = fabric_->current_site();
-    const TileId ct = topo_.tile_of(core);
-    fabric_->hop(ct, [this, core, ref_cycles, ret,
-                      cb = std::move(on_done)]() mutable {
+    // Located chain: hop from the bridge to the core's tile, run the work
+    // there, hop back. The fail-stop check happens *at the tile* (after
+    // the transit), and the duration reads the tile-owned live clock.
+    fabric_->hop(fabric_->bridge_site(), topo_.tile_of(core),
+                 [this, core, ref_cycles, cb = std::move(on_done)]() mutable {
       if (core_dead_at(core, fabric_->now())) return;
       const SimTime dur = gray_adjusted(
           core, SimTime::sec(ref_cycles / effective_hz_live(core)),
           fabric_->now());
       set_core_busy_at(core, true, fabric_->now());
-      fabric_->after(dur, [this, core, ret, cb = std::move(cb)]() mutable {
+      fabric_->after(dur, [this, core, cb = std::move(cb)]() mutable {
         set_core_busy_at(core, false, fabric_->now());
-        fabric_->hop(ret, [cb = std::move(cb)]() mutable { cb(); });
+        fabric_->hop(topo_.tile_of(core), fabric_->bridge_site(),
+                     std::move(cb));
       });
     });
     return;
@@ -248,19 +247,16 @@ void SccChip::memory_walk(CoreId core, double line_accesses,
     // Located chain: busy accounting at the core's tile, then the
     // dependent-miss segments at the home controller's tile, where the
     // walker registration and load sampling execute.
-    const TileId ret = fabric_->current_site();
-    const TileId ct = topo_.tile_of(core);
-    fabric_->hop(ct, [this, core, line_accesses, ret,
-                      cb = std::move(on_done)]() mutable {
+    fabric_->hop(fabric_->bridge_site(), topo_.tile_of(core),
+                 [this, core, line_accesses,
+                  cb = std::move(on_done)]() mutable {
       if (core_dead_at(core, fabric_->now())) return;
       set_core_busy_at(core, true, fabric_->now());
-      const TileId mct = topo_.tile_at(topo_.mc_position(topo_.home_mc(core)));
-      fabric_->hop(mct, [this, core, line_accesses, ret,
-                         cb = std::move(cb)]() mutable {
+      fabric_->hop(topo_.tile_of(core), home_mc_tile(core),
+                   [this, core, line_accesses, cb = std::move(cb)]() mutable {
         mem_.register_latency_stream(core);
         fabric_walk_step(WalkState{core, line_accesses / kSegments, kSegments,
-                                   std::move(cb)},
-                         ret);
+                                   std::move(cb)});
       });
     });
     return;
@@ -286,15 +282,15 @@ void SccChip::walk_step(WalkState st) {
       dur, [this, st = std::move(st)]() mutable { walk_step(std::move(st)); });
 }
 
-void SccChip::fabric_walk_step(WalkState st, TileId ret_site) {
+void SccChip::fabric_walk_step(WalkState st) {
   // Executes at the home controller's tile (load sampled there).
   if (st.remaining == 0) {
     mem_.unregister_latency_stream(st.core);
-    const TileId ct = topo_.tile_of(st.core);
-    fabric_->hop(ct, [this, core = st.core, ret_site,
-                      cb = std::move(st.on_done)]() mutable {
+    fabric_->hop(home_mc_tile(st.core), topo_.tile_of(st.core),
+                 [this, core = st.core, cb = std::move(st.on_done)]() mutable {
       set_core_busy_at(core, false, fabric_->now());
-      fabric_->hop(ret_site, [cb = std::move(cb)]() mutable { cb(); });
+      fabric_->hop(topo_.tile_of(core), fabric_->bridge_site(),
+                   std::move(cb));
     });
     return;
   }
@@ -302,9 +298,13 @@ void SccChip::fabric_walk_step(WalkState st, TileId ret_site) {
   const SimTime dur = gray_adjusted(
       st.core, mem_.latency_bound(st.core, st.per_segment, fabric_->now()),
       fabric_->now());
-  fabric_->after(dur, [this, st = std::move(st), ret_site]() mutable {
-    fabric_walk_step(std::move(st), ret_site);
+  fabric_->after(dur, [this, st = std::move(st)]() mutable {
+    fabric_walk_step(std::move(st));
   });
+}
+
+TileId SccChip::home_mc_tile(CoreId core) const {
+  return topo_.tile_at(topo_.mc_position(topo_.home_mc(core)));
 }
 
 void SccChip::dram_stream(CoreId core, double bytes,
@@ -313,17 +313,16 @@ void SccChip::dram_stream(CoreId core, double bytes,
   if (fabric_ != nullptr) {
     // Located chain: the stream is issued from the core's tile (the memory
     // system routes it through the controller's tile and calls back at the
-    // core's tile), then the continuation hops home.
-    const TileId ret = fabric_->current_site();
-    const TileId ct = topo_.tile_of(core);
-    fabric_->hop(ct, [this, core, bytes, ret,
-                      cb = std::move(on_done)]() mutable {
+    // core's tile), then the continuation hops back to the bridge.
+    fabric_->hop(fabric_->bridge_site(), topo_.tile_of(core),
+                 [this, core, bytes, cb = std::move(on_done)]() mutable {
       if (core_dead_at(core, fabric_->now())) return;
       set_core_busy_at(core, true, fabric_->now());
       mem_.bulk(core, bytes, copy_rate(core),
-                [this, core, ret, cb = std::move(cb)]() mutable {
+                [this, core, cb = std::move(cb)]() mutable {
                   set_core_busy_at(core, false, fabric_->now());
-                  fabric_->hop(ret, [cb = std::move(cb)]() mutable { cb(); });
+                  fabric_->hop(topo_.tile_of(core), fabric_->bridge_site(),
+                               std::move(cb));
                 });
     });
     return;

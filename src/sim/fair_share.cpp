@@ -6,12 +6,6 @@
 
 namespace sccpipe {
 
-namespace {
-// Flows with less than this many bytes left are considered finished; guards
-// against floating-point residue keeping a flow alive forever.
-constexpr double kEpsilonBytes = 1e-6;
-}  // namespace
-
 FairShareResource::FairShareResource(Simulator& sim, std::string name,
                                      double capacity_bytes_per_sec)
     : sim_(sim), name_(std::move(name)), capacity_(capacity_bytes_per_sec) {
@@ -28,7 +22,7 @@ void FairShareResource::start_flow(double bytes, Callback on_done,
   SCCPIPE_CHECK_MSG(bytes >= 0.0, name_ << ": negative flow size");
   SCCPIPE_CHECK_MSG(rate_cap >= 0.0, name_ << ": negative rate cap");
   SCCPIPE_CHECK(on_done != nullptr);
-  if (bytes <= kEpsilonBytes) {
+  if (completes_at_once(bytes)) {
     ++flows_completed_;
     on_done();
     return;

@@ -1,6 +1,7 @@
 #include "sccpipe/sim/simulator.hpp"
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 
 #include "sccpipe/support/check.hpp"
@@ -21,49 +22,67 @@ constexpr std::size_t kMinTombstonesForCompaction = 64;
 
 Simulator::Simulator(std::size_t size_hint) { reserve_events(size_hint); }
 
+Simulator::~Simulator() {
+  for (std::uint32_t slot = 0; slot < slot_seq_.size(); ++slot) {
+    slot_fn(slot).~Callback();
+  }
+}
+
 void Simulator::reserve_events(std::size_t expected_pending) {
   heap_.reserve(expected_pending);
   slot_seq_.reserve(expected_pending);
-  slot_fn_.reserve(expected_pending);
   free_slots_.reserve(expected_pending);
+  while (chunks_.size() * kSlotsPerChunk < expected_pending) add_chunk();
 }
 
-std::uint32_t Simulator::acquire_slot(std::uint64_t seq, Callback&& fn) {
+void Simulator::add_chunk() {
+  // Raw storage: a slot's memory is first touched when it is handed out.
+  chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(kSlotsPerChunk));
+}
+
+std::uint32_t Simulator::acquire_slot(std::uint64_t seq) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
     slot = static_cast<std::uint32_t>(slot_seq_.size());
+    if (slot == chunks_.size() * kSlotsPerChunk) {
+      ++stats_.allocs;
+      add_chunk();
+    }
     if (slot_seq_.size() == slot_seq_.capacity()) ++stats_.allocs;
-    if (slot_fn_.size() == slot_fn_.capacity()) ++stats_.allocs;
     slot_seq_.push_back(0);
-    slot_fn_.emplace_back();
+    ::new (static_cast<void*>(&slot_fn(slot))) Callback();
     // The free list must be able to hold every slot without growing on a
-    // release (release_slot runs on the dispatch path). Grow geometrically.
+    // release (slots return to it on the dispatch path). Grow geometrically.
     if (free_slots_.capacity() < slot_seq_.size()) {
       ++stats_.allocs;
       free_slots_.reserve(slot_seq_.size() * 2);
     }
   }
   slot_seq_[slot] = seq;
-  slot_fn_[slot] = std::move(fn);
   return slot;
 }
 
-EventHandle Simulator::schedule_impl(SimTime when, Callback&& fn) {
-  SCCPIPE_CHECK_MSG(when >= now_, "schedule_at(" << when.to_string()
-                                                 << ") is before now="
-                                                 << now_.to_string());
-  SCCPIPE_CHECK(fn != nullptr);
-  const std::uint64_t seq = next_seq_++;
-  const std::uint32_t slot = acquire_slot(seq, std::move(fn));
+EventHandle Simulator::push_key(const HeapKey& key) {
   if (heap_.size() == heap_.capacity()) ++stats_.allocs;
-  heap_.push(HeapKey{when, seq, slot});
+  heap_.push(key);
   ++live_pending_;
   stats_.peak_events =
       std::max<std::uint64_t>(stats_.peak_events, live_pending_);
-  return EventHandle{slot, seq};
+  return EventHandle{key.slot, key.seq};
+}
+
+void Simulator::fail_in_past(SimTime when) const {
+  std::ostringstream msg;
+  msg << "schedule_at(" << when.to_string() << ") is before now="
+      << now_.to_string();
+  detail::check_failed("when >= now_", __FILE__, __LINE__, msg.str());
+}
+
+void Simulator::fail_empty() {
+  detail::check_failed("fn != nullptr", __FILE__, __LINE__, {});
 }
 
 SimTime Simulator::delay_to_when(SimTime delay) const {
@@ -79,7 +98,7 @@ bool Simulator::cancel(EventHandle handle) {
   // event was dispatched or cancelled already (the slot may even have been
   // reused by a newer event — seqs are unique, so the compare still works).
   if (slot_seq_[handle.slot_] != handle.seq_) return false;
-  slot_fn_[handle.slot_] = nullptr;  // captured state dies right now
+  slot_fn(handle.slot_) = nullptr;  // captured state dies right now
   release_slot(handle.slot_);
   --live_pending_;
   ++tombstones_;
@@ -115,19 +134,30 @@ void Simulator::drop_front_tombstones() {
 
 void Simulator::dispatch_front() {
   const HeapKey key = heap_.front();
+  Callback& fn = slot_fn(key.slot);
   // The slot table is far larger than the key array (one callback-sized
   // entry per slot), so the callback line usually misses where the keys
   // hit. Start its load now — it resolves while pop_front sifts — and
   // once the new front is known, start the *next* dispatch's slot load so
   // it resolves while the current callback runs.
-  SCCPIPE_SLOT_PREFETCH(&slot_fn_[key.slot]);
+  SCCPIPE_SLOT_PREFETCH(&fn);
   heap_.pop_front();
-  if (!heap_.empty()) SCCPIPE_SLOT_PREFETCH(&slot_fn_[heap_.front().slot]);
-  Callback fn = std::move(slot_fn_[key.slot]);
-  release_slot(key.slot);
+  if (!heap_.empty()) SCCPIPE_SLOT_PREFETCH(&slot_fn(heap_.front().slot));
+  slot_seq_[key.slot] = 0;  // running, no longer pending or cancellable
   now_ = key.when;
   --live_pending_;
   ++dispatched_;
+  // Run the callable where it was built. Its slot rejoins the pool only
+  // after the call returns (or throws), so nothing the callback schedules
+  // can overwrite it mid-call.
+  struct Release {
+    Simulator& sim;
+    std::uint32_t slot;
+    ~Release() {
+      sim.slot_fn(slot) = nullptr;
+      sim.release_slot(slot);
+    }
+  } release{*this, key.slot};
   fn();
 }
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <utility>
+#include <vector>
+
+#include "sccpipe/noc/fabric.hpp"
 #include "sccpipe/noc/mesh.hpp"
 #include "sccpipe/noc/topology.hpp"
 #include "sccpipe/support/check.hpp"
@@ -196,6 +201,62 @@ TEST(MeshModel, RejectsNegativeBytes) {
   MeshModel mesh(topo);
   EXPECT_THROW(mesh.transfer(SimTime::zero(), {0, 0}, {1, 0}, -1.0),
                CheckError);
+}
+
+// -------------------------------------------------------------- MeshFabric
+
+TEST(MeshFabric, BridgeIsTheSouthWestRouter) {
+  Simulator sim;
+  const MeshFabric fab(sim, MeshLayout{}, 5_ns);
+  const MeshTopology topo;
+  EXPECT_EQ(fab.bridge_site(), topo.tile_at(TileCoord{0, 3}));
+  EXPECT_EQ(fab.transit(7, 7), SimTime::zero());
+  EXPECT_EQ(fab.transit(0, 23), SimTime::ns(5 * 8));
+}
+
+TEST(MeshFabric, HopPaysHopLatencyPerManhattanHop) {
+  Simulator sim;
+  MeshFabric fab(sim, MeshLayout{}, 5_ns);
+  const MeshTopology topo;
+  std::vector<SimTime> fired;
+  // Issue the hops from an event at t=1us, so they add to a non-zero now.
+  sim.schedule_at(1_us, [&] {
+    for (const auto& [from, to] :
+         std::vector<std::pair<TileId, TileId>>{{0, 23}, {18, 5}, {9, 9}}) {
+      const TileCoord a = topo.coord_of(from), b = topo.coord_of(to);
+      const int hops = std::abs(a.x - b.x) + std::abs(a.y - b.y);
+      const SimTime expect = 1_us + SimTime::ns(5 * hops);
+      fab.hop(from, to, [&fired, &fab, expect] {
+        EXPECT_EQ(fab.now(), expect);
+        fired.push_back(fab.now());
+      });
+    }
+  });
+  sim.run();
+  EXPECT_EQ(fired.size(), 3u);
+}
+
+TEST(MeshFabric, AfterAddsNoTransit) {
+  Simulator sim;
+  MeshFabric fab(sim, MeshLayout{}, 5_ns);
+  SimTime at = SimTime::zero();
+  sim.schedule_at(2_us, [&] { fab.after(3_ns, [&] { at = fab.now(); }); });
+  sim.run();
+  EXPECT_EQ(at, 2_us + 3_ns);
+}
+
+TEST(MeshFabric, PostAtRunsAtTheInstantButNeverUndercutsTransit) {
+  Simulator sim;
+  MeshFabric fab(sim, MeshLayout{}, 5_ns);
+  SimTime at = SimTime::zero();
+  // Tiles 0 and 23 are 8 hops apart: 40 ns is the earliest legal instant.
+  fab.post_at(0, 23, 40_ns, [&] { at = fab.now(); });
+  EXPECT_THROW(fab.post_at(0, 23, 39_ns, [] {}), CheckError);
+  EXPECT_THROW(fab.post_at(23, 0, 39_ns, [] {}), CheckError);
+  fab.post_at(9, 9, SimTime::zero(), [] {});  // same tile: no transit
+  sim.run();
+  EXPECT_EQ(at, 40_ns);
+  EXPECT_EQ(sim.dispatched(), 2u);
 }
 
 }  // namespace

@@ -261,6 +261,104 @@ TEST(Simulator, EventsCanScheduleEvents) {
   EXPECT_EQ(sim.now(), SimTime::us(100));
 }
 
+// ---------------------------------------------------- in-place dispatch
+
+TEST(Simulator, CallbackGrowingTheSlotTableMidCallKeepsOrder) {
+  // The running callable lives in its slot while it schedules several
+  // chunks' worth of events: the slot table grows under it, and neither
+  // its captured state nor the dispatch order may suffer.
+  Simulator sim(8);
+  constexpr int kNew = 3 * static_cast<int>(Simulator::kSlotsPerChunk) + 7;
+  std::vector<int> order;
+  std::vector<int> payload(64, 7);  // non-trivial captured state
+  sim.schedule_at(1_us, [&sim, &order, payload] {
+    for (int i = 0; i < kNew; ++i) {
+      // Descending times, with every fourth event tied to its predecessor
+      // at the same instant: dispatch must follow (time, schedule order).
+      const int t = 2 * kNew - 2 * i + (i % 4 == 3 ? 2 : 0);
+      sim.schedule_at(SimTime::us(1 + t), [&order, i] { order.push_back(i); });
+    }
+    EXPECT_EQ(payload, std::vector<int>(64, 7));
+    order.push_back(-1);
+  });
+  sim.run();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kNew) + 1);
+  EXPECT_EQ(order.front(), -1);
+  std::vector<int> expected;
+  for (int i = kNew - 1; i >= 0; --i) expected.push_back(i);
+  // A tied pair (i-1, i) dispatches in schedule order: i-1 first.
+  for (std::size_t j = 0; j + 1 < expected.size(); ++j) {
+    if (expected[j] % 4 == 3) {
+      std::swap(expected[j], expected[j + 1]);
+      ++j;
+    }
+  }
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), order.begin() + 1));
+  EXPECT_GT(sim.stats().allocs, 0u);
+  EXPECT_EQ(sim.dispatched(), static_cast<std::uint64_t>(kNew) + 1);
+}
+
+TEST(Simulator, RunningEventCannotCancelItselfButCanCancelOthers) {
+  Simulator sim;
+  EventHandle self, other;
+  bool self_cancelled = true, other_cancelled = false, other_ran = false;
+  self = sim.schedule_at(1_ms, [&] {
+    self_cancelled = sim.cancel(self);
+    other_cancelled = sim.cancel(other);
+  });
+  other = sim.schedule_at(2_ms, [&] { other_ran = true; });
+  sim.run();
+  EXPECT_FALSE(self_cancelled);
+  EXPECT_TRUE(other_cancelled);
+  EXPECT_FALSE(other_ran);
+  EXPECT_EQ(sim.dispatched(), 1u);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, CallableIsMovedAtMostOnceIntoItsSlot) {
+  struct Counted {
+    int* moves;
+    int* copies;
+    int* moves_at_call;
+    Counted(int* m, int* c, int* at) : moves(m), copies(c), moves_at_call(at) {}
+    Counted(Counted&& o) noexcept
+        : moves(o.moves), copies(o.copies), moves_at_call(o.moves_at_call) {
+      ++*moves;
+    }
+    Counted(const Counted& o)
+        : moves(o.moves), copies(o.copies), moves_at_call(o.moves_at_call) {
+      ++*copies;
+    }
+    void operator()() { *moves_at_call = *moves; }
+  };
+  Simulator sim;
+  int moves = 0, copies = 0, at_call = -1;
+  sim.schedule_at(1_us, Counted(&moves, &copies, &at_call));
+  sim.run();
+  EXPECT_LE(at_call, 1);
+  EXPECT_EQ(copies, 0);
+
+  moves = 0;
+  at_call = -1;
+  sim.schedule_after(1_us, Counted(&moves, &copies, &at_call));
+  sim.run();
+  EXPECT_LE(at_call, 1);
+  EXPECT_EQ(copies, 0);
+}
+
+TEST(Simulator, ThrowingCallbackStillFreesItsSlot) {
+  Simulator sim(4);
+  sim.schedule_at(1_us, [] { SCCPIPE_CHECK_MSG(false, "boom"); });
+  EXPECT_THROW(sim.step(), CheckError);
+  EXPECT_EQ(sim.pending(), 0u);
+  // The freed slot is reused: four more pending events fit the reserve.
+  int ran = 0;
+  for (int i = 0; i < 4; ++i) sim.schedule_after(1_us, [&] { ++ran; });
+  sim.run();
+  EXPECT_EQ(ran, 4);
+  EXPECT_EQ(sim.stats().allocs, 0u);
+}
+
 // ------------------------------------------------------------- FlowResource
 
 TEST(FlowResource, SerialisesOverlappingRequests) {

@@ -9,6 +9,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sccpipe/exec/executor.hpp"
@@ -350,6 +351,57 @@ TEST(RunConfigValidation, FaultTargetsAndExclusionsAreChecked) {
   EXPECT_TRUE(validate_run_config(cfg).ok());
   cfg.scenario = Scenario::RendererPerPipeline;
   EXPECT_FALSE(validate_run_config(cfg).ok());
+}
+
+TEST(RunConfigValidation, DvfsLevelsAndDegradedLinksAreChecked) {
+  RunConfig cfg;
+  cfg.pipelines = 2;
+  for (const int mhz : {7, -1, 1000}) {
+    cfg.blur_mhz = mhz;
+    EXPECT_EQ(validate_run_config(cfg).code(), StatusCode::InvalidArgument)
+        << "blur " << mhz;
+    cfg.blur_mhz = 0;
+    cfg.tail_mhz = mhz;
+    EXPECT_EQ(validate_run_config(cfg).code(), StatusCode::InvalidArgument)
+        << "tail " << mhz;
+    cfg.tail_mhz = 0;
+  }
+  cfg.blur_mhz = 533;
+  cfg.tail_mhz = 400;
+  EXPECT_TRUE(validate_run_config(cfg).ok());
+
+  // SCC: 6x4 tiles. 0-1 and 0-6 are links; 0-7 is a diagonal, 0-99 and
+  // 23-24 leave the mesh — but 23-24 is a link on the 8x4 cluster node.
+  const auto with_link = [](RunConfig c, TileId a, TileId b) {
+    c.fault.degraded_links.push_back(DegradedLink{a, b, 2.0, SimTime::ms(1)});
+    return c;
+  };
+  RunConfig plain;
+  plain.pipelines = 2;
+  EXPECT_TRUE(validate_run_config(with_link(plain, 0, 1)).ok());
+  EXPECT_TRUE(validate_run_config(with_link(plain, 6, 0)).ok());
+  for (const auto& [a, b] :
+       std::vector<std::pair<TileId, TileId>>{{0, 7}, {0, 99}, {-1, 0},
+                                              {23, 24}, {5, 6}}) {
+    EXPECT_EQ(validate_run_config(with_link(plain, a, b)).code(),
+              StatusCode::InvalidArgument)
+        << a << "-" << b;
+  }
+  RunConfig cluster = plain;
+  cluster.platform = PlatformKind::Cluster;
+  EXPECT_TRUE(validate_run_config(with_link(cluster, 23, 31)).ok());
+  EXPECT_FALSE(validate_run_config(with_link(cluster, 31, 32)).ok());
+}
+
+TEST(RunConfigValidation, FrameSizeMustCoverTheStripCount) {
+  EXPECT_TRUE(validate_frame_size(4, StripCounts{1, 4}).ok());
+  EXPECT_TRUE(validate_frame_size(1, StripCounts{1}).ok());
+  EXPECT_EQ(validate_frame_size(3, StripCounts{1, 4}).code(),
+            StatusCode::InvalidArgument);
+  EXPECT_EQ(validate_frame_size(6, StripCounts::up_to(7)).code(),
+            StatusCode::InvalidArgument);
+  EXPECT_EQ(validate_frame_size(0, StripCounts{1}).code(),
+            StatusCode::InvalidArgument);
 }
 
 }  // namespace

@@ -533,5 +533,95 @@ TEST_F(WalkthroughFixture, FunctionalFramesMatchPinnedDigests) {
   ASSERT_EQ(unsetenv("SCCPIPE_JOBS"), 0);
 }
 
+// The event stream itself: how many events a run dispatches and the
+// simulated time it ends at, pinned across the engine's host-speed work.
+// A refactor of the event kernel or the mesh fabric that adds, drops or
+// reorders an event moves one of these; `sim_events_per_s` is only
+// comparable across such refactors while they hold.
+TEST_F(WalkthroughFixture, EventStreamMatchesPinnedCounts) {
+  struct PinnedStream {
+    const char* name;
+    RunConfig cfg;
+    std::function<bool(const RunResult&)> fired;
+    std::uint64_t events;
+    std::int64_t walkthrough_ns;
+  };
+  const RunConfig mcpc = config(Scenario::HostRenderer, 4);
+  const RunResult clean = run_walkthrough(scene(), trace(), mcpc);
+  const auto at = [&](double fraction) {
+    return SimTime::ms(clean.walkthrough.to_ms() * fraction);
+  };
+  std::vector<PinnedStream> runs;
+  // Every pipeline placed and every frame shown.
+  const auto complete = [](std::size_t k) {
+    return [k](const RunResult& r) {
+      return r.placement.pipeline_cores.size() == k &&
+             r.frame_done_ms.size() == 12u;
+    };
+  };
+  runs.push_back({"n-rend k=7 ordered",
+                  config(Scenario::RendererPerPipeline, 7), complete(7), 14940,
+                  320079917});
+  {
+    RunConfig cfg = mcpc;
+    cfg.fault.seed = 4;
+    cfg.fault.core_failures.push_back(
+        {clean.placement.pipeline_cores[1][2], at(0.3)});
+    cfg.recovery.heartbeat_period = SimTime::us(200);
+    cfg.recovery.detection_deadline = SimTime::us(500);
+    runs.push_back({"mcpc k=4 core-fail remap", cfg,
+                    [](const RunResult& r) {
+                      return r.recovery.spares_used > 0 &&
+                             r.recovery.frames_replayed > 0;
+                    },
+                    9126, 194006326});
+  }
+  {
+    RunConfig cfg = mcpc;
+    cfg.recovery.heartbeat_period = SimTime::ms(2);
+    cfg.recovery.detection_deadline = SimTime::ms(5);
+    cfg.recovery.max_spares = 0;
+    cfg.gray.detect_factor = 1.2;
+    cfg.gray.detect_windows = 2;
+    cfg.gray.policy = GrayPolicy::Rebalance;
+    cfg.fault.seed = 11;
+    cfg.fault.slow_cores.push_back(
+        SlowCore{clean.placement.pipeline_cores[1][0], 8.0, at(0.1)});
+    runs.push_back({"mcpc k=4 gray rebalance", cfg,
+                    [](const RunResult& r) { return r.gray.rebalances > 0; },
+                    8101, 192308283});
+  }
+  {
+    RunConfig cfg = mcpc;
+    cfg.overload.window = 4;
+    cfg.overload.queue_depth = 2;
+    cfg.overload.offered_fps = 1e5;
+    cfg.overload.frame_deadline = SimTime::ms(50);
+    runs.push_back({"mcpc k=4 overload shed", cfg,
+                    [](const RunResult& r) {
+                      return r.transport.shed_admission +
+                                 r.transport.shed_deadline >
+                             0;
+                    },
+                    3365, 64017341});
+  }
+  {
+    RunConfig cfg = config(Scenario::SingleRenderer, 3);
+    cfg.platform = PlatformKind::Cluster;
+    runs.push_back({"1-rend cluster k=3", cfg, complete(3), 6084, 24375618});
+  }
+
+  const WorkloadTrace trace7 = WorkloadTrace::build(scene(), StripCounts{1, 7});
+  for (const PinnedStream& run : runs) {
+    const RunResult r = run_walkthrough(
+        scene(), run.cfg.pipelines > trace().max_k() ? trace7 : trace(),
+        run.cfg);
+    EXPECT_FALSE(r.fault.failed) << run.name << ": " << r.fault.failure;
+    EXPECT_TRUE(run.fired(r)) << run.name << ": the feature did not fire";
+    EXPECT_EQ(r.events_dispatched, run.events) << run.name;
+    EXPECT_EQ(r.walkthrough.to_ns(), run.walkthrough_ns) << run.name;
+  }
+}
+
 }  // namespace
 }  // namespace sccpipe

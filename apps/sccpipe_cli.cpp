@@ -26,32 +26,6 @@ using namespace sccpipe;
 
 namespace {
 
-bool parse_scenario(const std::string& v, Scenario* out) {
-  if (v == "1-rend" || v == "single-renderer") {
-    *out = Scenario::SingleRenderer;
-  } else if (v == "n-rend" || v == "renderer-per-pipeline") {
-    *out = Scenario::RendererPerPipeline;
-  } else if (v == "mcpc" || v == "host" || v == "external") {
-    *out = Scenario::HostRenderer;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool parse_arrangement(const std::string& v, Arrangement* out) {
-  if (v == "unordered") {
-    *out = Arrangement::Unordered;
-  } else if (v == "ordered") {
-    *out = Arrangement::Ordered;
-  } else if (v == "flipped") {
-    *out = Arrangement::Flipped;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 /// Comma-split a repeated fault flag ("5@100,9@250") into individual plan
 /// entries, each parsed through the shared fault grammar.
 bool parse_fault_list(const std::string& text, const char* flag,
@@ -104,16 +78,6 @@ std::string pipelines_help() {
          limit(Scenario::RendererPerPipeline, Arrangement::Unordered) +
          "); --isolate-blur and --platform cluster change the limit";
 }
-
-constexpr const char* kIntFlags[] = {
-    "pipelines",  "frames",       "size",        "blur-mhz",
-    "tail-mhz",   "seed",         "fault-seed",  "max-spares",
-    "gray-detect-windows",        "rcce-retries", "window",
-    "queue-depth", "breaker-threshold", "checkpoint-every"};
-constexpr const char* kDoubleFlags[] = {
-    "heartbeat-ms",    "detect-ms",   "gray-detect-factor",
-    "rcce-timeout-ms", "offered-fps", "frame-deadline-ms",
-    "breaker-cooldown-ms"};
 
 }  // namespace
 
@@ -211,19 +175,16 @@ int main(int argc, char** argv) {
     return 0;
   }
   // A typo must be an error, not a silent 0.
-  for (const char* flag : kIntFlags) {
-    if (!args.parse_int(flag)) {
-      std::fprintf(stderr, "error: --%s expects an integer, got '%s'\n", flag,
-                   args.get(flag).c_str());
-      return 2;
-    }
-  }
-  for (const char* flag : kDoubleFlags) {
-    if (!args.parse_double(flag)) {
-      std::fprintf(stderr, "error: --%s expects a number, got '%s'\n", flag,
-                   args.get(flag).c_str());
-      return 2;
-    }
+  if (const std::string bad = args.check_numeric(
+          {"pipelines", "frames", "size", "blur-mhz", "tail-mhz", "seed",
+           "fault-seed", "max-spares", "gray-detect-windows", "rcce-retries",
+           "window", "queue-depth", "breaker-threshold", "checkpoint-every"},
+          {"heartbeat-ms", "detect-ms", "gray-detect-factor",
+           "rcce-timeout-ms", "offered-fps", "frame-deadline-ms",
+           "breaker-cooldown-ms"});
+      !bad.empty()) {
+    std::fprintf(stderr, "error: %s\n", bad.c_str());
+    return 2;
   }
 
   RunConfig cfg;
@@ -237,8 +198,11 @@ int main(int argc, char** argv) {
                  args.get("arrangement").c_str());
     return 2;
   }
-  cfg.platform = args.get("platform") == "cluster" ? PlatformKind::Cluster
-                                                   : PlatformKind::Scc;
+  if (!parse_platform(args.get("platform"), &cfg.platform)) {
+    std::fprintf(stderr, "error: unknown platform '%s'\n",
+                 args.get("platform").c_str());
+    return 2;
+  }
   cfg.pipelines = args.get_int("pipelines");
   cfg.blur_mhz = args.get_int("blur-mhz");
   cfg.tail_mhz = args.get_int("tail-mhz");
@@ -384,7 +348,7 @@ int main(int argc, char** argv) {
     std::printf("%s,%s,%s,%d,%d,%.3f,%.2f,%.1f,%.3f,%.1f,%d,%d,%d,%d,%d,"
                 "%.3f,%.3f,%d,%d,%d,%d,%d,%d,%llu,%.3f,%s\n",
                 scenario_name(cfg.scenario), arrangement_name(cfg.arrangement),
-                cfg.platform == PlatformKind::Scc ? "scc" : "cluster",
+                platform_name(cfg.platform),
                 cfg.pipelines, frames, r.walkthrough.to_sec(),
                 r.mean_chip_watts, r.chip_energy_joules, r.host_busy_sec,
                 r.host_extra_energy_joules, r.recovery.failures_detected,

@@ -17,10 +17,13 @@
 // events/sec, jobs used, per-run timings) is written for cross-PR
 // comparison.
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sccpipe/core/recovery.hpp"
@@ -44,25 +47,35 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-/// "1-7" or "3" or "1,3,5" -> list of ints.
-std::vector<int> parse_range(const std::string& s) {
+/// One pipeline count: a whole decimal in 1..StripCounts::kMax.
+std::optional<int> parse_count(std::string_view s) {
+  int v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (s.empty() || ec != std::errc{} || end != s.data() + s.size() || v < 1 ||
+      v > StripCounts::kMax) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+/// "1-7" or "3" or "1,3,5" -> list of ints. Every item is checked before a
+/// range expands; empty on any malformed, out-of-range or descending item.
+std::optional<std::vector<int>> parse_range(const std::string& s) {
   std::vector<int> out;
   for (const std::string& part : split_csv(s)) {
-    const auto dash = part.find('-');
-    if (dash != std::string::npos) {
-      const int lo = std::atoi(part.substr(0, dash).c_str());
-      const int hi = std::atoi(part.substr(dash + 1).c_str());
-      for (int v = lo; v <= hi; ++v) out.push_back(v);
-    } else {
-      out.push_back(std::atoi(part.c_str()));
-    }
+    const std::string_view item(part);
+    const auto dash = item.find('-');
+    const std::optional<int> lo = parse_count(item.substr(0, dash));
+    const std::optional<int> hi =
+        dash == std::string_view::npos ? lo : parse_count(item.substr(dash + 1));
+    if (!lo || !hi || *lo > *hi) return std::nullopt;
+    for (int v = *lo; v <= *hi; ++v) out.push_back(v);
   }
   return out;
 }
 
 struct GridRun {
   RunConfig cfg;
-  std::string platform_label;
   double wall_sec = 0.0;  // host wall-clock of this run (perf record only)
   RunResult result;
 };
@@ -108,7 +121,7 @@ void write_bench_json(const std::string& path, int jobs, double wall_sec,
         "\"platform\": \"%s\", \"pipelines\": %d, \"walkthrough_s\": %.3f, "
         "\"events\": %llu, \"wall_s\": %.3f}%s\n",
         scenario_name(r.cfg.scenario), arrangement_name(r.cfg.arrangement),
-        r.platform_label.c_str(), r.cfg.pipelines,
+        platform_name(r.cfg.platform), r.cfg.pipelines,
         r.result.walkthrough.to_sec(),
         static_cast<unsigned long long>(r.result.events_dispatched),
         r.wall_sec, i + 1 < runs.size() ? "," : "");
@@ -202,6 +215,18 @@ int main(int argc, char** argv) {
                  args.usage("sccpipe_sweep").c_str());
     return args.get_bool("help") ? 0 : 2;
   }
+  // A typo must be an error, not a silent 0.
+  if (const std::string bad = args.check_numeric(
+          {"frames", "size", "jobs", "max-spares", "gray-detect-windows",
+           "window", "queue-depth", "breaker-threshold", "rcce-retries",
+           "checkpoint-every"},
+          {"heartbeat-ms", "detect-ms", "gray-detect-factor",
+           "rcce-timeout-ms", "offered-fps", "frame-deadline-ms",
+           "breaker-cooldown-ms"});
+      !bad.empty()) {
+    std::fprintf(stderr, "[sweep] error: %s\n", bad.c_str());
+    return 2;
+  }
 
   // One fault plan + recovery config shared by every grid point (the seed
   // keeps each run deterministic regardless of worker interleaving).
@@ -284,7 +309,14 @@ int main(int argc, char** argv) {
   retry.max_attempts = args.get_int("rcce-retries");
   retry.timeout = SimTime::ms(args.get_double("rcce-timeout-ms"));
 
-  const std::vector<int> pipeline_list = parse_range(args.get("pipelines"));
+  const std::optional<std::vector<int>> pipeline_list =
+      parse_range(args.get("pipelines"));
+  if (!pipeline_list) {
+    std::fprintf(stderr, "[sweep] error: bad --pipelines '%s': want counts "
+                 "or low-high ranges within 1..%d\n",
+                 args.get("pipelines").c_str(), StripCounts::kMax);
+    return 2;
+  }
   int jobs = args.get_int("jobs");
   if (jobs <= 0) jobs = exec::default_jobs();
 
@@ -296,39 +328,38 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Every name is checked first: a typo is an error, not a skipped axis.
+  std::vector<Scenario> scenarios;
+  for (const std::string& sc : split_csv(args.get("scenarios"))) {
+    if (!parse_scenario(sc, &scenarios.emplace_back())) {
+      std::fprintf(stderr, "[sweep] error: unknown scenario '%s'\n",
+                   sc.c_str());
+      return 2;
+    }
+  }
+  std::vector<Arrangement> arrangements;
+  for (const std::string& ar : split_csv(args.get("arrangements"))) {
+    if (!parse_arrangement(ar, &arrangements.emplace_back())) {
+      std::fprintf(stderr, "[sweep] error: unknown arrangement '%s'\n",
+                   ar.c_str());
+      return 2;
+    }
+  }
+  std::vector<PlatformKind> platforms;
+  for (const std::string& pf : split_csv(args.get("platforms"))) {
+    if (!parse_platform(pf, &platforms.emplace_back())) {
+      std::fprintf(stderr, "[sweep] error: unknown platform '%s'\n",
+                   pf.c_str());
+      return 2;
+    }
+  }
   // Expand the grid up front; the runs are independent deterministic
   // simulations, so they execute in parallel and report in grid order.
   std::vector<GridRun> runs;
-  for (const std::string& sc : split_csv(args.get("scenarios"))) {
-    Scenario scenario;
-    if (sc == "1-rend") {
-      scenario = Scenario::SingleRenderer;
-    } else if (sc == "n-rend") {
-      scenario = Scenario::RendererPerPipeline;
-    } else if (sc == "mcpc") {
-      scenario = Scenario::HostRenderer;
-    } else {
-      std::fprintf(stderr, "[sweep] skipping unknown scenario '%s'\n",
-                   sc.c_str());
-      continue;
-    }
-    for (const std::string& ar : split_csv(args.get("arrangements"))) {
-      Arrangement arrangement;
-      if (ar == "unordered") {
-        arrangement = Arrangement::Unordered;
-      } else if (ar == "ordered") {
-        arrangement = Arrangement::Ordered;
-      } else if (ar == "flipped") {
-        arrangement = Arrangement::Flipped;
-      } else {
-        std::fprintf(stderr, "[sweep] skipping unknown arrangement '%s'\n",
-                     ar.c_str());
-        continue;
-      }
-      for (const std::string& pf : split_csv(args.get("platforms"))) {
-        const PlatformKind platform =
-            pf == "cluster" ? PlatformKind::Cluster : PlatformKind::Scc;
-        for (const int k : pipeline_list) {
+  for (const Scenario scenario : scenarios) {
+    for (const Arrangement arrangement : arrangements) {
+      for (const PlatformKind platform : platforms) {
+        for (const int k : *pipeline_list) {
           GridRun gr;
           gr.cfg.scenario = scenario;
           gr.cfg.arrangement = arrangement;
@@ -348,11 +379,15 @@ int main(int argc, char** argv) {
             gr.cfg.checkpoint.resume =
                 checkpoint.resume && file_exists(gr.cfg.checkpoint.file);
           }
-          gr.platform_label = pf;
           runs.push_back(std::move(gr));
         }
       }
     }
+  }
+  if (runs.empty()) {
+    std::fprintf(stderr, "[sweep] error: the grid is empty (no scenario, "
+                 "arrangement, platform or pipeline count)\n");
+    return 2;
   }
 
   // Every config is checked before the scene and trace are built, and the
@@ -363,7 +398,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "[sweep] error: run %zu (%s, %s, %s, %d "
                    "pipelines): %s\n", i, scenario_name(runs[i].cfg.scenario),
                    arrangement_name(runs[i].cfg.arrangement),
-                   runs[i].platform_label.c_str(), runs[i].cfg.pipelines,
+                   platform_name(runs[i].cfg.platform), runs[i].cfg.pipelines,
                    st.to_string().c_str());
       return 2;
     }
@@ -434,7 +469,7 @@ int main(int argc, char** argv) {
                 "%d,%d,%d,%d,%d,%d,%llu,%.3f,%s\n",
                 scenario_name(gr.cfg.scenario),
                 arrangement_name(gr.cfg.arrangement),
-                gr.platform_label.c_str(), gr.cfg.pipelines,
+                platform_name(gr.cfg.platform), gr.cfg.pipelines,
                 r.walkthrough.to_sec(), r.mean_chip_watts,
                 r.chip_energy_joules, r.host_busy_sec,
                 r.host_extra_energy_joules,

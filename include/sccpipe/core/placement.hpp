@@ -14,6 +14,7 @@
 /// An optional DVFS-isolated mode places the blur stage alone on its own
 /// tile so its frequency/voltage can be raised independently (Fig. 18).
 
+#include <string_view>
 #include <vector>
 
 #include "sccpipe/noc/topology.hpp"
@@ -24,6 +25,9 @@ namespace sccpipe {
 enum class Arrangement { Unordered, Ordered, Flipped };
 
 const char* arrangement_name(Arrangement a);
+/// arrangement_name() back into \p out; false, leaving \p out alone, on
+/// any other name.
+bool parse_arrangement(std::string_view name, Arrangement* out);
 
 struct PlacementRequest {
   int pipelines = 1;

@@ -8,6 +8,7 @@
 /// walkthrough time, per-stage busy/idle statistics, power trace, energy.
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "sccpipe/core/calibration.hpp"
@@ -38,6 +39,10 @@ enum class Scenario {
 };
 
 const char* scenario_name(Scenario s);
+/// The command-line spelling of a scenario into \p out: "1-rend", "n-rend"
+/// or "mcpc" (or the long names "single-renderer", "renderer-per-pipeline",
+/// "host", "external"). False, leaving \p out alone, on any other name.
+bool parse_scenario(std::string_view name, Scenario* out);
 
 /// Which hardware the pipelines run on.
 enum class PlatformKind {
@@ -45,6 +50,12 @@ enum class PlatformKind {
   Cluster,  ///< one Mogon HPC node (Fig. 13); HostRenderer becomes the
             ///< "external renderer" configuration
 };
+
+/// "scc" or "cluster".
+const char* platform_name(PlatformKind p);
+/// platform_name() back into \p out; false, leaving \p out alone, on any
+/// other name.
+bool parse_platform(std::string_view name, PlatformKind* out);
 
 /// Crash-durability knobs: periodic run snapshots plus resume-by-replay.
 /// Default-off, and a disabled config leaves the run bit-identical to one

@@ -57,7 +57,11 @@ class Renderer {
   /// estimated in groups of up to Octree::kMaxMultiFrusta, one octree pass
   /// per group; each accepted triangle's clip x and w (which no strip
   /// adjustment changes) are computed once per pass, leaving only the y row
-  /// per strip. Bit-identical to estimating each strip on its own
+  /// per strip. An accepted node's triangles are gathered in stack blocks
+  /// of up to 128, one float row per vertex coordinate, and transformed
+  /// four at a time on generic 4-lane vectors (SSE2 on x86-64); each strip
+  /// then sums its triangles' areas in scalar double, in cull order.
+  /// Bit-identical to estimating each strip on its own
   /// (reference::estimate_strip).
   void estimate_strips(const Mat4& view, std::span<const StripRange> strips,
                        std::span<RenderStats> out) const;

@@ -5,6 +5,7 @@
 /// Flags are --name value or --name=value; bool flags may omit the value.
 /// Unknown flags are an error (catches typos in experiment scripts).
 
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -30,6 +31,11 @@ class ArgParser {
   /// maps "abc" to 0).
   std::optional<int> parse_int(const std::string& name) const;
   std::optional<double> parse_double(const std::string& name) const;
+  /// parse_int() on every flag in \p ints and parse_double() on every one
+  /// in \p numbers: empty if all parse, else the first failure as
+  /// "--<flag> expects an integer, got '<value>'" (or "a number").
+  std::string check_numeric(std::initializer_list<const char*> ints,
+                            std::initializer_list<const char*> numbers) const;
   bool get_bool(const std::string& name) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -16,6 +16,17 @@ const char* arrangement_name(Arrangement a) {
   return "?";
 }
 
+bool parse_arrangement(std::string_view name, Arrangement* out) {
+  for (const Arrangement a : {Arrangement::Unordered, Arrangement::Ordered,
+                              Arrangement::Flipped}) {
+    if (name == arrangement_name(a)) {
+      *out = a;
+      return true;
+    }
+  }
+  return false;
+}
+
 std::vector<CoreId> Placement::all_cores() const {
   std::vector<CoreId> cores;
   for (const auto& pl : pipeline_cores) {

@@ -30,6 +30,33 @@ const char* scenario_name(Scenario s) {
   return "?";
 }
 
+bool parse_scenario(std::string_view name, Scenario* out) {
+  if (name == "1-rend" || name == "single-renderer") {
+    *out = Scenario::SingleRenderer;
+  } else if (name == "n-rend" || name == "renderer-per-pipeline") {
+    *out = Scenario::RendererPerPipeline;
+  } else if (name == "mcpc" || name == "host" || name == "external") {
+    *out = Scenario::HostRenderer;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+const char* platform_name(PlatformKind p) {
+  return p == PlatformKind::Scc ? "scc" : "cluster";
+}
+
+bool parse_platform(std::string_view name, PlatformKind* out) {
+  for (const PlatformKind p : {PlatformKind::Scc, PlatformKind::Cluster}) {
+    if (name == platform_name(p)) {
+      *out = p;
+      return true;
+    }
+  }
+  return false;
+}
+
 const StageReport* RunResult::stage(StageKind kind, int pipeline) const {
   for (const StageReport& r : stages) {
     if (r.kind == kind && (r.pipeline == pipeline || r.pipeline < 0)) {

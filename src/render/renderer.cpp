@@ -75,17 +75,47 @@ Vec4 clip_row(const Mat4& m, int r) {
   return Vec4{m.m[0][r], m.m[1][r], m.m[2][r], m.m[3][r]};
 }
 
-/// Clip coordinate of the point \p p (w = 1) through one matrix row, with
-/// the products and summation order of Mat4 * Vec4: bit-equal to that
-/// component of the full transform.
-float clip_coord(Vec4 row, Vec3 p) {
-  return row.x * p.x + row.y * p.y + row.z * p.z + row.w;
-}
-
 bool bit_equal(Vec4 a, Vec4 b) {
   using Bits = std::array<std::uint32_t, 4>;
   return std::bit_cast<Bits>(a) == std::bit_cast<Bits>(b);
 }
+
+// Four-lane generic vectors (GCC/Clang): baseline SSE2 on x86-64 at -O2 and
+// -O3 alike, where the autovectorizer leaves plain loops scalar at -O2. Each
+// lane performs its scalar expression's operations in the same order, with
+// true division and no contraction, so every lane is bit-equal to the scalar
+// result (reference::estimate_strip).
+using F4 = float __attribute__((vector_size(16)));
+using I4 = std::int32_t __attribute__((vector_size(16)));
+
+F4 splat(float v) { return F4{v, v, v, v}; }
+
+/// Lane-wise \p m ? \p a : \p b for an all-ones/all-zeros lane mask.
+F4 select(I4 m, F4 a, F4 b) {
+  return std::bit_cast<F4>((m & std::bit_cast<I4>(a)) |
+                           (~m & std::bit_cast<I4>(b)));
+}
+
+/// The clip coordinate \p row gives each lane's point (w = 1), with the
+/// products and summation order of Mat4 * Vec4: bit-equal to that component
+/// of the full transform.
+F4 clip_coord(Vec4 row, F4 x, F4 y, F4 z) {
+  return row.x * x + row.y * y + row.z * z + row.w;
+}
+
+/// Triangles per block: the SoA scratch of one block lives on the stack
+/// (8 KB), so no node, however large, allocates.
+constexpr std::size_t kBlock = 128;
+constexpr std::size_t kGroups = kBlock / 4;
+
+/// One block of an accepted node's triangles, one vector per four
+/// triangles. Lanes past the block's last triangle hold zeros.
+struct Block {
+  F4 v[3][3][kGroups];  ///< [vertex][coordinate]: object-space positions
+  F4 w[3][kGroups];     ///< clip w clamped to >= 1e-2
+  F4 x[3][kGroups];     ///< screen x
+  I4 kept[kGroups];     ///< all ones for a real triangle not clipped away
+};
 
 /// One strip's share of an estimate pass.
 struct StripPass {
@@ -109,46 +139,93 @@ void Renderer::estimate_strips(const Mat4& view,
       strip_projection(camera_, width_, height_, strips[0]) * view;
   const Vec4 x_row = clip_row(first_vp, 0);
   const Vec4 w_row = clip_row(first_vp, 3);
-  const float width = static_cast<float>(width_);
+  const F4 width = splat(static_cast<float>(width_));
   const auto& tris = mesh_.triangles();
 
   std::vector<Frustum> frusta;
   std::vector<StripPass> pass;
   std::vector<CullStats> cull;
+  Block b{};
+  // Estimates one block of a node's triangles for every strip in \p mask.
+  const auto estimate_block = [&](std::span<const std::uint32_t> block,
+                                  std::uint64_t mask) {
+    const std::size_t n = block.size();
+    const std::size_t groups = (n + 3) / 4;
+    const auto put = [&](std::size_t i, int c, Vec3 p) {
+      b.v[c][0][i / 4][i % 4] = p.x;
+      b.v[c][1][i / 4][i % 4] = p.y;
+      b.v[c][2][i / 4][i % 4] = p.z;
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      const Triangle& t = tris[block[i]];
+      put(i, 0, t.v0);
+      put(i, 1, t.v1);
+      put(i, 2, t.v2);
+    }
+    for (std::size_t i = n; i < groups * 4; ++i) {
+      for (int c = 0; c < 3; ++c) put(i, c, Vec3{});
+    }
+    // Clip w (and the clipped-away test on it, unclamped) and screen x,
+    // which no strip adjustment changes.
+    const I4 lane_index{0, 1, 2, 3};
+    I4 clipped_lanes{};
+    for (std::size_t g = 0; g < groups; ++g) {
+      const I4 real = lane_index < static_cast<std::int32_t>(n - g * 4);
+      I4 clipped = real;
+      for (int c = 0; c < 3; ++c) {
+        const F4 v[3] = {b.v[c][0][g], b.v[c][1][g], b.v[c][2][g]};
+        const F4 w = clip_coord(w_row, v[0], v[1], v[2]);
+        clipped &= w <= 1e-4f;
+        // Screen-space area of the projection (vertices behind the eye are
+        // clamped to a small positive w — good enough for a workload
+        // count); the clamp is std::max(w, 1e-2f), NaN and ties included.
+        b.w[c][g] = select(w < 1e-2f, splat(1e-2f), w);
+        b.x[c][g] =
+            (clip_coord(x_row, v[0], v[1], v[2]) / b.w[c][g] * 0.5f + 0.5f) *
+            width;
+      }
+      b.kept[g] = real & ~clipped;
+      clipped_lanes -= clipped;
+    }
+    const auto clipped_away = static_cast<std::uint64_t>(
+        clipped_lanes[0] + clipped_lanes[1] + clipped_lanes[2] +
+        clipped_lanes[3]);
+    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+      StripPass& p = pass[static_cast<std::size_t>(std::countr_zero(m))];
+      p.clipped_away += clipped_away;
+      const F4 rows = splat(p.rows);
+      for (std::size_t g = 0; g < groups; ++g) {
+        const auto y = [&](int c) {
+          return (0.5f - clip_coord(p.y_row, b.v[c][0][g], b.v[c][1][g],
+                                    b.v[c][2][g]) /
+                             b.w[c][g] * 0.5f) *
+                 rows;
+        };
+        const F4 x0 = b.x[0][g], x1 = b.x[1][g], x2 = b.x[2][g];
+        const F4 y0 = y(0), y1 = y(1), y2 = y(2);
+        // Clipped triangles and pad lanes add +0.0, which leaves a sum of
+        // non-negative terms bit for bit unchanged.
+        const F4 area = select(
+            b.kept[g], (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0), F4{});
+        // The double sum stays scalar, in cull pre-order; its add chain
+        // overlaps the next group's vector work.
+        for (int lane = 0; lane < 4; ++lane) {
+          const double tri_area =
+              0.5 * std::fabs(static_cast<double>(area[lane]));
+          // A triangle cannot cover more than the strip.
+          p.area += std::min(tri_area, p.strip_pixels);
+        }
+      }
+    }
+  };
   // Called per accepted node in pre-order, so each strip sums its
   // triangles' areas in the order a cull of its own visits them.
   const Octree::MultiVisit estimate_node =
       [&](std::span<const std::uint32_t> node_tris, std::uint64_t mask) {
-    for (const std::uint32_t ti : node_tris) {
-      const Triangle& t = tris[ti];
-      const Vec3 v[3] = {t.v0, t.v1, t.v2};
-      float w[3];
-      for (int c = 0; c < 3; ++c) w[c] = clip_coord(w_row, v[c]);
-      if (w[0] <= 1e-4f && w[1] <= 1e-4f && w[2] <= 1e-4f) {
-        for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-          ++pass[static_cast<std::size_t>(std::countr_zero(m))].clipped_away;
-        }
-        continue;
-      }
-      // Screen-space area of the projection (vertices behind the eye are
-      // clamped to a small positive w — good enough for a workload count).
-      float x[3];
-      for (int c = 0; c < 3; ++c) {
-        w[c] = std::max(w[c], 1e-2f);
-        x[c] = (clip_coord(x_row, v[c]) / w[c] * 0.5f + 0.5f) * width;
-      }
-      for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-        StripPass& p = pass[static_cast<std::size_t>(std::countr_zero(m))];
-        float y[3];
-        for (int c = 0; c < 3; ++c) {
-          y[c] = (0.5f - clip_coord(p.y_row, v[c]) / w[c] * 0.5f) * p.rows;
-        }
-        const double tri_area = 0.5 * std::fabs(static_cast<double>(
-                                          (x[1] - x[0]) * (y[2] - y[0]) -
-                                          (y[1] - y[0]) * (x[2] - x[0])));
-        // A triangle cannot cover more than the strip.
-        p.area += std::min(tri_area, p.strip_pixels);
-      }
+    for (std::size_t first = 0; first < node_tris.size(); first += kBlock) {
+      estimate_block(
+          node_tris.subspan(first, std::min(kBlock, node_tris.size() - first)),
+          mask);
     }
   };
   for (std::size_t first = 0; first < strips.size();

@@ -95,6 +95,24 @@ std::optional<double> ArgParser::parse_double(const std::string& name) const {
   return d;
 }
 
+std::string ArgParser::check_numeric(
+    std::initializer_list<const char*> ints,
+    std::initializer_list<const char*> numbers) const {
+  for (const char* flag : ints) {
+    if (!parse_int(flag)) {
+      return "--" + std::string(flag) + " expects an integer, got '" +
+             get(flag) + "'";
+    }
+  }
+  for (const char* flag : numbers) {
+    if (!parse_double(flag)) {
+      return "--" + std::string(flag) + " expects a number, got '" +
+             get(flag) + "'";
+    }
+  }
+  return "";
+}
+
 bool ArgParser::get_bool(const std::string& name) const {
   const std::string v = get(name);
   return v == "true" || v == "1" || v == "yes" || v == "on";

@@ -226,5 +226,27 @@ TEST(ArgParser, DuplicateRegistrationThrows) {
   EXPECT_THROW(args.add_flag("x", ""), CheckError);
 }
 
+TEST(ArgParser, CheckNumericNamesTheFirstMalformedFlag) {
+  ArgParser args;
+  args.add_flag("frames", "n", "400");
+  args.add_flag("jobs", "n", "0");
+  args.add_flag("detect-ms", "ms", "25");
+  const char* ok[] = {"prog", "--frames", "12", "--detect-ms=2.5"};
+  ASSERT_TRUE(args.parse(4, ok));
+  EXPECT_EQ(args.check_numeric({"frames", "jobs"}, {"detect-ms"}), "");
+
+  ArgParser bad_int = args;
+  const char* typo[] = {"prog", "--frames", "10x", "--jobs", "abc"};
+  ASSERT_TRUE(bad_int.parse(5, typo));
+  EXPECT_EQ(bad_int.check_numeric({"frames", "jobs"}, {"detect-ms"}),
+            "--frames expects an integer, got '10x'");
+
+  ArgParser bad_number = args;
+  const char* nan_ms[] = {"prog", "--detect-ms", "1q"};
+  ASSERT_TRUE(bad_number.parse(3, nan_ms));
+  EXPECT_EQ(bad_number.check_numeric({"frames"}, {"detect-ms"}),
+            "--detect-ms expects a number, got '1q'");
+}
+
 }  // namespace
 }  // namespace sccpipe

@@ -404,5 +404,47 @@ TEST(RunConfigValidation, FrameSizeMustCoverTheStripCount) {
             StatusCode::InvalidArgument);
 }
 
+// The CLI and the sweep read --scenario(s), --arrangement(s) and
+// --platform(s) through these: a typo must be rejected, never mapped to a
+// default.
+TEST(RunConfigValidation, ConfigNamesParseOrFail) {
+  for (const PlatformKind p : {PlatformKind::Scc, PlatformKind::Cluster}) {
+    PlatformKind got = p == PlatformKind::Scc ? PlatformKind::Cluster
+                                              : PlatformKind::Scc;
+    EXPECT_TRUE(parse_platform(platform_name(p), &got));
+    EXPECT_EQ(got, p);
+  }
+  for (const Arrangement a : {Arrangement::Unordered, Arrangement::Ordered,
+                              Arrangement::Flipped}) {
+    Arrangement got = Arrangement::Unordered;
+    EXPECT_TRUE(parse_arrangement(arrangement_name(a), &got));
+    EXPECT_EQ(got, a);
+  }
+  const std::pair<const char*, Scenario> scenarios[] = {
+      {"1-rend", Scenario::SingleRenderer},
+      {"n-rend", Scenario::RendererPerPipeline},
+      {"mcpc", Scenario::HostRenderer},
+      {"external", Scenario::HostRenderer}};
+  for (const auto& [name, want] : scenarios) {
+    Scenario got = Scenario::SingleCore;
+    EXPECT_TRUE(parse_scenario(name, &got)) << name;
+    EXPECT_EQ(got, want) << name;
+  }
+
+  PlatformKind platform = PlatformKind::Cluster;
+  Arrangement arrangement = Arrangement::Flipped;
+  Scenario scenario = Scenario::SingleCore;
+  for (const char* typo : {"clustr", "SCC", "", "scc "}) {
+    EXPECT_FALSE(parse_platform(typo, &platform)) << typo;
+  }
+  EXPECT_FALSE(parse_arrangement("bogus", &arrangement));
+  EXPECT_FALSE(parse_scenario("bogus", &scenario));
+  EXPECT_FALSE(parse_scenario("", &scenario));
+  // A rejected name leaves the output alone.
+  EXPECT_EQ(platform, PlatformKind::Cluster);
+  EXPECT_EQ(arrangement, Arrangement::Flipped);
+  EXPECT_EQ(scenario, Scenario::SingleCore);
+}
+
 }  // namespace
 }  // namespace sccpipe

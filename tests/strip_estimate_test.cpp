@@ -1,9 +1,9 @@
 // One-pass strip estimation: Octree::cull_multi against separate cull()
 // calls, Renderer::estimate_strips against the per-strip reference
-// estimate (render/reference.hpp), and a golden digest pinning the
-// workload trace built on them. CI also runs this binary under
-// ThreadSanitizer (the golden trace is built on a parallel trace runner
-// too).
+// estimate (render/reference.hpp), and golden digests pinning the
+// workload traces built on them. CI also runs this binary under
+// ThreadSanitizer (the golden traces are built on a parallel trace runner
+// too) and in a Release (-O3) build.
 
 #include <gtest/gtest.h>
 
@@ -261,6 +261,139 @@ TEST(EstimateStrips, MatchesReferenceWithTrianglesBehindTheEye) {
   EXPECT_GT(clipped, 0u);
 }
 
+/// A seeded triangle soup that drives the estimate kernel into its edge
+/// cases, for a camera at the origin looking down -z (view = identity, so a
+/// vertex at depth d has clip w exactly d):
+///  - 500 near-eye triangles: all but the degenerate ones span the x = 0
+///    plane through the centre of the soup's bounds, so the root node holds
+///    several hundred triangles (several blocks of the kernel); it contains
+///    the eye and so is accepted by every strip;
+///  - their vertices often take depths exactly on, or one ulp either side
+///    of, the 1e-4 clipped-away and 1e-2 clamp thresholds, and one in
+///    eight is wholly behind the eye; all lie in a narrow cone around the
+///    view axis, so the whole frame's and the central strips' area sums
+///    stay below the cap that would hide a wrong clamp;
+///  - clusters of 1..23 tiny triangles fill leaves of every size;
+///  - one triangle in ten is degenerate (a repeated vertex, all three
+///    vertices equal, or three collinear ones).
+Mesh edge_case_soup(std::uint64_t seed) {
+  Rng rng{seed};
+  const float behind[] = {0.0f, -1e-3f, 1e-4f, std::nextafter(1e-4f, 0.0f)};
+  const float edges[] = {std::nextafter(1e-4f, 1.0f), 5e-3f, 1e-2f,
+                         std::nextafter(1e-2f, 0.0f),
+                         std::nextafter(1e-2f, 1.0f), 2e-2f};
+  Mesh mesh;
+  const auto add = [&](Vec3 a, Vec3 b, Vec3 c) {
+    switch (rng.below(10)) {
+      case 0: b = a; break;
+      case 1: b = a; c = a; break;
+      case 2: c = a + (b - a) * 0.5f; break;
+      default: break;
+    }
+    mesh.add(Triangle{a, b, c, Color{}});
+  };
+  // Bounds x in [-50, 50]: the root's centre, and first split plane, is at
+  // x = 0.
+  add(Vec3{-50, -50, -120}, Vec3{-49, -50, -120}, Vec3{-50, -49, -120});
+  add(Vec3{50, 50, 20}, Vec3{49, 50, 20}, Vec3{50, 49, 20});
+  for (int i = 0; i < 500; ++i) {
+    const bool clipped = rng.below(8) == 0;
+    const float a0 = uniform(rng, -0.01f, 0.01f);
+    const float b0 = uniform(rng, -0.02f, 0.02f);
+    Vec3 v[3];
+    for (int c = 0; c < 3; ++c) {
+      float d = uniform(rng, 0.5f, 100.0f);
+      if (clipped) {
+        d = behind[rng.below(std::size(behind))];
+      } else if (rng.below(2) == 0) {
+        d = rng.below(3) == 0 ? behind[rng.below(std::size(behind))]
+                              : edges[rng.below(std::size(edges))];
+      }
+      float a = a0 + uniform(rng, -0.01f, 0.01f);
+      // Vertex 0 left of the plane and vertex 1 right of it, at any depth.
+      float e = 0.0f;
+      if (c == 0) a = -std::fabs(a), e = -1e-4f;
+      if (c == 1) a = std::fabs(a), e = 1e-4f;
+      v[c] = Vec3{a * d + e, (b0 + uniform(rng, -0.01f, 0.01f)) * d, -d};
+    }
+    add(v[0], v[1], v[2]);
+  }
+  for (int cluster = 0; cluster < 60; ++cluster) {
+    const Vec3 at{uniform(rng, -40.0f, 40.0f), uniform(rng, -40.0f, 40.0f),
+                  uniform(rng, -100.0f, -5.0f)};
+    const auto near = [&] {
+      return at + Vec3{uniform(rng, -0.05f, 0.05f),
+                       uniform(rng, -0.05f, 0.05f),
+                       uniform(rng, -0.05f, 0.05f)};
+    };
+    const int n = 1 + static_cast<int>(rng.below(23));
+    for (int t = 0; t < n; ++t) add(near(), near(), near());
+  }
+  return mesh;
+}
+
+TEST(EstimateStrips, MatchesReferenceOnAnEdgeCaseTriangleSoup) {
+  for (const std::uint64_t seed : {31u, 32u, 33u}) {
+    const Mesh mesh = edge_case_soup(seed);
+    const Octree octree(mesh);
+    const std::string where = "seed " + std::to_string(seed);
+    for (const int side : {96, 333}) {
+      const Renderer renderer(mesh, octree, CameraConfig{}, side, side);
+      const std::vector<StripRange> strips =
+          strips_of(side, StripCounts::up_to(8));
+      // The view that puts clip w exactly on the thresholds, then seeded
+      // looks from inside the soup.
+      std::vector<Mat4> views{Mat4::identity()};
+      Rng rng{seed};
+      for (int v = 0; v < 3; ++v) {
+        const Vec3 eye{uniform(rng, -20.0f, 20.0f), uniform(rng, -20.0f, 20.0f),
+                       uniform(rng, -60.0f, 0.0f)};
+        views.push_back(Mat4::look_at(
+            eye, Vec3{uniform(rng, -40.0f, 40.0f), 0.0f, -100.0f},
+            Vec3{0, 1, 0}));
+      }
+      for (std::size_t v = 0; v < views.size(); ++v) {
+        const std::uint64_t clipped = expect_matches_reference(
+            renderer, views[v], strips,
+            where + " side " + std::to_string(side) + " view " +
+                std::to_string(v));
+        if (v == 0) {
+          EXPECT_GT(clipped, 0u) << where;
+        }
+      }
+    }
+
+    // The soup reaches the cases it is built for.
+    const Mat4 vp = strip_projection(CameraConfig{}, 96, 96, {0, 96});
+    int on_edge[2] = {0, 0};
+    bool degenerate = false;
+    for (const Triangle& t : mesh.triangles()) {
+      for (const Vec3 p : {t.v0, t.v1, t.v2}) {
+        const float w = (vp * Vec4{p, 1.0f}).w;
+        on_edge[0] += w == 1e-4f;
+        on_edge[1] += w == 1e-2f;
+      }
+      degenerate |= cross(t.v1 - t.v0, t.v2 - t.v0) == Vec3{};
+    }
+    EXPECT_GT(on_edge[0], 0) << where;
+    EXPECT_GT(on_edge[1], 0) << where;
+    EXPECT_TRUE(degenerate) << where;
+    std::size_t largest = 0;
+    bool ragged = false;
+    const Frustum frustum(vp);
+    std::vector<CullStats> stats(1);
+    octree.cull_multi(
+        std::span(&frustum, 1),
+        [&](std::span<const std::uint32_t> tris, std::uint64_t) {
+          largest = std::max(largest, tris.size());
+          ragged |= tris.size() % 4 != 0;
+        },
+        stats);
+    EXPECT_GT(largest, 300u) << where;
+    EXPECT_TRUE(ragged) << where;
+  }
+}
+
 TEST(EstimateStrips, OneStripCallAndOutputSize) {
   const Mesh mesh = generate_city(CullMultiFixture::params());
   const Octree octree(mesh);
@@ -314,6 +447,20 @@ TEST(WorkloadTraceGolden, DefaultCityTraceDigestIsPinned) {
   EXPECT_EQ(trace_digest(WorkloadTrace::build(scene, 8)), kGoldenTraceDigest);
   EXPECT_EQ(trace_digest(WorkloadTrace::build(scene, 8, exec::trace_runner(4))),
             kGoldenTraceDigest);
+}
+
+/// trace_digest of WorkloadTrace::build(default city, 400 frames at 400²,
+/// k = 1..7): the paper's walkthrough at full size, every strip count its
+/// grids read. Captured from the scalar per-triangle estimate that the
+/// vector kernel replaced.
+constexpr std::uint64_t kFullSizeTraceDigest = 0x03720E19DB9ECF3Cull;
+
+TEST(WorkloadTraceGolden, FullSizeDefaultCityTraceDigestIsPinned) {
+  const SceneBundle scene(CityParams{}, CameraConfig{}, 400, 400);
+  EXPECT_EQ(trace_digest(WorkloadTrace::build(scene, 7, exec::trace_runner(1))),
+            kFullSizeTraceDigest);
+  EXPECT_EQ(trace_digest(WorkloadTrace::build(scene, 7, exec::trace_runner(4))),
+            kFullSizeTraceDigest);
 }
 
 }  // namespace

@@ -186,6 +186,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", bad.c_str());
     return 2;
   }
+  if (const Status st = exec::check_jobs_env(); !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.message().c_str());
+    return 2;
+  }
 
   RunConfig cfg;
   if (!parse_scenario(args.get("scenario"), &cfg.scenario)) {

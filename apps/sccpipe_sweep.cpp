@@ -227,6 +227,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "[sweep] error: %s\n", bad.c_str());
     return 2;
   }
+  if (const Status st = exec::check_jobs_env(); !st.ok()) {
+    std::fprintf(stderr, "[sweep] error: %s\n", st.message().c_str());
+    return 2;
+  }
 
   // One fault plan + recovery config shared by every grid point (the seed
   // keeps each run deterministic regardless of worker interleaving).
@@ -318,6 +322,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   int jobs = args.get_int("jobs");
+  if (jobs > exec::kMaxJobs) {
+    std::fprintf(stderr, "[sweep] error: --jobs %d is above the ceiling of "
+                 "%d\n", jobs, exec::kMaxJobs);
+    return 2;
+  }
   if (jobs <= 0) jobs = exec::default_jobs();
 
   const int frames = args.get_int("frames");

@@ -5,14 +5,17 @@
 #include <filesystem>
 
 #include "sccpipe/exec/executor.hpp"
+#include "sccpipe/support/args.hpp"
 
 namespace sccpipe::bench {
 
 World::World() {
   frames_ = 400;
-  if (const char* env = std::getenv("SCCPIPE_BENCH_FRAMES")) {
-    const int v = std::atoi(env);
-    if (v > 0) frames_ = v;
+  Status st = env_count("SCCPIPE_BENCH_FRAMES", kMaxFrames, &frames_);
+  if (st.ok()) st = exec::check_jobs_env();
+  if (!st.ok()) {
+    std::fprintf(stderr, "[bench] error: %s\n", st.message().c_str());
+    std::exit(2);
   }
   std::fprintf(stderr, "[bench] building scene + workload trace (%d frames)...\n",
                frames_);

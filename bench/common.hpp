@@ -7,9 +7,12 @@
 /// the numbers published in the paper.
 ///
 /// Environment knobs:
-///   SCCPIPE_BENCH_FRAMES — walkthrough length (default 400, the paper's).
-///     Results are scaled back to 400 frames so reduced runs stay
-///     comparable.
+///   SCCPIPE_BENCH_FRAMES — walkthrough length (default 400, the paper's;
+///     at most World::kMaxFrames). Results are scaled back to 400 frames
+///     so reduced runs stay comparable.
+///   SCCPIPE_JOBS — worker threads (support/parallel.hpp).
+///   A malformed or out-of-range value of either stops the binary with
+///   exit status 2 when the world is built.
 
 #include <memory>
 #include <string>
@@ -28,6 +31,9 @@ namespace sccpipe::bench {
 class World {
  public:
   static const World& instance();
+
+  /// Ceiling on SCCPIPE_BENCH_FRAMES (250x the paper's walkthrough).
+  static constexpr int kMaxFrames = 100000;
 
   const SceneBundle& scene() const { return *scene_; }
   const WorkloadTrace& trace() const { return *trace_; }

@@ -16,6 +16,7 @@
 #include <system_error>
 
 #include "sccpipe/core/walkthrough.hpp"
+#include "sccpipe/support/parallel.hpp"
 
 using namespace sccpipe;
 
@@ -40,6 +41,10 @@ int main(int argc, char** argv) {
                  "usage: %s [frames] [size] [out_dir]\n"
                  "  frames and size are positive integers (default 24 320)\n",
                  argv[0]);
+    return 2;
+  }
+  if (const Status st = check_jobs_env(); !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.message().c_str());
     return 2;
   }
   const std::filesystem::path out_dir =

@@ -350,6 +350,9 @@ struct SingleCoreBreakdown {
   SimTime stage_time(StageKind kind) const;
 };
 
+/// Every stage of every frame in turn on core 0 of a fresh chip of
+/// cfg.platform, through the same located chip operations (and so the
+/// same mesh transits) as run_walkthrough.
 SingleCoreBreakdown run_single_core(const SceneBundle& scene,
                                     const WorkloadTrace& trace,
                                     const RunConfig& cfg,

@@ -36,7 +36,9 @@ namespace sccpipe::exec {
 /// The worker-count default, the pool type and the parallel loops live in
 /// support (core's functional composition uses them); exec forwards them
 /// so there is one of each.
+using sccpipe::check_jobs_env;
 using sccpipe::default_jobs;
+using sccpipe::kMaxJobs;
 using sccpipe::parallel_for;
 using sccpipe::parallel_map;
 using sccpipe::ThreadPool;

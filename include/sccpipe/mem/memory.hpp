@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "sccpipe/mem/cache.hpp"
+#include "sccpipe/noc/fabric.hpp"
 #include "sccpipe/noc/mesh.hpp"
 #include "sccpipe/noc/topology.hpp"
 #include "sccpipe/sim/fair_share.hpp"
@@ -29,8 +30,6 @@
 #include "sccpipe/sim/simulator.hpp"
 
 namespace sccpipe {
-
-class MeshFabric;
 
 struct MemoryConfig {
   /// Effective sustained bandwidth per controller (DDR3-800 peak is
@@ -59,25 +58,23 @@ struct McStats {
 
 class MemorySystem {
  public:
+  /// Streams run on \p fabric, which must schedule on \p sim across the
+  /// layout of \p topo; all of them must outlive the system.
   MemorySystem(Simulator& sim, const MeshTopology& topo, MeshModel& mesh,
-               MemoryConfig cfg = {});
+               MeshFabric& fabric, MemoryConfig cfg = {});
 
   const MemoryConfig& config() const { return cfg_; }
   const CacheModel& cache() const { return cache_; }
   const MeshTopology& topology() const { return topo_; }
 
-  /// Route bulk() through a mesh fabric (noc/fabric.hpp): it turns into a
-  /// located event chain (mesh charge at the host bridge, queueing at the
-  /// controller's tile, completion back at the issuing core's tile). In
-  /// fabric mode bulk() must be called from an event at the issuing core's
-  /// site and delivers on_done there. nullptr detaches and restores the
-  /// plain path.
-  void attach_fabric(MeshFabric* fabric) { fabric_ = fabric; }
-
   /// Stream \p bytes between \p core and its home MC's DRAM.
   /// \p core_rate_cap is the issuing core's copy bandwidth (bytes/s).
   /// \p on_done fires when the stream completes; mesh link contention along
-  /// the core<->MC route is charged as well.
+  /// the core<->MC route is charged as well. A located event chain on the
+  /// fabric: the mesh charge and the fault-layer admission happen at the
+  /// host bridge, the flow queues at the controller's tile, and the
+  /// completion hops to the issuing core's tile. Must be called from an
+  /// event at the issuing core's tile; delivers \p on_done there.
   using BulkCallback = InplaceFunction<void(), kMemCallbackBytes>;
   void bulk(CoreId core, double bytes, double core_rate_cap,
             BulkCallback on_done);
@@ -86,10 +83,6 @@ class MemorySystem {
   /// under the current load of its home controller. Pure query plus load
   /// sampling; the caller owns treating it as busy time.
   SimTime latency_bound(CoreId core, double n_accesses) const;
-
-  /// As above against an explicit clock (the fabric's walk segments pass
-  /// the time of the event executing at the controller's tile).
-  SimTime latency_bound(CoreId core, double n_accesses, SimTime now) const;
 
   /// Latency-bound streams register while active so concurrent walkers see
   /// each other's load (paired calls; see LatencyStreamScope).
@@ -110,12 +103,11 @@ class MemorySystem {
 
  private:
   void rebuild_mcs();
-  void fabric_bulk(CoreId core, double bytes, double core_rate_cap,
-                   BulkCallback on_done);
 
   Simulator& sim_;
   const MeshTopology& topo_;
   MeshModel& mesh_;
+  MeshFabric& fabric_;
   MemoryConfig cfg_;
   CacheModel cache_;
   /// One fair-share queue per controller, all on sim_.
@@ -123,7 +115,6 @@ class MemorySystem {
   std::vector<int> latency_streams_;
   std::vector<McStats> stats_;
   const FaultInjector* fault_ = nullptr;
-  MeshFabric* fabric_ = nullptr;
 };
 
 /// RAII registration of a latency-bound walker.

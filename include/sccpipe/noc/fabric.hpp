@@ -2,11 +2,13 @@
 
 /// \file fabric.hpp
 /// Located event chains: the timing bridge between the platform models
-/// (scc/chip.hpp, mem/memory.hpp) and the walkthrough's one Simulator.
+/// (scc/chip.hpp, mem/memory.hpp) and the Simulator they run on.
 ///
-/// Every timed primitive the chip runs through the fabric becomes a chain
-/// of located events: "run this at tile T" is scheduled on the Simulator
-/// after the calibrated transit time from the tile the chain is at,
+/// Every SccChip owns one fabric, built from its ChipConfig's mesh layout
+/// and router latency, and every timed primitive of the chip and its
+/// memory system is a chain of located events on it: "run this at tile T"
+/// is scheduled on the Simulator after the calibrated transit time from
+/// the tile the chain is at,
 ///
 ///   transit(a, b) = hop_latency * hop_distance(a, b)
 ///
@@ -48,10 +50,11 @@ class MeshFabric {
   /// Simulated time (the Simulator's now()).
   SimTime now() const { return sim_.now(); }
 
-  /// True while the owner drains the event loop — for every event, host-
-  /// side ones included — and false during setup and collection. A DVFS
-  /// command issued in a run crosses the mesh before it takes effect; one
-  /// issued at setup applies at once.
+  /// True while the owner (the walkthrough, or a test) drains the event
+  /// loop — for every event, host-side ones included — and false during
+  /// setup and collection, and by default. A DVFS command issued in a run
+  /// crosses the mesh before it takes effect; one issued at setup applies
+  /// at once (SccChip::set_tile_frequency).
   bool in_run() const { return in_run_; }
   void set_in_run(bool in_run) { in_run_ = in_run; }
 

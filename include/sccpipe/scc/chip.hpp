@@ -2,8 +2,9 @@
 
 /// \file chip.hpp
 /// SccChip — the façade the communication library and pipeline framework
-/// program against. Owns the mesh, the memory system, per-tile operating
-/// points, core allocation state, and the power meter.
+/// program against. Owns the mesh, the mesh fabric its timed work runs on,
+/// the memory system, per-tile operating points, core allocation state,
+/// and the power meter.
 ///
 /// The same class models the Mogon cluster node of §VI (Fig. 13): a chip
 /// with fast cores, a flat high-bandwidth "mesh" and effectively
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "sccpipe/mem/memory.hpp"
+#include "sccpipe/noc/fabric.hpp"
 #include "sccpipe/noc/mesh.hpp"
 #include "sccpipe/noc/topology.hpp"
 #include "sccpipe/scc/dvfs.hpp"
@@ -22,7 +24,6 @@
 namespace sccpipe {
 
 class FaultInjector;
-class MeshFabric;
 
 /// How finely the supply voltage can be set. Frequency is always per tile;
 /// the SCC's silicon couples voltage across 2x2-tile domains (8 cores, six
@@ -71,6 +72,10 @@ class SccChip {
   const ChipConfig& config() const { return cfg_; }
   const MeshTopology& topology() const { return topo_; }
   MeshModel& mesh() { return mesh_; }
+  /// The located-event fabric the timed primitives below run on, built
+  /// from mesh_layout and mesh_timing.router_latency. Its owner brackets
+  /// the event-loop drain with fabric().set_in_run().
+  MeshFabric& fabric() { return fabric_; }
   MemorySystem& memory() { return mem_; }
   const DvfsTable& dvfs() const { return dvfs_; }
 
@@ -81,7 +86,10 @@ class SccChip {
   /// both cores of the tile (§VI-D / Fig. 18). Under PerQuadTileDomain
   /// granularity the *voltage* additionally propagates to the tile's whole
   /// 2x2 domain (the domain runs at the maximum voltage any of its tiles
-  /// requires).
+  /// requires). Voltages and power update at once. The clock compute()
+  /// reads changes at once too, outside a run; while fabric().in_run(),
+  /// the command crosses the mesh from the bridge first, so work reaching
+  /// the tile before transit(bridge, tile) still runs at the old clock.
   void set_tile_frequency(TileId tile, int mhz);
 
   /// The 2x2-tile voltage domain a tile belongs to.
@@ -115,19 +123,6 @@ class SccChip {
   const PowerModel& power_model() const { return power_model_; }
 
   // --- fail-stop faults ---------------------------------------------------
-  // --- located dispatch ---------------------------------------------------
-  /// Attach a mesh fabric (noc/fabric.hpp): the timed-execution primitives
-  /// below become located event chains — compute at the core's tile, DRAM
-  /// streams through the controller's tile, continuations hopping back to
-  /// the bridge site — and pay the mesh transit of every leg. In fabric
-  /// mode every operation must be issued by an event at the bridge site
-  /// (host-side logic or a continuation of an earlier operation). The memory
-  /// system routes its streams through the fabric as a side effect. Must
-  /// be called while no timed work is in flight; nullptr detaches and
-  /// restores the plain path. The fabric must outlive the chip or be
-  /// detached first.
-  void attach_fabric(MeshFabric* fabric);
-
   /// Attach the fault layer so cores can fail-stop (FaultPlan core-fail).
   /// A dead core starts no new work: compute/memory_walk/dram_stream on it
   /// silently drop their continuation, so everything waiting on the core
@@ -135,21 +130,28 @@ class SccChip {
   /// built to detect. Work already in flight at death completes (the
   /// schedule was committed); nullptr detaches.
   void set_fault_injector(const FaultInjector* fault) { fault_ = fault; }
-  /// True when \p core has fail-stopped at the current simulated time.
-  bool core_dead(CoreId core) const;
 
   // --- timed execution ---------------------------------------------------
-  /// Run \p ref_cycles of computation on \p core, then call \p on_done.
-  /// The core is marked busy for the duration.
+  // Each primitive is a located event chain on fabric(): it is issued at
+  // the bridge site (host-side logic or a continuation of an earlier
+  // operation), hops to the core's tile, does its work there (and, for
+  // memory, at the controller's tile), and hops back, paying the mesh
+  // transit of every leg. The fail-stop check, the gray adjustment and
+  // the live clock are all read at the tile, after the inbound transit.
+
+  /// Run \p ref_cycles of computation on \p core, then call \p on_done
+  /// back at the bridge. The core is marked busy for the duration.
   void compute(CoreId core, double ref_cycles, StageCallback on_done);
 
   /// Run a latency-bound memory walk (octree traversal): \p line_accesses
-  /// dependent misses under current MC load, then \p on_done.
+  /// dependent misses under the load of the core's home controller,
+  /// sampled at the controller's tile once per segment, then \p on_done.
   void memory_walk(CoreId core, double line_accesses,
                    StageCallback on_done);
 
   /// Stream \p bytes between the core and its DRAM partition (capped at
-  /// the core's copy rate, contended at the MC), then \p on_done.
+  /// the core's copy rate, contended at the MC; see MemorySystem::bulk),
+  /// then \p on_done.
   void dram_stream(CoreId core, double bytes, StageCallback on_done);
 
  private:
@@ -167,8 +169,8 @@ class SccChip {
     StageCallback on_done;
   };
 
+  /// One dependent-miss segment of a walk, at the home controller's tile.
   void walk_step(WalkState st);
-  void fabric_walk_step(WalkState st);
   /// Tile of \p core's home memory controller.
   TileId home_mc_tile(CoreId core) const;
   void refresh_power();
@@ -185,14 +187,15 @@ class SccChip {
   /// an intermittent-stall window defers the start to its end, and a
   /// slow-core fate multiplies the service time. Identity when no fault
   /// layer is attached or no gray fate covers the instant. Called at the
-  /// core's tile in fabric mode, so the sampled times include the transit
-  /// to the tile.
+  /// core's (or controller's) tile, so the sampled times include the
+  /// transit to it.
   SimTime gray_adjusted(CoreId core, SimTime dur, SimTime now) const;
 
   Simulator& sim_;
   ChipConfig cfg_;
   MeshTopology topo_;
   MeshModel mesh_;
+  MeshFabric fabric_;  ///< declared before mem_, which routes bulk() on it
   MemorySystem mem_;
   DvfsTable dvfs_;
   PowerModel power_model_;
@@ -204,12 +207,11 @@ class SccChip {
   std::vector<OperatingPoint> tile_points_;  ///< effective (freq, voltage)
   /// The tile-owned mirror of tile_mhz_: written by an event *at* the tile
   /// (a mid-run DVFS command hops across the mesh before taking effect),
-  /// read by compute() at the tile. Always equals tile_mhz_ without a
-  /// fabric.
+  /// read by compute() at the tile. Equals tile_mhz_ except while such a
+  /// command is in flight.
   std::vector<int> tile_mhz_live_;
   std::vector<CoreState> cores_;
   const FaultInjector* fault_ = nullptr;
-  MeshFabric* fabric_ = nullptr;
 };
 
 }  // namespace sccpipe

@@ -1,7 +1,8 @@
 #pragma once
 
 /// \file args.hpp
-/// Minimal command-line flag parser for the CLI driver and examples.
+/// Minimal command-line flag parser for the CLI driver and examples, and
+/// the strict reader for counts taken from the environment.
 /// Flags are --name value or --name=value; bool flags may omit the value.
 /// Unknown flags are an error (catches typos in experiment scripts).
 
@@ -9,9 +10,23 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "sccpipe/support/status.hpp"
+
 namespace sccpipe {
+
+/// Strict read of a count taken from environment variable \p name: the
+/// whole of \p text must be decimal digits naming a value in 1..\p max
+/// (no sign, spaces or suffix). InvalidArgument naming the variable and
+/// the text otherwise; *out is written only on success.
+Status parse_env_count(const char* name, std::string_view text, int max,
+                       int* out);
+
+/// parse_env_count() on the current value of \p name. Ok, with *out left
+/// alone, when the variable is unset.
+Status env_count(const char* name, int max, int* out);
 
 class ArgParser {
  public:

@@ -13,10 +13,22 @@
 #include <functional>
 #include <vector>
 
+#include "sccpipe/support/status.hpp"
+
 namespace sccpipe {
 
-/// Worker count used when a caller passes jobs = 0: the SCCPIPE_JOBS
-/// environment variable if set to a positive integer, otherwise
+/// Most worker threads SCCPIPE_JOBS (or a --jobs flag) may ask for: above
+/// the core count of any host this runs on, far below a thread count that
+/// could exhaust the process table.
+inline constexpr int kMaxJobs = 256;
+
+/// Ok when SCCPIPE_JOBS is unset or a count in 1..kMaxJobs; otherwise the
+/// typed error of env_count() (support/args.hpp). The command-line tools
+/// call it before any work and exit 2 on an error.
+Status check_jobs_env();
+
+/// Worker count used when a caller passes jobs = 0: SCCPIPE_JOBS if
+/// check_jobs_env() accepts it, otherwise
 /// std::thread::hardware_concurrency() (at least 1). Read on every call.
 int default_jobs();
 

@@ -90,20 +90,23 @@ double host_render_cycles(const Calibration& cal, const RenderLoad& load) {
   return w.cycles + 100.0 * w.walk_accesses;
 }
 
-/// Mesh layout of the platform the run will build. The fabric's transit
-/// calibration must describe the *actual* chip — the cluster node's mesh
-/// is 8 tiles wide, not the 6-wide SCC default.
-MeshLayout platform_layout(const RunConfig& cfg) {
-  return cfg.platform == PlatformKind::Scc
-             ? ChipConfig::scc().mesh_layout
-             : ChipConfig::mogon_node().mesh_layout;
-}
+/// The models a platform is built from, before any PlatformOverrides: the
+/// chip (SCC or Mogon node), the links to the viewer and from the
+/// producer, and the host CPU a host-renderer run renders on.
+struct PlatformParts {
+  ChipConfig chip;
+  HostLinkConfig viewer_link;
+  HostLinkConfig producer_link;
+  HostCpuConfig host_cpu;
+};
 
-/// Per-hop router latency of the platform — the fabric's transit unit.
-SimTime platform_router_latency(const RunConfig& cfg) {
-  return cfg.platform == PlatformKind::Scc
-             ? ChipConfig::scc().mesh_timing.router_latency
-             : ChipConfig::mogon_node().mesh_timing.router_latency;
+PlatformParts platform_parts(PlatformKind platform) {
+  if (platform == PlatformKind::Scc) {
+    return {ChipConfig::scc(), HostLinkConfig::mcpc(), HostLinkConfig::mcpc(),
+            HostCpuConfig::mcpc()};
+  }
+  return {ChipConfig::mogon_node(), HostLinkConfig::cluster(),
+          HostLinkConfig::cluster_external(), HostCpuConfig::cluster_node()};
 }
 
 /// Livelock budget of the event loop: more events than this at one
@@ -197,8 +200,7 @@ class WalkthroughSim {
                  const RunConfig& cfg)
       : scene_(scene),
         trace_(trace),
-        cfg_(cfg),
-        fabric_(sim_, platform_layout(cfg), platform_router_latency(cfg)) {
+        cfg_(cfg) {
     const Status valid = validate_run_config(cfg);
     SCCPIPE_CHECK_MSG(valid.ok(), valid.message());
     SCCPIPE_CHECK_MSG(trace.strip_counts().contains(1) &&
@@ -217,9 +219,6 @@ class WalkthroughSim {
                          SimTime::zero());
     }
     build_platform();
-    // Timed chip work (compute, DRAM streams, memory walks, mid-run DVFS)
-    // executes at its tile and pays the mesh transit of every leg.
-    chip_->attach_fabric(&fabric_);
     build_placement();
     apply_dvfs();
     build_channels_and_stages();
@@ -262,9 +261,9 @@ class WalkthroughSim {
     start_filter_stages();
     start_transfer();
     on_run_start();
-    fabric_.set_in_run(true);
+    chip_->fabric().set_in_run(true);
     const Status drained = run_guarded(sim_, crash_at, kMaxEventsPerTimestamp);
-    fabric_.set_in_run(false);
+    chip_->fabric().set_in_run(false);
     // Work left beyond the crash instant means the run was cut short; a
     // walkthrough that legitimately finished before T drains to empty and
     // never counts as crashed.
@@ -283,21 +282,12 @@ class WalkthroughSim {
  private:
   // ------------------------------------------------------------ platform
   void build_platform() {
-    ChipConfig chip_cfg;
-    if (cfg_.platform == PlatformKind::Scc) {
-      chip_cfg = ChipConfig::scc();
-      viewer_link_ = HostLinkConfig::mcpc();
-      producer_link_ = HostLinkConfig::mcpc();
-      if (cfg_.scenario == Scenario::HostRenderer) {
-        host_ = std::make_unique<HostCpu>(sim_, HostCpuConfig::mcpc());
-      }
-    } else {
-      chip_cfg = ChipConfig::mogon_node();
-      viewer_link_ = HostLinkConfig::cluster();
-      producer_link_ = HostLinkConfig::cluster_external();
-      if (cfg_.scenario == Scenario::HostRenderer) {
-        host_ = std::make_unique<HostCpu>(sim_, HostCpuConfig::cluster_node());
-      }
+    const PlatformParts parts = platform_parts(cfg_.platform);
+    ChipConfig chip_cfg = parts.chip;
+    viewer_link_ = parts.viewer_link;
+    producer_link_ = parts.producer_link;
+    if (cfg_.scenario == Scenario::HostRenderer) {
+      host_ = std::make_unique<HostCpu>(sim_, parts.host_cpu);
     }
     const PlatformOverrides& ov = cfg_.overrides;
     if (ov.link_bandwidth_bytes_per_sec > 0.0) {
@@ -2225,13 +2215,12 @@ class WalkthroughSim {
   RunConfig cfg_;
 
   // One event loop for the whole run. Host-side actors (links, channels,
-  // supervisor, producer) schedule on sim_ directly; the fabric turns the
-  // chip's timed primitives into located event chains on the same queue.
+  // supervisor, producer) schedule on sim_ directly; the chip's fabric
+  // turns its timed primitives into located event chains on the same queue.
   // The default reservation is far above the measured peak of pending
   // events (39 over the Table I grid), so a steady-state run never grows
   // the queue — walkthrough_test asserts RunResult::sim_allocs == 0.
   Simulator sim_;
-  MeshFabric fabric_;
   std::unique_ptr<SccChip> chip_;
   std::unique_ptr<RcceComm> rcce_;
   std::unique_ptr<FaultInjector> fault_;
@@ -2372,7 +2361,7 @@ Status validate_run_config(const RunConfig& cfg) {
                    std::to_string(StripCounts::kMax) + ", got " +
                    std::to_string(cfg.pipelines));
   }
-  const MeshTopology topo(platform_layout(cfg));
+  const MeshTopology topo(platform_parts(cfg.platform).chip.mesh_layout);
   Placement placement;
   if (Status st = plan_placement(topo, cfg.arrangement,
                                  placement_request(cfg), &placement);
@@ -2477,13 +2466,9 @@ SingleCoreBreakdown run_single_core(const SceneBundle& scene,
                                     const RunConfig& cfg, bool include_filters,
                                     bool include_transfer) {
   Simulator sim;
-  SccChip chip(sim, cfg.platform == PlatformKind::Scc
-                        ? ChipConfig::scc()
-                        : ChipConfig::mogon_node());
-  const HostLinkConfig viewer_link = cfg.platform == PlatformKind::Scc
-                                         ? HostLinkConfig::mcpc()
-                                         : HostLinkConfig::cluster();
-  HostChannel viewer_wire(sim, viewer_link);
+  const PlatformParts parts = platform_parts(cfg.platform);
+  SccChip chip(sim, parts.chip);
+  HostChannel viewer_wire(sim, parts.viewer_link);
   const CoreId core = 0;
   chip.allocate_core(core);
 

@@ -4,13 +4,17 @@
 #include <string>
 #include <utility>
 
-#include "sccpipe/noc/fabric.hpp"
-
 namespace sccpipe {
 
 MemorySystem::MemorySystem(Simulator& sim, const MeshTopology& topo,
-                           MeshModel& mesh, MemoryConfig cfg)
-    : sim_(sim), topo_(topo), mesh_(mesh), cfg_(cfg), cache_(cfg.cache) {
+                           MeshModel& mesh, MeshFabric& fabric,
+                           MemoryConfig cfg)
+    : sim_(sim),
+      topo_(topo),
+      mesh_(mesh),
+      fabric_(fabric),
+      cfg_(cfg),
+      cache_(cfg.cache) {
   SCCPIPE_CHECK(cfg_.mc_bandwidth_bytes_per_sec > 0.0);
   const int n = topo_.mc_count();
   latency_streams_.assign(static_cast<std::size_t>(n), 0);
@@ -33,56 +37,6 @@ void MemorySystem::bulk(CoreId core, double bytes, double core_rate_cap,
   SCCPIPE_CHECK(topo_.valid_core(core));
   SCCPIPE_CHECK(bytes >= 0.0);
   SCCPIPE_CHECK(on_done != nullptr);
-  if (fabric_ != nullptr) {
-    fabric_bulk(core, bytes, core_rate_cap, std::move(on_done));
-    return;
-  }
-  const McId mc = topo_.home_mc(core);
-  const auto mci = static_cast<std::size_t>(mc);
-  McStats& st = stats_[mci];
-  st.bulk_bytes += bytes;
-  ++st.bulk_flows;
-
-  // Charge the mesh route between the core's tile and the controller; this
-  // advances link horizons (contention) and yields the extra head latency
-  // the stream pays before DRAM starts answering.
-  const SimTime now = sim_.now();
-  const SimTime mesh_done = mesh_.transfer(now, topo_.core_coord(core),
-                                           topo_.mc_position(mc), bytes);
-  const SimTime mesh_extra = mesh_done - now;
-
-  // Fault layer: a stalled controller admits the flow only once its outage
-  // window ends; a degraded one serves it at a fraction of its bandwidth
-  // (modelled as service-time inflation on this flow).
-  double service_bytes = bytes;
-  SimTime admit_at = now;
-  if (fault_ != nullptr && fault_->enabled()) {
-    admit_at = fault_->mc_available(mc, now);
-    service_bytes = bytes * fault_->mc_slowdown(mc, admit_at);
-  }
-
-  auto begin_flow = [this, mci, service_bytes, core_rate_cap, mesh_extra,
-                     cb = std::move(on_done)]() mutable {
-    mcs_[mci]->start_flow(
-        service_bytes,
-        [this, mesh_extra, cb = std::move(cb)]() mutable {
-          if (mesh_extra.is_zero()) {
-            cb();
-          } else {
-            sim_.schedule_after(mesh_extra, std::move(cb));
-          }
-        },
-        core_rate_cap);
-  };
-  if (admit_at > now) {
-    sim_.schedule_at(admit_at, std::move(begin_flow));
-  } else {
-    begin_flow();
-  }
-}
-
-void MemorySystem::fabric_bulk(CoreId core, double bytes, double core_rate_cap,
-                               BulkCallback on_done) {
   // Located chain (caller executes at the issuing core's tile):
   //   1. hop to the host bridge — the mesh model is host-owned, so the
   //      route charge and the fault-layer admission decision happen there;
@@ -93,20 +47,23 @@ void MemorySystem::fabric_bulk(CoreId core, double bytes, double core_rate_cap,
   //      controller completes flows in plain events, which execute at the
   //      bridge, so that hop leaves from the bridge — except for a flow
   //      too small to queue, which completes at once at the controller.
-  MeshFabric& fab = *fabric_;
-  fab.hop(topo_.tile_of(core), fab.bridge_site(),
-          [this, core, bytes, core_rate_cap,
-           cb = std::move(on_done)]() mutable {
-    MeshFabric& fab = *fabric_;
+  fabric_.hop(topo_.tile_of(core), fabric_.bridge_site(),
+              [this, core, bytes, core_rate_cap,
+               cb = std::move(on_done)]() mutable {
     const McId mc = topo_.home_mc(core);
-    const auto mci = static_cast<std::size_t>(mc);
-    McStats& st = stats_[mci];
+    McStats& st = stats_[static_cast<std::size_t>(mc)];
     st.bulk_bytes += bytes;
     ++st.bulk_flows;
-    const SimTime now = fab.now();
+    // Charge the mesh route between the core's tile and the controller;
+    // this advances link horizons (contention) and yields the extra head
+    // latency the stream pays before DRAM starts answering.
+    const SimTime now = fabric_.now();
     const SimTime mesh_done = mesh_.transfer(now, topo_.core_coord(core),
                                              topo_.mc_position(mc), bytes);
     const SimTime mesh_extra = mesh_done - now;
+    // Fault layer: a stalled controller admits the flow only once its
+    // outage window ends; a degraded one serves it at a fraction of its
+    // bandwidth (modelled as service-time inflation on this flow).
     double service_bytes = bytes;
     SimTime admit_at = now;
     if (fault_ != nullptr && fault_->enabled()) {
@@ -115,19 +72,19 @@ void MemorySystem::fabric_bulk(CoreId core, double bytes, double core_rate_cap,
     }
     const TileId mc_tile = topo_.tile_at(topo_.mc_position(mc));
     const SimTime start = max(now, admit_at) + mesh_extra +
-                          fab.transit(fab.bridge_site(), mc_tile);
+                          fabric_.transit(fabric_.bridge_site(), mc_tile);
     const TileId done_from =
         FairShareResource::completes_at_once(service_bytes)
             ? mc_tile
-            : fab.bridge_site();
-    fab.post_at(fab.bridge_site(), mc_tile, start,
-                [this, core, done_from, service_bytes, core_rate_cap,
-                 cb = std::move(cb)]() mutable {
+            : fabric_.bridge_site();
+    fabric_.post_at(fabric_.bridge_site(), mc_tile, start,
+                    [this, core, done_from, service_bytes, core_rate_cap,
+                     cb = std::move(cb)]() mutable {
       const auto mci = static_cast<std::size_t>(topo_.home_mc(core));
       mcs_[mci]->start_flow(
           service_bytes,
           [this, core, done_from, cb = std::move(cb)]() mutable {
-            fabric_->hop(done_from, topo_.tile_of(core), std::move(cb));
+            fabric_.hop(done_from, topo_.tile_of(core), std::move(cb));
           },
           core_rate_cap);
     });
@@ -135,11 +92,6 @@ void MemorySystem::fabric_bulk(CoreId core, double bytes, double core_rate_cap,
 }
 
 SimTime MemorySystem::latency_bound(CoreId core, double n_accesses) const {
-  return latency_bound(core, n_accesses, sim_.now());
-}
-
-SimTime MemorySystem::latency_bound(CoreId core, double n_accesses,
-                                    SimTime now) const {
   SCCPIPE_CHECK(topo_.valid_core(core));
   SCCPIPE_CHECK(n_accesses >= 0.0);
   const McId mc = topo_.home_mc(core);
@@ -151,7 +103,7 @@ SimTime MemorySystem::latency_bound(CoreId core, double n_accesses,
   SimTime per_access = cfg_.base_line_latency * inflation +
                        cfg_.per_hop_latency * static_cast<double>(hops);
   if (fault_ != nullptr && fault_->enabled()) {
-    per_access = per_access * fault_->mc_slowdown(mc, now);
+    per_access = per_access * fault_->mc_slowdown(mc, sim_.now());
   }
   return per_access * n_accesses;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "sccpipe/noc/fabric.hpp"
 #include "sccpipe/sim/fault.hpp"
 
 namespace sccpipe {
@@ -41,7 +40,8 @@ SccChip::SccChip(Simulator& sim, ChipConfig cfg)
       cfg_(cfg),
       topo_(cfg.mesh_layout),
       mesh_(topo_, cfg.mesh_timing),
-      mem_(sim, topo_, mesh_, cfg.memory),
+      fabric_(sim, cfg.mesh_layout, cfg.mesh_timing.router_latency),
+      mem_(sim, topo_, mesh_, fabric_, cfg.memory),
       power_model_(cfg.power),
       meter_(sim) {
   SCCPIPE_CHECK_MSG(dvfs_.allowed(cfg_.default_mhz),
@@ -73,18 +73,13 @@ void SccChip::set_tile_frequency(TileId tile, int mhz) {
   tile_mhz_[static_cast<std::size_t>(tile)] = mhz;
   refresh_voltages();
   refresh_power();
-  if (fabric_ != nullptr && fabric_->in_run()) {
-    fabric_->hop(fabric_->bridge_site(), tile, [this, tile, mhz] {
+  if (fabric_.in_run()) {
+    fabric_.hop(fabric_.bridge_site(), tile, [this, tile, mhz] {
       tile_mhz_live_[static_cast<std::size_t>(tile)] = mhz;
     });
   } else {
     tile_mhz_live_[static_cast<std::size_t>(tile)] = mhz;
   }
-}
-
-void SccChip::attach_fabric(MeshFabric* fabric) {
-  fabric_ = fabric;
-  mem_.attach_fabric(fabric);
 }
 
 void SccChip::refresh_voltages() {
@@ -185,10 +180,6 @@ SimTime SccChip::core_busy_time(CoreId core) const {
   return t;
 }
 
-bool SccChip::core_dead(CoreId core) const {
-  return core_dead_at(core, sim_.now());
-}
-
 bool SccChip::core_dead_at(CoreId core, SimTime now) const {
   return fault_ != nullptr && fault_->core_failed(core, now);
 }
@@ -207,32 +198,19 @@ void SccChip::compute(CoreId core, double ref_cycles,
                       StageCallback on_done) {
   SCCPIPE_CHECK(ref_cycles >= 0.0);
   SCCPIPE_CHECK(on_done != nullptr);
-  if (fabric_ != nullptr) {
-    // Located chain: hop from the bridge to the core's tile, run the work
-    // there, hop back. The fail-stop check happens *at the tile* (after
-    // the transit), and the duration reads the tile-owned live clock.
-    fabric_->hop(fabric_->bridge_site(), topo_.tile_of(core),
-                 [this, core, ref_cycles, cb = std::move(on_done)]() mutable {
-      if (core_dead_at(core, fabric_->now())) return;
-      const SimTime dur = gray_adjusted(
-          core, SimTime::sec(ref_cycles / effective_hz_live(core)),
-          fabric_->now());
-      set_core_busy_at(core, true, fabric_->now());
-      fabric_->after(dur, [this, core, cb = std::move(cb)]() mutable {
-        set_core_busy_at(core, false, fabric_->now());
-        fabric_->hop(topo_.tile_of(core), fabric_->bridge_site(),
-                     std::move(cb));
-      });
+  // Hop from the bridge to the core's tile, run the work there, hop back.
+  // A dead core starts nothing and returns nothing.
+  fabric_.hop(fabric_.bridge_site(), topo_.tile_of(core),
+              [this, core, ref_cycles, cb = std::move(on_done)]() mutable {
+    if (core_dead_at(core, fabric_.now())) return;
+    const SimTime dur = gray_adjusted(
+        core, SimTime::sec(ref_cycles / effective_hz_live(core)),
+        fabric_.now());
+    set_core_busy_at(core, true, fabric_.now());
+    fabric_.after(dur, [this, core, cb = std::move(cb)]() mutable {
+      set_core_busy_at(core, false, fabric_.now());
+      fabric_.hop(topo_.tile_of(core), fabric_.bridge_site(), std::move(cb));
     });
-    return;
-  }
-  if (core_dead(core)) return;  // fail-stop: nothing starts, nothing returns
-  const SimTime dur = gray_adjusted(
-      core, SimTime::sec(ref_cycles / effective_hz(core)), sim_.now());
-  set_core_busy(core, true);
-  sim_.schedule_after(dur, [this, core, cb = std::move(on_done)]() mutable {
-    set_core_busy(core, false);
-    cb();
   });
 }
 
@@ -243,63 +221,37 @@ void SccChip::memory_walk(CoreId core, double line_accesses,
   // boundary: a long traversal sees the average congestion over its
   // lifetime, not whatever happened to be in flight the instant it began.
   constexpr int kSegments = 4;
-  if (fabric_ != nullptr) {
-    // Located chain: busy accounting at the core's tile, then the
-    // dependent-miss segments at the home controller's tile, where the
-    // walker registration and load sampling execute.
-    fabric_->hop(fabric_->bridge_site(), topo_.tile_of(core),
-                 [this, core, line_accesses,
-                  cb = std::move(on_done)]() mutable {
-      if (core_dead_at(core, fabric_->now())) return;
-      set_core_busy_at(core, true, fabric_->now());
-      fabric_->hop(topo_.tile_of(core), home_mc_tile(core),
-                   [this, core, line_accesses, cb = std::move(cb)]() mutable {
-        mem_.register_latency_stream(core);
-        fabric_walk_step(WalkState{core, line_accesses / kSegments, kSegments,
-                                   std::move(cb)});
-      });
+  // Busy accounting at the core's tile, then the dependent-miss segments
+  // at the home controller's tile, where the walker registration and load
+  // sampling execute.
+  fabric_.hop(fabric_.bridge_site(), topo_.tile_of(core),
+              [this, core, line_accesses, cb = std::move(on_done)]() mutable {
+    if (core_dead_at(core, fabric_.now())) return;
+    set_core_busy_at(core, true, fabric_.now());
+    fabric_.hop(topo_.tile_of(core), home_mc_tile(core),
+                [this, core, line_accesses, cb = std::move(cb)]() mutable {
+      mem_.register_latency_stream(core);
+      walk_step(WalkState{core, line_accesses / kSegments, kSegments,
+                          std::move(cb)});
     });
-    return;
-  }
-  if (core_dead(core)) return;
-  mem_.register_latency_stream(core);
-  set_core_busy(core, true);
-  walk_step(WalkState{core, line_accesses / kSegments, kSegments,
-                      std::move(on_done)});
+  });
 }
 
 void SccChip::walk_step(WalkState st) {
   if (st.remaining == 0) {
     mem_.unregister_latency_stream(st.core);
-    set_core_busy(st.core, false);
-    st.on_done();
-    return;
-  }
-  --st.remaining;
-  const SimTime dur = gray_adjusted(
-      st.core, mem_.latency_bound(st.core, st.per_segment), sim_.now());
-  sim_.schedule_after(
-      dur, [this, st = std::move(st)]() mutable { walk_step(std::move(st)); });
-}
-
-void SccChip::fabric_walk_step(WalkState st) {
-  // Executes at the home controller's tile (load sampled there).
-  if (st.remaining == 0) {
-    mem_.unregister_latency_stream(st.core);
-    fabric_->hop(home_mc_tile(st.core), topo_.tile_of(st.core),
-                 [this, core = st.core, cb = std::move(st.on_done)]() mutable {
-      set_core_busy_at(core, false, fabric_->now());
-      fabric_->hop(topo_.tile_of(core), fabric_->bridge_site(),
-                   std::move(cb));
+    fabric_.hop(home_mc_tile(st.core), topo_.tile_of(st.core),
+                [this, core = st.core, cb = std::move(st.on_done)]() mutable {
+      set_core_busy_at(core, false, fabric_.now());
+      fabric_.hop(topo_.tile_of(core), fabric_.bridge_site(), std::move(cb));
     });
     return;
   }
   --st.remaining;
   const SimTime dur = gray_adjusted(
-      st.core, mem_.latency_bound(st.core, st.per_segment, fabric_->now()),
-      fabric_->now());
-  fabric_->after(dur, [this, st = std::move(st)]() mutable {
-    fabric_walk_step(std::move(st));
+      st.core, mem_.latency_bound(st.core, st.per_segment), fabric_.now());
+  fabric_.after(dur, [this, st = std::move(st)]() mutable {
+    walk_step(std::move(st));
   });
 }
 
@@ -310,30 +262,20 @@ TileId SccChip::home_mc_tile(CoreId core) const {
 void SccChip::dram_stream(CoreId core, double bytes,
                           StageCallback on_done) {
   SCCPIPE_CHECK(on_done != nullptr);
-  if (fabric_ != nullptr) {
-    // Located chain: the stream is issued from the core's tile (the memory
-    // system routes it through the controller's tile and calls back at the
-    // core's tile), then the continuation hops back to the bridge.
-    fabric_->hop(fabric_->bridge_site(), topo_.tile_of(core),
-                 [this, core, bytes, cb = std::move(on_done)]() mutable {
-      if (core_dead_at(core, fabric_->now())) return;
-      set_core_busy_at(core, true, fabric_->now());
-      mem_.bulk(core, bytes, copy_rate(core),
-                [this, core, cb = std::move(cb)]() mutable {
-                  set_core_busy_at(core, false, fabric_->now());
-                  fabric_->hop(topo_.tile_of(core), fabric_->bridge_site(),
-                               std::move(cb));
-                });
-    });
-    return;
-  }
-  if (core_dead(core)) return;
-  set_core_busy(core, true);
-  mem_.bulk(core, bytes, copy_rate(core),
-            [this, core, cb = std::move(on_done)]() mutable {
-              set_core_busy(core, false);
-              cb();
-            });
+  // The stream is issued from the core's tile (the memory system routes
+  // it through the controller's tile and calls back at the core's tile),
+  // then the continuation hops back to the bridge.
+  fabric_.hop(fabric_.bridge_site(), topo_.tile_of(core),
+              [this, core, bytes, cb = std::move(on_done)]() mutable {
+    if (core_dead_at(core, fabric_.now())) return;
+    set_core_busy_at(core, true, fabric_.now());
+    mem_.bulk(core, bytes, copy_rate(core),
+              [this, core, cb = std::move(cb)]() mutable {
+                set_core_busy_at(core, false, fabric_.now());
+                fabric_.hop(topo_.tile_of(core), fabric_.bridge_site(),
+                            std::move(cb));
+              });
+  });
 }
 
 void SccChip::refresh_power() {

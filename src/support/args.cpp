@@ -1,6 +1,7 @@
 #include "sccpipe/support/args.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -9,6 +10,26 @@
 #include "sccpipe/support/check.hpp"
 
 namespace sccpipe {
+
+Status parse_env_count(const char* name, std::string_view text, int max,
+                       int* out) {
+  int v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < 1 || v > max) {
+    return Status(StatusCode::InvalidArgument,
+                  std::string(name) + " must be an integer in 1.." +
+                      std::to_string(max) + ", got '" + std::string(text) +
+                      "'");
+  }
+  *out = v;
+  return Status();
+}
+
+Status env_count(const char* name, int max, int* out) {
+  const char* text = std::getenv(name);
+  return text == nullptr ? Status() : parse_env_count(name, text, max, out);
+}
 
 void ArgParser::add_flag(const std::string& name, const std::string& help,
                          const std::string& default_value) {

@@ -3,20 +3,25 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
 
+#include "sccpipe/support/args.hpp"
 #include "sccpipe/support/check.hpp"
 
 namespace sccpipe {
 
+Status check_jobs_env() {
+  int jobs = 0;
+  return env_count("SCCPIPE_JOBS", kMaxJobs, &jobs);
+}
+
 int default_jobs() {
-  if (const char* env = std::getenv("SCCPIPE_JOBS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
+  int jobs = 0;
+  if (env_count("SCCPIPE_JOBS", kMaxJobs, &jobs).ok() && jobs > 0) {
+    return jobs;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

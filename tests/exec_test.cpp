@@ -48,6 +48,23 @@ TEST(DefaultJobs, EnvOverrideWins) {
   EXPECT_GE(exec::default_jobs(), 1);
 }
 
+TEST(DefaultJobs, EnvIsCheckedAgainstTheCeiling) {
+  // Reads the variable only; no thread starts.
+  ASSERT_EQ(unsetenv("SCCPIPE_JOBS"), 0);
+  EXPECT_TRUE(exec::check_jobs_env().ok());
+  ASSERT_EQ(setenv("SCCPIPE_JOBS", "8", 1), 0);
+  EXPECT_TRUE(exec::check_jobs_env().ok());
+  const std::string above = std::to_string(exec::kMaxJobs + 1);
+  for (const char* text : {"abc", "0", above.c_str()}) {
+    ASSERT_EQ(setenv("SCCPIPE_JOBS", text, 1), 0);
+    const Status st = exec::check_jobs_env();
+    EXPECT_EQ(st.code(), StatusCode::InvalidArgument) << text;
+    EXPECT_NE(st.message().find("SCCPIPE_JOBS"), std::string::npos);
+    EXPECT_NE(exec::default_jobs(), exec::kMaxJobs + 1);
+  }
+  ASSERT_EQ(unsetenv("SCCPIPE_JOBS"), 0);
+}
+
 // -------------------------------------------------------------- ThreadPool
 
 TEST(ThreadPool, RunsEveryTask) {

@@ -248,5 +248,22 @@ TEST(ArgParser, CheckNumericNamesTheFirstMalformedFlag) {
             "--detect-ms expects a number, got '1q'");
 }
 
+TEST(EnvCount, AcceptsOnlyDigitsWithinOneToTheCeiling) {
+  int v = -7;
+  EXPECT_TRUE(parse_env_count("SCCPIPE_JOBS", "4", 256, &v).ok());
+  EXPECT_EQ(v, 4);
+  EXPECT_TRUE(parse_env_count("SCCPIPE_JOBS", "256", 256, &v).ok());
+  EXPECT_EQ(v, 256);
+  for (const char* text : {"abc", "4x", "", "0", "-1", "257", " 4", "+4",
+                           "99999999999999999999"}) {
+    v = -7;
+    const Status st = parse_env_count("SCCPIPE_JOBS", text, 256, &v);
+    EXPECT_EQ(st.code(), StatusCode::InvalidArgument) << "'" << text << "'";
+    EXPECT_EQ(st.message(), "SCCPIPE_JOBS must be an integer in 1..256, "
+                            "got '" + std::string(text) + "'");
+    EXPECT_EQ(v, -7) << "written on error for '" << text << "'";
+  }
+}
+
 }  // namespace
 }  // namespace sccpipe

@@ -60,7 +60,8 @@ struct MemFixture : ::testing::Test {
   Simulator sim;
   MeshTopology topo;
   MeshModel mesh{topo};
-  MemorySystem mem{sim, topo, mesh};
+  MeshFabric fabric{sim, topo.layout(), MeshTimingConfig{}.router_latency};
+  MemorySystem mem{sim, topo, mesh, fabric};
 };
 
 TEST_F(MemFixture, BulkCompletesAndAccounts) {
@@ -88,7 +89,8 @@ TEST_F(MemFixture, ConcurrentBulksOnSameMcShareBandwidth) {
   {
     Simulator s2;
     MeshModel mesh2{topo};
-    MemorySystem mem2{s2, topo, mesh2};
+    MeshFabric fabric2{s2, topo.layout(), MeshTimingConfig{}.router_latency};
+    MemorySystem mem2{s2, topo, mesh2, fabric2};
     mem2.bulk(0, 1.0e7, 0.0, [&] { done_one = s2.now(); });
     s2.run();
   }
@@ -130,6 +132,11 @@ TEST_F(MemFixture, LoadCountsBulkAndLatencyStreams) {
   EXPECT_DOUBLE_EQ(mem.mc_load(0), 1.0);
   bool done = false;
   mem.bulk(0, 1.0e6, 0.0, [&] { done = true; });
+  // The flow registers at the controller once it has crossed the mesh
+  // from the bridge; uncapped, 1 MB keeps it busy for about 400 us.
+  EXPECT_DOUBLE_EQ(mem.mc_load(0), 1.0);
+  sim.run_until(100_us);
+  EXPECT_FALSE(done);
   EXPECT_DOUBLE_EQ(mem.mc_load(0), 2.0);
   mem.unregister_latency_stream(0);
   sim.run();

@@ -11,6 +11,13 @@ using namespace sccpipe::literals;
 struct ChipFixture : ::testing::Test {
   Simulator sim;
   SccChip chip{sim};
+
+  /// Mesh transit from the host bridge to \p core's tile: every timed
+  /// primitive pays it on the way in and again on the way back.
+  SimTime leg(CoreId core) {
+    return chip.fabric().transit(chip.fabric().bridge_site(),
+                                 chip.topology().tile_of(core));
+  }
 };
 
 // --------------------------------------------------------------------- DVFS
@@ -145,7 +152,9 @@ TEST_F(ChipFixture, ComputeDurationMatchesFrequency) {
   SimTime done;
   chip.compute(0, 533e6, [&] { done = sim.now(); });  // 1 s at 533 MHz
   sim.run();
-  EXPECT_EQ(done, 1_sec);
+  // Tile 0 is three router hops from the bridge, 5 ns each, both ways.
+  EXPECT_EQ(leg(0), 15_ns);
+  EXPECT_EQ(done, 1_sec + leg(0) + leg(0));
 }
 
 TEST_F(ChipFixture, ComputeFasterAt800MHz) {
@@ -153,7 +162,36 @@ TEST_F(ChipFixture, ComputeFasterAt800MHz) {
   SimTime done;
   chip.compute(0, 800e6, [&] { done = sim.now(); });
   sim.run();
-  EXPECT_EQ(done, 1_sec);
+  EXPECT_EQ(done, 1_sec + leg(0) + leg(0));
+}
+
+TEST_F(ChipFixture, DvfsInARunCrossesTheMeshBeforeItTakesEffect) {
+  const SimTime at533 = 1_sec;
+  const SimTime at800 = SimTime::sec(533e6 / 800e6);
+  // Outside a run the new clock applies at once, even to work already
+  // issued in the same instant.
+  SimTime setup_done;
+  chip.compute(0, 533e6, [&] { setup_done = sim.now(); });
+  chip.set_core_frequency(0, 800);
+  sim.run();
+  EXPECT_EQ(setup_done, leg(0) + at800 + leg(0));
+
+  // In a run the command crosses the mesh from the bridge first: work
+  // issued in the same instant still runs at the old clock, work issued
+  // one transit later at the new one. Cores 0 and 1 share tile 0.
+  chip.set_core_frequency(0, 533);
+  chip.fabric().set_in_run(true);
+  const SimTime t0 = sim.now();
+  SimTime same_instant_done, after_transit_done;
+  chip.compute(0, 533e6, [&] { same_instant_done = sim.now(); });
+  chip.set_core_frequency(0, 800);
+  sim.schedule_at(t0 + leg(1), [&] {
+    chip.compute(1, 533e6, [&] { after_transit_done = sim.now(); });
+  });
+  sim.run();
+  chip.fabric().set_in_run(false);
+  EXPECT_EQ(same_instant_done, t0 + leg(0) + at533 + leg(0));
+  EXPECT_EQ(after_transit_done, t0 + leg(1) + leg(1) + at800 + leg(1));
 }
 
 TEST_F(ChipFixture, BusyTimeAccounting) {

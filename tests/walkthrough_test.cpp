@@ -104,6 +104,38 @@ TEST_F(WalkthroughFixture, SingleCoreReducedVariants) {
   EXPECT_EQ(r.per_stage.size(), 1u);
 }
 
+// The §VI-A one-core baseline that Figs. 8-10 divide by, pinned in ns. It
+// runs the same located chip operations as every pipelined run, so a
+// change to a chip or memory chain moves these with the walkthrough times.
+TEST_F(WalkthroughFixture, SingleCoreTotalsArePinned) {
+  struct Pin {
+    PlatformKind platform;
+    bool filters;
+    bool transfer;
+    std::int64_t total_ns;
+  };
+  const Pin pins[] = {
+      {PlatformKind::Scc, true, true, 1223063445},
+      {PlatformKind::Scc, true, false, 1187946537},
+      {PlatformKind::Scc, false, true, 385106377},
+      {PlatformKind::Scc, false, false, 349989469},
+      {PlatformKind::Cluster, true, true, 106951789},
+      {PlatformKind::Cluster, true, false, 103288105},
+      {PlatformKind::Cluster, false, true, 17940316},
+      {PlatformKind::Cluster, false, false, 14276632},
+  };
+  for (const Pin& pin : pins) {
+    RunConfig cfg = config(Scenario::SingleCore, 1);
+    cfg.platform = pin.platform;
+    EXPECT_EQ(
+        run_single_core(scene(), trace(), cfg, pin.filters, pin.transfer)
+            .total.to_ns(),
+        pin.total_ns)
+        << platform_name(pin.platform) << " filters=" << pin.filters
+        << " transfer=" << pin.transfer;
+  }
+}
+
 // ------------------------------------------------------------ full pipeline
 
 TEST_F(WalkthroughFixture, EveryScenarioCompletesAllFrames) {

@@ -10,13 +10,13 @@
 #include <cstdio>
 #include <string>
 
-#include "sccpipe/core/recovery.hpp"
 #include "sccpipe/core/walkthrough.hpp"
 #include "sccpipe/exec/executor.hpp"
-#include "sccpipe/sim/fault.hpp"
 #include "sccpipe/support/args.hpp"
 #include "sccpipe/support/snapshot.hpp"
 #include "sccpipe/support/table.hpp"
+
+#include "run_flags.hpp"
 
 // Exit codes: 0 ok, 1 run failed gracefully (typed fault), 2 bad flags,
 // 65 checkpoint/resume data error, 70 planned crash (the run died at a
@@ -25,29 +25,6 @@
 using namespace sccpipe;
 
 namespace {
-
-/// Comma-split a repeated fault flag ("5@100,9@250") into individual plan
-/// entries, each parsed through the shared fault grammar.
-bool parse_fault_list(const std::string& text, const char* flag,
-                      const char* kind, FaultPlan* plan) {
-  if (text.empty()) return true;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string item =
-        text.substr(pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-    const Status st = plan->parse(std::string(kind) + "=" + item);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: bad --%s: %s\n", flag,
-                   st.message().c_str());
-      return false;
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return true;
-}
 
 /// Largest pipeline count validate_run_config() accepts for the shape of
 /// \p cfg (0 if none fits).
@@ -93,57 +70,9 @@ int main(int argc, char** argv) {
   args.add_flag("tail-mhz", "post-blur stage frequency (0=default)", "0");
   args.add_flag("isolate-blur", "place blur alone on its tile (Fig. 18)", "false");
   args.add_flag("seed", "scratch/flicker random seed", "42");
-  args.add_flag("fault-plan",
-                "fault plan, e.g. 'rcce-drop=0.01;link-down=2' "
-                "(grammar: docs/MODEL.md)", "");
+  add_run_flags(args);
   args.add_flag("fault-seed",
                 "fault schedule RNG seed (0 = keep the plan's seed)", "0");
-  args.add_flag("core-fail",
-                "fail-stop core fault(s), '<core>@<ms>' comma-separated, "
-                "e.g. '5@100,9@250'", "");
-  args.add_flag("slow-core",
-                "fail-slow core fate(s), '<core>:<factor>@<ms>' "
-                "comma-separated, e.g. '5:4@100'", "");
-  args.add_flag("degraded-link",
-                "degraded mesh link(s), '<tileA>-<tileB>:<factor>@<ms>' "
-                "comma-separated (adjacent tiles only)", "");
-  args.add_flag("stall",
-                "intermittent core stall train(s), "
-                "'<core>:<period_ms>:<duration_ms>' comma-separated", "");
-  args.add_flag("heartbeat-ms", "supervisor heartbeat period [ms]", "10");
-  args.add_flag("detect-ms", "heartbeat silence declared a failure [ms]", "25");
-  args.add_flag("max-spares",
-                "spare cores recovery may consume (-1 = all)", "-1");
-  args.add_flag("gray-detect-factor",
-                "flag a core gray when its normalized service time exceeds "
-                "this multiple of the pipeline median for "
-                "--gray-detect-windows consecutive windows (0 = off)", "0");
-  args.add_flag("gray-detect-windows",
-                "consecutive over-threshold windows before a gray flag", "3");
-  args.add_flag("gray-policy",
-                "mitigation ladder ceiling: off | dvfs | migrate | rebalance",
-                "rebalance");
-  args.add_flag("rcce-retries",
-                "transport attempts per message under fault injection", "1");
-  args.add_flag("rcce-timeout-ms",
-                "per-attempt loss-detection timeout [ms]", "50");
-  args.add_flag("offered-fps",
-                "open-loop offered load at the host feeder [frames/s] "
-                "(0 = paper's closed loop)", "0");
-  args.add_flag("window",
-                "ARQ send window on the host link (0 = stop-and-wait)", "0");
-  args.add_flag("queue-depth",
-                "bounded queue depth: feeder, ARQ receiver, credited "
-                "inter-stage channels (0 = rendezvous lockstep)", "0");
-  args.add_flag("frame-deadline-ms",
-                "shed frames older than this at feeder dequeue (0 = off)",
-                "0");
-  args.add_flag("breaker-threshold",
-                "consecutive host-transport failures that trip the circuit "
-                "breaker (0 = off)", "0");
-  args.add_flag("breaker-cooldown-ms",
-                "open-breaker cooldown before the half-open probe [ms]",
-                "250");
   args.add_flag("checkpoint-every",
                 "write a run snapshot every N delivered frames (0 = off)",
                 "0");
@@ -174,18 +103,6 @@ int main(int argc, char** argv) {
     std::printf("platforms:    scc (SCC+MCPC), cluster (Mogon node, Fig. 13)\n");
     return 0;
   }
-  // A typo must be an error, not a silent 0.
-  if (const std::string bad = args.check_numeric(
-          {"pipelines", "frames", "size", "blur-mhz", "tail-mhz", "seed",
-           "fault-seed", "max-spares", "gray-detect-windows", "rcce-retries",
-           "window", "queue-depth", "breaker-threshold", "checkpoint-every"},
-          {"heartbeat-ms", "detect-ms", "gray-detect-factor",
-           "rcce-timeout-ms", "offered-fps", "frame-deadline-ms",
-           "breaker-cooldown-ms"});
-      !bad.empty()) {
-    std::fprintf(stderr, "error: %s\n", bad.c_str());
-    return 2;
-  }
   if (const Status st = exec::check_jobs_env(); !st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.message().c_str());
     return 2;
@@ -212,52 +129,23 @@ int main(int argc, char** argv) {
   cfg.tail_mhz = args.get_int("tail-mhz");
   cfg.isolate_blur_tile = args.get_bool("isolate-blur");
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-
-  const std::string fault_plan = args.get("fault-plan");
-  if (!fault_plan.empty()) {
-    const Status st = cfg.fault.parse(fault_plan);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: bad --fault-plan: %s\n",
-                   st.message().c_str());
-      return 2;
-    }
-  }
-  if (!parse_fault_list(args.get("core-fail"), "core-fail", "core-fail",
-                        &cfg.fault) ||
-      !parse_fault_list(args.get("slow-core"), "slow-core", "slow-core",
-                        &cfg.fault) ||
-      !parse_fault_list(args.get("degraded-link"), "degraded-link",
-                        "degraded-link", &cfg.fault) ||
-      !parse_fault_list(args.get("stall"), "stall", "intermittent-stall",
-                        &cfg.fault)) {
-    return 2;
-  }
-  if (args.get_int("fault-seed") > 0) {
-    cfg.fault.seed = static_cast<std::uint64_t>(args.get_int("fault-seed"));
-  }
-  cfg.recovery.heartbeat_period = SimTime::ms(args.get_double("heartbeat-ms"));
-  cfg.recovery.detection_deadline = SimTime::ms(args.get_double("detect-ms"));
-  cfg.recovery.max_spares = args.get_int("max-spares");
-  if (const Status st = validate_recovery(cfg.recovery); !st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
-    return 2;
-  }
-  cfg.gray.detect_factor = args.get_double("gray-detect-factor");
-  cfg.gray.detect_windows = args.get_int("gray-detect-windows");
-  if (const Status st = parse_gray_policy(args.get("gray-policy"),
-                                          &cfg.gray.policy);
-      !st.ok()) {
-    std::fprintf(stderr, "error: bad --gray-policy: %s\n",
-                 st.message().c_str());
-    return 2;
-  }
-  if (const Status st = validate_gray(cfg.gray); !st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
-    return 2;
-  }
+  const int fault_seed = args.get_int("fault-seed");
   cfg.checkpoint.every_frames = args.get_int("checkpoint-every");
   cfg.checkpoint.file = args.get("checkpoint-file");
   cfg.checkpoint.resume = args.get_bool("resume");
+  const int frames = args.get_int("frames");
+  const int size = args.get_int("size");
+  // Last read: its Status also carries the first malformed number above.
+  if (const Status st = read_run_flags(args, &cfg); !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.message().c_str());
+    return 2;
+  }
+  if (fault_seed < 0) {
+    std::fprintf(stderr, "error: --fault-seed must be at least 0 (0 = keep "
+                 "the plan's seed), got %d\n", fault_seed);
+    return 2;
+  }
+  if (fault_seed > 0) cfg.fault.seed = static_cast<std::uint64_t>(fault_seed);
   if (const Status st = snapshot::validate_checkpoint_args(
           cfg.checkpoint.every_frames, args.has("checkpoint-every"),
           cfg.checkpoint.file, cfg.checkpoint.resume);
@@ -265,27 +153,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
     return 2;
   }
-  cfg.rcce.retry.max_attempts = args.get_int("rcce-retries");
-  cfg.rcce.retry.timeout = SimTime::ms(args.get_double("rcce-timeout-ms"));
-  cfg.overload.offered_fps = args.get_double("offered-fps");
-  cfg.overload.window = args.get_int("window");
-  cfg.overload.queue_depth = args.get_int("queue-depth");
-  cfg.overload.frame_deadline =
-      SimTime::ms(args.get_double("frame-deadline-ms"));
-  cfg.overload.breaker_threshold = args.get_int("breaker-threshold");
-  cfg.overload.breaker_cooldown =
-      SimTime::ms(args.get_double("breaker-cooldown-ms"));
-  if ((cfg.fault.host_reorder_rate > 0.0 ||
-       cfg.fault.host_duplicate_rate > 0.0) &&
-      cfg.overload.window <= 0 && cfg.scenario == Scenario::HostRenderer) {
-    std::fprintf(stderr,
-                 "error: reorder=/duplicate= fates on the host feed need the "
-                 "sliding-window transport; pass --window > 0\n");
-    return 2;
-  }
-
-  const int frames = args.get_int("frames");
-  const int size = args.get_int("size");
   if (frames <= 0 || size <= 0) {
     std::fprintf(stderr, "error: --frames and --size must be positive, got "
                  "%d and %d\n", frames, size);

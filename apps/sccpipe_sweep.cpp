@@ -26,12 +26,12 @@
 #include <string_view>
 #include <vector>
 
-#include "sccpipe/core/recovery.hpp"
 #include "sccpipe/core/walkthrough.hpp"
 #include "sccpipe/exec/executor.hpp"
-#include "sccpipe/sim/fault.hpp"
 #include "sccpipe/support/args.hpp"
 #include "sccpipe/support/snapshot.hpp"
+
+#include "run_flags.hpp"
 
 using namespace sccpipe;
 
@@ -150,56 +150,7 @@ int main(int argc, char** argv) {
   args.add_flag("bench-json",
                 "perf record path, or 'none' to disable",
                 "BENCH_sweep.json");
-  args.add_flag("fault-plan",
-                "fault plan applied to every run (see sccpipe --help)", "");
-  args.add_flag("core-fail",
-                "fail-stop core(s): '<core>@<ms>' comma-separated, "
-                "e.g. '5@100,9@250'",
-                "");
-  args.add_flag("slow-core",
-                "fail-slow core fate(s): '<core>:<factor>@<ms>' "
-                "comma-separated, e.g. '5:4@100'", "");
-  args.add_flag("degraded-link",
-                "degraded mesh link(s): '<tileA>-<tileB>:<factor>@<ms>' "
-                "comma-separated (adjacent tiles only)", "");
-  args.add_flag("stall",
-                "intermittent core stall train(s): "
-                "'<core>:<period_ms>:<duration_ms>' comma-separated", "");
-  args.add_flag("heartbeat-ms", "supervisor heartbeat period [ms]", "10");
-  args.add_flag("detect-ms", "heartbeat silence declared a failure [ms]",
-                "25");
-  args.add_flag("max-spares",
-                "spare cores the supervisor may promote (-1 = all)", "-1");
-  args.add_flag("gray-detect-factor",
-                "flag a core gray when its normalized service time exceeds "
-                "this multiple of the pipeline median for "
-                "--gray-detect-windows consecutive windows (0 = off)", "0");
-  args.add_flag("gray-detect-windows",
-                "consecutive over-threshold windows before a gray flag", "3");
-  args.add_flag("gray-policy",
-                "mitigation ladder ceiling: off | dvfs | migrate | rebalance",
-                "rebalance");
-  args.add_flag("offered-fps",
-                "open-loop offered load at the host feeder [frames/s] "
-                "(0 = closed loop; mcpc runs only)", "0");
-  args.add_flag("window",
-                "ARQ send window on the host link (0 = stop-and-wait)", "0");
-  args.add_flag("queue-depth",
-                "bounded queue depth for feeder/link/stage queues (0 = "
-                "rendezvous lockstep)", "0");
-  args.add_flag("frame-deadline-ms",
-                "shed frames older than this at feeder dequeue (0 = off)",
-                "0");
-  args.add_flag("breaker-threshold",
-                "consecutive host-transport failures that trip the breaker "
-                "(0 = off)", "0");
-  args.add_flag("breaker-cooldown-ms",
-                "open-breaker cooldown before the half-open probe [ms]",
-                "250");
-  args.add_flag("rcce-retries",
-                "transport attempts per message under fault injection", "1");
-  args.add_flag("rcce-timeout-ms",
-                "per-attempt loss-detection timeout [ms]", "50");
+  add_run_flags(args);
   args.add_flag("checkpoint-every",
                 "write per-run snapshots every N delivered frames (0 = off)",
                 "0");
@@ -215,77 +166,27 @@ int main(int argc, char** argv) {
                  args.usage("sccpipe_sweep").c_str());
     return args.get_bool("help") ? 0 : 2;
   }
-  // A typo must be an error, not a silent 0.
-  if (const std::string bad = args.check_numeric(
-          {"frames", "size", "jobs", "max-spares", "gray-detect-windows",
-           "window", "queue-depth", "breaker-threshold", "rcce-retries",
-           "checkpoint-every"},
-          {"heartbeat-ms", "detect-ms", "gray-detect-factor",
-           "rcce-timeout-ms", "offered-fps", "frame-deadline-ms",
-           "breaker-cooldown-ms"});
-      !bad.empty()) {
-    std::fprintf(stderr, "[sweep] error: %s\n", bad.c_str());
-    return 2;
-  }
   if (const Status st = exec::check_jobs_env(); !st.ok()) {
     std::fprintf(stderr, "[sweep] error: %s\n", st.message().c_str());
     return 2;
   }
 
-  // One fault plan + recovery config shared by every grid point (the seed
-  // keeps each run deterministic regardless of worker interleaving).
-  FaultPlan fault;
-  if (!args.get("fault-plan").empty()) {
-    const Status st = fault.parse(args.get("fault-plan"));
-    if (!st.ok()) {
-      std::fprintf(stderr, "[sweep] bad --fault-plan: %s\n",
-                   st.to_string().c_str());
-      return 2;
-    }
-  }
-  const struct {
-    const char* flag;
-    const char* kind;
-  } fault_flags[] = {{"core-fail", "core-fail"},
-                     {"slow-core", "slow-core"},
-                     {"degraded-link", "degraded-link"},
-                     {"stall", "intermittent-stall"}};
-  for (const auto& ff : fault_flags) {
-    for (const std::string& item : split_csv(args.get(ff.flag))) {
-      const Status st = fault.parse(std::string(ff.kind) + "=" + item);
-      if (!st.ok()) {
-        std::fprintf(stderr, "[sweep] bad --%s: %s\n", ff.flag,
-                     st.to_string().c_str());
-        return 2;
-      }
-    }
-  }
-  RecoveryConfig recovery;
-  recovery.heartbeat_period = SimTime::ms(args.get_double("heartbeat-ms"));
-  recovery.detection_deadline = SimTime::ms(args.get_double("detect-ms"));
-  recovery.max_spares = args.get_int("max-spares");
-  if (const Status st = validate_recovery(recovery); !st.ok()) {
-    std::fprintf(stderr, "[sweep] error: %s\n", st.to_string().c_str());
-    return 2;
-  }
-  GrayConfig gray;
-  gray.detect_factor = args.get_double("gray-detect-factor");
-  gray.detect_windows = args.get_int("gray-detect-windows");
-  if (const Status st = parse_gray_policy(args.get("gray-policy"),
-                                          &gray.policy);
-      !st.ok()) {
-    std::fprintf(stderr, "[sweep] bad --gray-policy: %s\n",
-                 st.to_string().c_str());
-    return 2;
-  }
-  if (const Status st = validate_gray(gray); !st.ok()) {
-    std::fprintf(stderr, "[sweep] error: %s\n", st.to_string().c_str());
-    return 2;
-  }
+  // One fault, recovery, gray, retry and overload config shared by every
+  // grid point (the seed keeps each run deterministic regardless of worker
+  // interleaving).
+  RunConfig base;
   CheckpointConfig checkpoint;
   checkpoint.every_frames = args.get_int("checkpoint-every");
   checkpoint.file = args.get("checkpoint-file");
   checkpoint.resume = args.get_bool("resume");
+  int jobs = args.get_int("jobs");
+  const int frames = args.get_int("frames");
+  const int size = args.get_int("size");
+  // Last read: its Status also carries the first malformed number above.
+  if (const Status st = read_run_flags(args, &base); !st.ok()) {
+    std::fprintf(stderr, "[sweep] error: %s\n", st.message().c_str());
+    return 2;
+  }
   if (const Status st = snapshot::validate_checkpoint_args(
           checkpoint.every_frames, args.has("checkpoint-every"),
           checkpoint.file, /*resume=*/false);
@@ -301,18 +202,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  OverloadConfig overload;
-  overload.offered_fps = args.get_double("offered-fps");
-  overload.window = args.get_int("window");
-  overload.queue_depth = args.get_int("queue-depth");
-  overload.frame_deadline = SimTime::ms(args.get_double("frame-deadline-ms"));
-  overload.breaker_threshold = args.get_int("breaker-threshold");
-  overload.breaker_cooldown =
-      SimTime::ms(args.get_double("breaker-cooldown-ms"));
-  RetryPolicy retry;
-  retry.max_attempts = args.get_int("rcce-retries");
-  retry.timeout = SimTime::ms(args.get_double("rcce-timeout-ms"));
-
   const std::optional<std::vector<int>> pipeline_list =
       parse_range(args.get("pipelines"));
   if (!pipeline_list) {
@@ -321,16 +210,12 @@ int main(int argc, char** argv) {
                  args.get("pipelines").c_str(), StripCounts::kMax);
     return 2;
   }
-  int jobs = args.get_int("jobs");
-  if (jobs > exec::kMaxJobs) {
-    std::fprintf(stderr, "[sweep] error: --jobs %d is above the ceiling of "
-                 "%d\n", jobs, exec::kMaxJobs);
+  if (jobs < 0 || jobs > exec::kMaxJobs) {
+    std::fprintf(stderr, "[sweep] error: --jobs %d is outside 0..%d (0 = all "
+                 "cores)\n", jobs, exec::kMaxJobs);
     return 2;
   }
   if (jobs <= 0) jobs = exec::default_jobs();
-
-  const int frames = args.get_int("frames");
-  const int size = args.get_int("size");
   if (frames <= 0 || size <= 0) {
     std::fprintf(stderr, "[sweep] error: --frames and --size must be "
                  "positive, got %d and %d\n", frames, size);
@@ -370,15 +255,11 @@ int main(int argc, char** argv) {
       for (const PlatformKind platform : platforms) {
         for (const int k : *pipeline_list) {
           GridRun gr;
+          gr.cfg = base;
           gr.cfg.scenario = scenario;
           gr.cfg.arrangement = arrangement;
           gr.cfg.platform = platform;
           gr.cfg.pipelines = k;
-          gr.cfg.fault = fault;
-          gr.cfg.recovery = recovery;
-          gr.cfg.gray = gray;
-          gr.cfg.overload = overload;
-          gr.cfg.rcce.retry = retry;
           if (checkpoint.enabled()) {
             gr.cfg.checkpoint = checkpoint;
             gr.cfg.checkpoint.file =

@@ -24,7 +24,8 @@
 // carries nproc and jobs.
 //
 // Flags:
-//   --out PATH     write the JSON record here (default BENCH_perf_baseline.json)
+//   --out PATH     write the JSON record here (default BENCH_perf_baseline.json;
+//                  refused when it names the --check file)
 //   --smoke        reduced repeats/workloads for CI (ratios are noisier but
 //                  the 2x gate has plenty of margin)
 //   --check PATH   compare against a committed record; exit 1 on regression
@@ -34,6 +35,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
 #include <optional>
 #include <string>
@@ -533,6 +535,18 @@ int main(int argc, char** argv) {
                  args.usage("perf_baseline").c_str());
     return 2;
   }
+  // Writing the record the gate reads would make the gate pass vacuously.
+  const std::string out = args.get("out");
+  const std::string check = args.get("check");
+  std::error_code ec;
+  if (!check.empty() && out != "none" &&
+      std::filesystem::weakly_canonical(out, ec) ==
+          std::filesystem::weakly_canonical(check, ec)) {
+    std::fprintf(stderr, "perf_baseline: --out %s names the same file as "
+                 "--check %s; pass another --out (or --out none)\n",
+                 out.c_str(), check.c_str());
+    return 2;
+  }
   const bool smoke = args.get_bool("smoke");
 
   // Workload sizes: full mode is for the committed record (stable medians),
@@ -588,14 +602,13 @@ int main(int argc, char** argv) {
                 e.events_per_sec);
   }
 
-  const std::string out = args.get("out");
   if (out != "none") write_json(out, metrics, e2e, smoke);
 
-  if (args.has("check") && !args.get("check").empty()) {
-    const int failures = check_against(args.get("check"), metrics);
+  if (!check.empty()) {
+    const int failures = check_against(check, metrics);
     if (failures > 0) {
       std::fprintf(stderr, "[bench] %d metric(s) regressed >2x vs %s\n",
-                   failures, args.get("check").c_str());
+                   failures, check.c_str());
       return 1;
     }
     std::printf("[check] all ratios within 2x of the committed baseline\n");

@@ -5,10 +5,12 @@
 //
 //   $ ./examples/arrangement_explorer [pipelines]
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <iterator>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "sccpipe/core/walkthrough.hpp"
 
@@ -52,7 +54,19 @@ void print_map(const MeshTopology& topo, const Placement& placement) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int k = argc > 1 ? std::atoi(argv[1]) : 3;
+  int k = 3;
+  if (argc > 1) {
+    const std::string_view text(argv[1]);
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), k);
+    if (ec != std::errc() || end != text.data() + text.size() || k < 1 ||
+        k > StripCounts::kMax) {
+      std::fprintf(stderr, "usage: %s [pipelines]\n  pipelines: an integer "
+                   "in 1..%d, got '%s'\n", argv[0], StripCounts::kMax,
+                   argv[1]);
+      return 2;
+    }
+  }
   MeshTopology topo;
 
   PlacementRequest req;
@@ -60,11 +74,23 @@ int main(int argc, char** argv) {
   req.stages_per_pipeline = 6;  // renderer-per-pipeline layout
   req.needs_producer = false;
 
-  for (const Arrangement a : {Arrangement::Unordered, Arrangement::Ordered,
-                              Arrangement::Flipped}) {
-    std::printf("\n== %s arrangement, %d pipelines ==\n", arrangement_name(a),
-                k);
-    print_map(topo, make_placement(topo, a, req));
+  const Arrangement arrangements[] = {Arrangement::Unordered,
+                                      Arrangement::Ordered,
+                                      Arrangement::Flipped};
+  Placement placements[std::size(arrangements)];
+  for (std::size_t i = 0; i < std::size(arrangements); ++i) {
+    if (const Status st =
+            plan_placement(topo, arrangements[i], req, &placements[i]);
+        !st.ok()) {
+      std::fprintf(stderr, "usage: %s [pipelines]\n  %s\n", argv[0],
+                   st.message().c_str());
+      return 2;
+    }
+  }
+  for (std::size_t i = 0; i < std::size(arrangements); ++i) {
+    std::printf("\n== %s arrangement, %d pipelines ==\n",
+                arrangement_name(arrangements[i]), k);
+    print_map(topo, placements[i]);
   }
 
   // Does it matter? Run the walkthrough with each arrangement.
@@ -74,8 +100,7 @@ int main(int argc, char** argv) {
   city.blocks_z = 8;
   SceneBundle scene(city, CameraConfig{}, 200, 60);
   const WorkloadTrace trace = WorkloadTrace::build(scene, k);
-  for (const Arrangement a : {Arrangement::Unordered, Arrangement::Ordered,
-                              Arrangement::Flipped}) {
+  for (const Arrangement a : arrangements) {
     RunConfig cfg;
     cfg.scenario = Scenario::RendererPerPipeline;
     cfg.arrangement = a;

@@ -35,8 +35,10 @@ struct Calibration {
   double scratch_base_cycles = 2.0e6;
   double flicker_cycles_per_pixel = 126.0;
   double swap_cycles_per_pixel = 166.0;
-  /// DRAM bytes moved per strip byte by a filter pass (read input once,
-  /// write-allocate + write-back the output): see CacheModel::dram_traffic.
+  /// DRAM bytes moved per strip byte by a filter pass: read the input once,
+  /// write-allocate + write-back the output. The filters' reuse windows
+  /// (a few rows) stay in the core's caches, so there is no L2 term and no
+  /// cliff when a strip outgrows L2 (Fig. 12).
   double filter_traffic_factor = 3.0;
 
   // ---- render stage ------------------------------------------------------

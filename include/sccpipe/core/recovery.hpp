@@ -51,13 +51,14 @@ struct RecoveryConfig {
   int max_spares = -1;
 };
 
-/// Parse-time validation of a recovery config. Typed InvalidArgument when the heartbeat
-/// period is non-positive or when detection_deadline < 2 * heartbeat_period
-/// — below that bound a single heartbeat arriving one mesh transit late can
-/// be declared a death, so the watchdog would fire spuriously on healthy
-/// congested runs. The Supervisor constructor only CHECKs the weaker
-/// deadline > period invariant; callers parsing user flags should reject
-/// through here first so the failure is a typed error, not an abort.
+/// Parse-time validation of a recovery config. Typed InvalidArgument when
+/// the heartbeat period is non-positive, when max_spares < -1, or when
+/// detection_deadline < 2 * heartbeat_period — below that bound a single
+/// heartbeat arriving one mesh transit late can be declared a death, so
+/// the watchdog would fire spuriously on healthy congested runs. The
+/// Supervisor constructor only CHECKs the weaker deadline > period
+/// invariant; validate_run_config() calls this, so a flag is rejected as a
+/// typed error, not an abort.
 Status validate_recovery(const RecoveryConfig& cfg);
 
 /// How far up the mitigation ladder the walkthrough driver may climb when
@@ -96,7 +97,8 @@ struct GrayConfig {
 
 /// Typed validation of the gray-detector flags: detect_factor must exceed 1
 /// (at 1 the median core itself sits on the threshold) and detect_windows
-/// must be positive. A disabled config (factor 0) is always valid.
+/// must be positive. A disabled config (factor 0) is always valid; a
+/// negative factor never is.
 Status validate_gray(const GrayConfig& cfg);
 
 /// Trigger evidence handed to the gray handler alongside the flag — the

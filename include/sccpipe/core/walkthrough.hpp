@@ -327,8 +327,10 @@ PlacementRequest placement_request(const RunConfig& cfg);
 
 /// Dry run of the configuration checks run_walkthrough() would CHECK —
 /// scenario, pipeline count, placement feasibility on the platform's mesh,
-/// fault targets, feature exclusions — without building a scene, a trace
-/// or a simulator. InvalidArgument names the first problem.
+/// fault targets, DVFS levels, the overload and retry knobs' ranges,
+/// validate_recovery(), validate_gray(), feature exclusions — without
+/// building a scene, a trace or a simulator. The only place a RunConfig is
+/// checked; InvalidArgument names the first problem.
 Status validate_run_config(const RunConfig& cfg);
 
 /// The strip counts a trace needs to run every config in \p configs:

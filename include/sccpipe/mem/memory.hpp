@@ -21,7 +21,6 @@
 #include <memory>
 #include <vector>
 
-#include "sccpipe/mem/cache.hpp"
 #include "sccpipe/noc/fabric.hpp"
 #include "sccpipe/noc/mesh.hpp"
 #include "sccpipe/noc/topology.hpp"
@@ -46,7 +45,6 @@ struct MemoryConfig {
   /// Upper bound on the inflation factor: a heavily queued controller
   /// saturates rather than degrading without limit.
   double latency_contention_cap = 2.2;
-  CacheConfig cache;
 };
 
 /// Aggregate per-controller statistics for reports and tests.
@@ -64,7 +62,6 @@ class MemorySystem {
                MeshFabric& fabric, MemoryConfig cfg = {});
 
   const MemoryConfig& config() const { return cfg_; }
-  const CacheModel& cache() const { return cache_; }
   const MeshTopology& topology() const { return topo_; }
 
   /// Stream \p bytes between \p core and its home MC's DRAM.
@@ -109,7 +106,6 @@ class MemorySystem {
   MeshModel& mesh_;
   MeshFabric& fabric_;
   MemoryConfig cfg_;
-  CacheModel cache_;
   /// One fair-share queue per controller, all on sim_.
   std::vector<std::unique_ptr<FairShareResource>> mcs_;
   std::vector<int> latency_streams_;

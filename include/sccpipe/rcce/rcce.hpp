@@ -88,28 +88,8 @@ class RcceComm {
   void recv(CoreId to, CoreId from, Callback on_complete);
   void recv(CoreId to, CoreId from, StatusCallback on_complete);
 
-  /// Barrier across \p group: each member calls arrive(); all callbacks
-  /// fire when the last member arrives.
-  class Barrier {
-   public:
-    Barrier(RcceComm& comm, std::vector<CoreId> group);
-    void arrive(CoreId core, Callback on_release);
-
-   private:
-    RcceComm& comm_;
-    std::vector<CoreId> group_;
-    std::vector<std::pair<CoreId, Callback>> waiting_;
-  };
-
   /// Number of MPB chunk rounds for a message size.
   int chunk_count(double bytes) const;
-
-  // --- power-management API (mirrors RCCE_iset_power and friends) -------
-  /// Request a frequency for the tile hosting \p core; voltage follows the
-  /// DVFS table at the chip's configured granularity (§VI-D).
-  void iset_power(CoreId core, int mhz);
-  /// The voltage domain the core's tile belongs to (RCCE_power_domain).
-  int power_domain(CoreId core) const;
 
   /// Estimated duration of a transfer on an idle system (for tests and
   /// back-of-envelope checks; does not advance any contention state).

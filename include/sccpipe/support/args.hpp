@@ -6,9 +6,7 @@
 /// Flags are --name value or --name=value; bool flags may omit the value.
 /// Unknown flags are an error (catches typos in experiment scripts).
 
-#include <initializer_list>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,17 +38,12 @@ class ArgParser {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name) const;
+  /// Strict reads: the whole value must parse and fit (a number must also
+  /// be finite). A malformed value reads as 0 and, if error() is still
+  /// empty, sets it to "--<flag> expects an integer, got '<value>'" (or
+  /// "a number"). Read every value, then check error() once.
   int get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
-  /// Strict reads: empty unless the whole value parses and fits (get_int
-  /// maps "abc" to 0).
-  std::optional<int> parse_int(const std::string& name) const;
-  std::optional<double> parse_double(const std::string& name) const;
-  /// parse_int() on every flag in \p ints and parse_double() on every one
-  /// in \p numbers: empty if all parse, else the first failure as
-  /// "--<flag> expects an integer, got '<value>'" (or "a number").
-  std::string check_numeric(std::initializer_list<const char*> ints,
-                            std::initializer_list<const char*> numbers) const;
   bool get_bool(const std::string& name) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
@@ -63,10 +56,13 @@ class ArgParser {
     std::string value;
     bool seen = false;
   };
+  void reject(const std::string& name, const char* expected) const;
+
   std::map<std::string, Flag> flags_;
   std::vector<std::string> order_;
   std::vector<std::string> positional_;
-  std::string error_;
+  /// The first parse or value error; getters are const, reads record too.
+  mutable std::string error_;
 };
 
 }  // namespace sccpipe

@@ -21,6 +21,11 @@ Status validate_recovery(const RecoveryConfig& cfg) {
             std::to_string(cfg.heartbeat_period.to_ms()) +
             " ms), or one late heartbeat is declared a core death");
   }
+  if (cfg.max_spares < -1) {
+    return Status(StatusCode::InvalidArgument,
+                  "--max-spares must be at least -1 (-1 = all spares), got " +
+                      std::to_string(cfg.max_spares));
+  }
   return Status();
 }
 
@@ -52,6 +57,11 @@ Status parse_gray_policy(const std::string& text, GrayPolicy* out) {
 }
 
 Status validate_gray(const GrayConfig& cfg) {
+  if (cfg.detect_factor < 0.0) {
+    return Status(StatusCode::InvalidArgument,
+                  "--gray-detect-factor must be 0 (off) or exceed 1, got " +
+                      std::to_string(cfg.detect_factor));
+  }
   if (!cfg.enabled()) return Status();
   if (cfg.detect_factor <= 1.0) {
     return Status(StatusCode::InvalidArgument,

@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <span>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -2416,6 +2417,53 @@ Status validate_run_config(const RunConfig& cfg) {
   };
   if (Status st = check_mhz("blur-mhz", cfg.blur_mhz); !st.ok()) return st;
   if (Status st = check_mhz("tail-mhz", cfg.tail_mhz); !st.ok()) return st;
+  // Each knob's documented range; 0 is every overload knob's "off".
+  const OverloadConfig& ov = cfg.overload;
+  const struct {
+    const char* flag;
+    double value;
+    double min;
+    const char* sentinel;
+  } floors[] = {
+      {"offered-fps", ov.offered_fps, 0, " (0 = closed loop)"},
+      {"window", static_cast<double>(ov.window), 0, " (0 = stop-and-wait)"},
+      {"queue-depth", static_cast<double>(ov.queue_depth), 0,
+       " (0 = rendezvous)"},
+      {"frame-deadline-ms", ov.frame_deadline.to_ms(), 0, " (0 = off)"},
+      {"breaker-threshold", static_cast<double>(ov.breaker_threshold), 0,
+       " (0 = off)"},
+      {"breaker-cooldown-ms", ov.breaker_cooldown.to_ms(), 0, ""},
+      {"rcce-retries", static_cast<double>(cfg.rcce.retry.max_attempts), 1,
+       " (1 = no retries)"},
+  };
+  const auto num = [](double v) {
+    std::ostringstream oss;
+    oss << v;
+    return oss.str();
+  };
+  for (const auto& f : floors) {
+    if (f.value < f.min) {
+      return invalid(std::string(f.flag) + " must be at least " + num(f.min) +
+                     f.sentinel + ", got " + num(f.value));
+    }
+  }
+  if (ov.offered_fps > 0.0 && ov.offered_fps < 1e-3) {
+    return invalid("offered-fps " + num(ov.offered_fps) +
+                   " is below 0.001 frames/s: its arrival times would "
+                   "overrun the simulated clock");
+  }
+  if (cfg.rcce.retry.timeout <= SimTime::zero()) {
+    return invalid("rcce-timeout-ms must be positive, got " +
+                   num(cfg.rcce.retry.timeout.to_ms()));
+  }
+  if (Status st = validate_recovery(cfg.recovery); !st.ok()) return st;
+  if (Status st = validate_gray(cfg.gray); !st.ok()) return st;
+  if ((cfg.fault.host_reorder_rate > 0.0 ||
+       cfg.fault.host_duplicate_rate > 0.0) &&
+      ov.window == 0 && cfg.scenario == Scenario::HostRenderer) {
+    return invalid("reorder=/duplicate= fates on the host feed need the "
+                   "sliding-window transport; pass --window > 0");
+  }
   if (cfg.overload.enabled()) {
     if (cfg.scenario != Scenario::HostRenderer) {
       return invalid("overload controls govern the host feed path; only the "
@@ -2427,13 +2475,10 @@ Status validate_run_config(const RunConfig& cfg) {
                      "channels)");
     }
   }
-  if (cfg.gray.enabled()) {
-    if (Status st = validate_gray(cfg.gray); !st.ok()) return st;
-    if (cfg.overload.enabled()) {
-      return invalid("gray-failure mitigation cannot be combined with the "
-                     "overload data plane (the gray ledger assumes the "
-                     "closed-loop frame accounting)");
-    }
+  if (cfg.gray.enabled() && cfg.overload.enabled()) {
+    return invalid("gray-failure mitigation cannot be combined with the "
+                   "overload data plane (the gray ledger assumes the "
+                   "closed-loop frame accounting)");
   }
   return Status();
 }

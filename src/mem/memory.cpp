@@ -13,8 +13,7 @@ MemorySystem::MemorySystem(Simulator& sim, const MeshTopology& topo,
       topo_(topo),
       mesh_(mesh),
       fabric_(fabric),
-      cfg_(cfg),
-      cache_(cfg.cache) {
+      cfg_(cfg) {
   SCCPIPE_CHECK(cfg_.mc_bandwidth_bytes_per_sec > 0.0);
   const int n = topo_.mc_count();
   latency_streams_.assign(static_cast<std::size_t>(n), 0);

@@ -253,32 +253,4 @@ SimTime RcceComm::ideal_transfer_time(CoreId from, CoreId to,
   return sw + copies + mesh;
 }
 
-void RcceComm::iset_power(CoreId core, int mhz) {
-  chip_.set_core_frequency(core, mhz);
-}
-
-int RcceComm::power_domain(CoreId core) const {
-  return chip_.voltage_domain_of(chip_.topology().tile_of(core));
-}
-
-RcceComm::Barrier::Barrier(RcceComm& comm, std::vector<CoreId> group)
-    : comm_(comm), group_(std::move(group)) {
-  SCCPIPE_CHECK(!group_.empty());
-}
-
-void RcceComm::Barrier::arrive(CoreId core, Callback on_release) {
-  SCCPIPE_CHECK_MSG(std::find(group_.begin(), group_.end(), core) !=
-                        group_.end(),
-                    "core " << core << " not in barrier group");
-  for (const auto& [c, cb] : waiting_) {
-    SCCPIPE_CHECK_MSG(c != core, "core " << core << " arrived twice");
-  }
-  waiting_.emplace_back(core, std::move(on_release));
-  if (waiting_.size() == group_.size()) {
-    auto released = std::move(waiting_);
-    waiting_.clear();
-    for (auto& [c, cb] : released) cb();
-  }
-}
-
 }  // namespace sccpipe

@@ -49,12 +49,19 @@ const char* fault_kind_name(FaultKind kind) {
 
 namespace {
 
-/// "20ms" / "1.5s" / "800us" / "250ns" -> SimTime; false on junk.
+/// "20ms" / "1.5s" / "800us" / "250ns" -> SimTime; false on junk, and on
+/// a time past 1e15 ns (about 11.6 simulated days), which the int64
+/// nanosecond clock could not hold once the model adds a few of them.
 bool parse_time(const std::string& v, SimTime* out) {
   char* end = nullptr;
   const double num = std::strtod(v.c_str(), &end);
   if (end == v.c_str() || num < 0.0) return false;
   const std::string unit(end);
+  const double ns = unit == "ns"   ? num
+                    : unit == "us" ? num * 1e3
+                    : unit == "s"  ? num * 1e9
+                                   : num * 1e6;
+  if (!(ns <= 1e15)) return false;
   if (unit == "ns") {
     *out = SimTime::ns(static_cast<std::int64_t>(num));
   } else if (unit == "us") {
@@ -229,12 +236,12 @@ constexpr PlanField kPlanFields[] = {
      nullptr},
     {"horizon",
      [](FaultPlan& p, const std::string& v) {
-       return parse_time(v, &p.horizon);
+       return parse_time(v, &p.horizon) && p.horizon > SimTime::zero();
      },
      nullptr},
     {"window",
      [](FaultPlan& p, const std::string& v) {
-       return parse_time(v, &p.window);
+       return parse_time(v, &p.window) && p.window > SimTime::zero();
      },
      nullptr},
     {"rcce-drop",

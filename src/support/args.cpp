@@ -85,14 +85,6 @@ std::string ArgParser::get(const std::string& name) const {
 }
 
 int ArgParser::get_int(const std::string& name) const {
-  return std::atoi(get(name).c_str());
-}
-
-double ArgParser::get_double(const std::string& name) const {
-  return std::atof(get(name).c_str());
-}
-
-std::optional<int> ArgParser::parse_int(const std::string& name) const {
   const std::string v = get(name);
   char* end = nullptr;
   errno = 0;
@@ -100,38 +92,28 @@ std::optional<int> ArgParser::parse_int(const std::string& name) const {
   if (v.empty() || *end != '\0' || errno == ERANGE ||
       n < std::numeric_limits<int>::min() ||
       n > std::numeric_limits<int>::max()) {
-    return std::nullopt;
+    reject(name, "an integer");
+    return 0;
   }
   return static_cast<int>(n);
 }
 
-std::optional<double> ArgParser::parse_double(const std::string& name) const {
+double ArgParser::get_double(const std::string& name) const {
   const std::string v = get(name);
   char* end = nullptr;
   errno = 0;
   const double d = std::strtod(v.c_str(), &end);
   if (v.empty() || *end != '\0' || errno == ERANGE || !std::isfinite(d)) {
-    return std::nullopt;
+    reject(name, "a number");
+    return 0.0;
   }
   return d;
 }
 
-std::string ArgParser::check_numeric(
-    std::initializer_list<const char*> ints,
-    std::initializer_list<const char*> numbers) const {
-  for (const char* flag : ints) {
-    if (!parse_int(flag)) {
-      return "--" + std::string(flag) + " expects an integer, got '" +
-             get(flag) + "'";
-    }
+void ArgParser::reject(const std::string& name, const char* expected) const {
+  if (error_.empty()) {
+    error_ = "--" + name + " expects " + expected + ", got '" + get(name) + "'";
   }
-  for (const char* flag : numbers) {
-    if (!parse_double(flag)) {
-      return "--" + std::string(flag) + " expects a number, got '" +
-             get(flag) + "'";
-    }
-  }
-  return "";
 }
 
 bool ArgParser::get_bool(const std::string& name) const {

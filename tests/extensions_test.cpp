@@ -233,19 +233,32 @@ TEST(ArgParser, CheckNumericNamesTheFirstMalformedFlag) {
   args.add_flag("detect-ms", "ms", "25");
   const char* ok[] = {"prog", "--frames", "12", "--detect-ms=2.5"};
   ASSERT_TRUE(args.parse(4, ok));
-  EXPECT_EQ(args.check_numeric({"frames", "jobs"}, {"detect-ms"}), "");
+  EXPECT_EQ(args.get_int("frames"), 12);
+  EXPECT_EQ(args.get_int("jobs"), 0);
+  EXPECT_DOUBLE_EQ(args.get_double("detect-ms"), 2.5);
+  EXPECT_EQ(args.error(), "");
 
+  // Every getter still returns; the first malformed value names the error.
   ArgParser bad_int = args;
   const char* typo[] = {"prog", "--frames", "10x", "--jobs", "abc"};
   ASSERT_TRUE(bad_int.parse(5, typo));
-  EXPECT_EQ(bad_int.check_numeric({"frames", "jobs"}, {"detect-ms"}),
-            "--frames expects an integer, got '10x'");
+  EXPECT_EQ(bad_int.get_int("frames"), 0);
+  EXPECT_EQ(bad_int.get_int("jobs"), 0);
+  EXPECT_EQ(bad_int.error(), "--frames expects an integer, got '10x'");
 
-  ArgParser bad_number = args;
-  const char* nan_ms[] = {"prog", "--detect-ms", "1q"};
-  ASSERT_TRUE(bad_number.parse(3, nan_ms));
-  EXPECT_EQ(bad_number.check_numeric({"frames"}, {"detect-ms"}),
-            "--detect-ms expects a number, got '1q'");
+  for (const char* bad : {"1q", "nan", "inf", "1e999", ""}) {
+    ArgParser bad_number = args;
+    const char* argv[] = {"prog", "--detect-ms", bad};
+    ASSERT_TRUE(bad_number.parse(3, argv));
+    EXPECT_EQ(bad_number.get_double("detect-ms"), 0.0);
+    EXPECT_EQ(bad_number.error(),
+              "--detect-ms expects a number, got '" + std::string(bad) + "'");
+  }
+  ArgParser too_big = args;
+  const char* huge[] = {"prog", "--jobs", "4294967296"};
+  ASSERT_TRUE(too_big.parse(3, huge));
+  too_big.get_int("jobs");
+  EXPECT_EQ(too_big.error(), "--jobs expects an integer, got '4294967296'");
 }
 
 TEST(EnvCount, AcceptsOnlyDigitsWithinOneToTheCeiling) {

@@ -104,6 +104,12 @@ TEST(FaultPlan, RejectsMalformedInput) {
   EXPECT_FALSE(plan.parse("rcce-drop=1.5").ok());  // rate out of [0, 1]
   EXPECT_FALSE(plan.parse("rcce-drop=abc").ok());
   EXPECT_FALSE(plan.parse("horizon=12parsecs").ok());
+  // Times past 1e15 ns would overflow the clock; 1e15 ns itself is kept.
+  EXPECT_FALSE(plan.parse("window=1e300ms").ok());
+  EXPECT_FALSE(plan.parse("host-delay=0.5:1e16ns").ok());
+  EXPECT_TRUE(plan.parse("horizon=1e6s").ok());
+  EXPECT_FALSE(plan.parse("window=0").ok());  // scheduled faults need both
+  EXPECT_FALSE(plan.parse("horizon=0ms").ok());
   EXPECT_FALSE(plan.parse("link-degrade=3:2").ok());  // factor > 1
   EXPECT_FALSE(plan.parse("link-degrade=3:").ok());   // empty factor
   EXPECT_FALSE(plan.parse("rcce-drop").ok());         // missing =

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "sccpipe/mem/cache.hpp"
 #include "sccpipe/mem/memory.hpp"
 #include "sccpipe/support/check.hpp"
 
@@ -8,51 +7,6 @@ namespace sccpipe {
 namespace {
 
 using namespace sccpipe::literals;
-
-// -------------------------------------------------------------------- Cache
-
-TEST(CacheModel, SccGeometry) {
-  CacheModel cache;
-  EXPECT_EQ(cache.config().l1_bytes, 16u * 1024u);
-  EXPECT_EQ(cache.config().l2_bytes, 256u * 1024u);
-  EXPECT_EQ(cache.config().line_bytes, 32u);
-  EXPECT_EQ(cache.config().ways, 4u);
-}
-
-TEST(CacheModel, LineCount) {
-  CacheModel cache;
-  EXPECT_DOUBLE_EQ(cache.lines(32.0), 1.0);
-  EXPECT_DOUBLE_EQ(cache.lines(33.0), 2.0);
-  EXPECT_DOUBLE_EQ(cache.lines(0.0), 0.0);
-}
-
-TEST(CacheModel, WorkingSetFits) {
-  CacheModel cache;
-  EXPECT_TRUE(cache.fits_l1(8 * 1024));
-  EXPECT_FALSE(cache.fits_l1(16 * 1024));  // headroom factor < 1
-  EXPECT_TRUE(cache.fits_l2(200 * 1024));
-  EXPECT_FALSE(cache.fits_l2(300 * 1024));
-}
-
-TEST(CacheModel, StreamingTrafficIsCompulsoryPlusWriteback) {
-  CacheModel cache;
-  // Single pass, small reuse window: in + 2*out.
-  EXPECT_DOUBLE_EQ(cache.dram_traffic(1000.0, 1000.0, 4096.0, 1.0), 3000.0);
-}
-
-TEST(CacheModel, SmallReuseWindowAbsorbsRetouches) {
-  CacheModel cache;
-  // The blur's 3-row window fits L2 easily: re-touches are free. This is
-  // why Fig. 12 shows no cache cliff for any strip size.
-  const double t = cache.dram_traffic(640000.0, 640000.0, 4800.0, 9.0);
-  EXPECT_DOUBLE_EQ(t, 640000.0 + 2.0 * 640000.0);
-}
-
-TEST(CacheModel, LargeReuseWindowSpills) {
-  CacheModel cache;
-  const double t = cache.dram_traffic(1.0e6, 0.0, 1.0e6, 3.0);
-  EXPECT_DOUBLE_EQ(t, 3.0e6);  // every touch misses
-}
 
 // ------------------------------------------------------------- MemorySystem
 

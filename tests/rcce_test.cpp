@@ -114,34 +114,6 @@ TEST_F(RcceFixture, InvalidCoreRejected) {
   EXPECT_THROW(comm.recv(-1, 0, [] {}), CheckError);
 }
 
-TEST_F(RcceFixture, BarrierReleasesWhenAllArrive) {
-  RcceComm::Barrier barrier(comm, {0, 1, 2});
-  int released = 0;
-  barrier.arrive(0, [&] { ++released; });
-  barrier.arrive(1, [&] { ++released; });
-  EXPECT_EQ(released, 0);
-  barrier.arrive(2, [&] { ++released; });
-  EXPECT_EQ(released, 3);
-}
-
-TEST_F(RcceFixture, BarrierIsReusable) {
-  RcceComm::Barrier barrier(comm, {0, 1});
-  int round = 0;
-  barrier.arrive(0, [&] { ++round; });
-  barrier.arrive(1, [&] { ++round; });
-  EXPECT_EQ(round, 2);
-  barrier.arrive(1, [&] { ++round; });
-  barrier.arrive(0, [&] { ++round; });
-  EXPECT_EQ(round, 4);
-}
-
-TEST_F(RcceFixture, BarrierRejectsOutsiderAndDoubleArrival) {
-  RcceComm::Barrier barrier(comm, {0, 1});
-  EXPECT_THROW(barrier.arrive(7, [] {}), CheckError);
-  barrier.arrive(0, [] {});
-  EXPECT_THROW(barrier.arrive(0, [] {}), CheckError);
-}
-
 TEST_F(RcceFixture, ConcurrentTransfersContendOnSharedMc) {
   // Two transfers whose endpoints share memory controllers take longer
   // than the same transfers run back-to-back in isolation would suggest.

@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
+
 #include "sccpipe/rcce/rcce.hpp"
 
 namespace {

@@ -12,6 +12,7 @@
 #include <functional>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "sccpipe/filters/image.hpp"
 #include "sccpipe/host/host_cpu.hpp"
@@ -42,10 +43,14 @@ std::uint32_t frame_token_crc(const FrameToken& token);
 
 class Channel {
  public:
-  using SendDone = std::function<void()>;
+  /// Per-message completions are fixed-capacity InplaceFunctions (a
+  /// capture past kChannelCallbackBytes is a compile error), so sending and
+  /// receiving a token allocates nothing.
+  using SendDone = InplaceFunction<void(), kChannelCallbackBytes>;
   /// matched_at: instant the rendezvous matched / the message was available
   /// at the consumer's door — the end of the consumer's *waiting* time.
-  using RecvDone = std::function<void(FrameToken, SimTime matched_at)>;
+  using RecvDone = InplaceFunction<void(FrameToken, SimTime matched_at),
+                                   kChannelCallbackBytes>;
   using ErrorHandler = std::function<void(const Status&)>;
 
   virtual ~Channel() = default;
@@ -188,6 +193,10 @@ class CreditedSccChannel final : public Channel {
   int credits_;
   int outstanding_ = 0;  ///< sent - delivered
   std::deque<std::pair<FrameToken, SendDone>> waiting_;
+  /// Consumer callbacks of posted data receives, parked by index so the
+  /// data channel's callback captures only the index.
+  std::vector<RecvDone> recv_done_;
+  std::vector<std::uint32_t> free_recv_done_;
   bool stalled_ = false;
   SimTime stall_since_{};
   std::uint64_t credit_stalls_ = 0;

@@ -299,11 +299,11 @@ struct RunResult {
   /// cfg.gray armed the detector).
   GrayReport gray;
 
-  /// Event-queue container growths and the peak of simultaneously pending
-  /// events (SimulatorStats). The walkthrough reserves its queue up front,
-  /// so a steady-state run reports zero growths. Not part of the CSV.
-  std::uint64_t sim_allocs = 0;
-  std::uint64_t sim_peak_events = 0;
+  /// The event queue's counters: container growths, the peak of
+  /// simultaneously pending events, events scheduled and next-event
+  /// register hits. The walkthrough reserves its queue up front, so a
+  /// steady-state run reports zero growths. Not part of the CSV.
+  SimulatorStats sim_stats;
 
   /// Checkpoint/crash/resume outcome (enabled == false unless
   /// cfg.checkpoint or a crash-at fate was active).

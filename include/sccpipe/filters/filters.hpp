@@ -59,6 +59,11 @@ void apply_vflip(Image& img);
 ScratchParams scratch_params_for_frame(std::uint64_t seed, int frame,
                                        int image_width,
                                        int max_scratches = 12);
+/// scratch_params_for_frame(seed, frame, w, max_scratches).count for any
+/// width w, without drawing the columns: the timed filter stage needs only
+/// the count.
+int scratch_count_for_frame(std::uint64_t seed, int frame,
+                            int max_scratches = 12);
 FlickerParams flicker_params_for_frame(std::uint64_t seed, int frame);
 
 /// Extension the paper sketches (§IV, Scratch stage: "the system can be

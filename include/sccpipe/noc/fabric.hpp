@@ -13,6 +13,10 @@
 ///   transit(a, b) = hop_latency * hop_distance(a, b)
 ///
 /// so a chain pays the simulated mesh latency of every leg it crosses.
+/// The constructor evaluates that expression once for every tile pair into
+/// a tile x tile transit table, and tabulates each core's tile and its
+/// home controller's tile, so a hop is a few bounds-checked loads rather
+/// than a coordinate, distance and rounding computation.
 ///
 /// Origins are explicit: each hop names the tile it leaves from, and the
 /// fabric keeps no notion of a current site. Model code that runs outside
@@ -23,6 +27,7 @@
 /// in its event slot.
 
 #include <utility>
+#include <vector>
 
 #include "sccpipe/noc/topology.hpp"
 #include "sccpipe/sim/simulator.hpp"
@@ -44,8 +49,22 @@ class MeshFabric {
   TileId bridge_site() const { return bridge_; }
 
   /// Calibrated transit delay between two sites: hop_latency x Manhattan
-  /// router hops (zero for a == b).
-  SimTime transit(TileId from, TileId to) const;
+  /// router hops (zero for a == b), read from the table. A tile off the
+  /// mesh is a CheckError.
+  SimTime transit(TileId from, TileId to) const {
+    SCCPIPE_CHECK(valid_tile(from) && valid_tile(to));
+    return transit_[static_cast<std::size_t>(from * tiles_ + to)];
+  }
+
+  /// The tile of \p core and the tile of its home memory controller.
+  TileId core_tile(CoreId core) const {
+    SCCPIPE_CHECK(valid_core(core));
+    return core_tile_[static_cast<std::size_t>(core)];
+  }
+  TileId home_mc_tile(CoreId core) const {
+    SCCPIPE_CHECK(valid_core(core));
+    return home_mc_tile_[static_cast<std::size_t>(core)];
+  }
 
   /// Simulated time (the Simulator's now()).
   SimTime now() const { return sim_.now(); }
@@ -81,12 +100,18 @@ class MeshFabric {
 
  private:
   void check_post(TileId from, TileId to, SimTime when) const;
+  bool valid_tile(TileId t) const { return t >= 0 && t < tiles_; }
+  bool valid_core(CoreId c) const {
+    return c >= 0 && static_cast<std::size_t>(c) < core_tile_.size();
+  }
 
   Simulator& sim_;
-  MeshTopology topo_;
-  SimTime hop_latency_;
+  int tiles_ = 0;
   TileId bridge_ = 0;
   bool in_run_ = false;
+  std::vector<SimTime> transit_;       ///< [from * tiles_ + to]
+  std::vector<TileId> core_tile_;      ///< per core
+  std::vector<TileId> home_mc_tile_;   ///< per core
 };
 
 }  // namespace sccpipe

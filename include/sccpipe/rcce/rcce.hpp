@@ -25,10 +25,15 @@
 /// simulated time, and retransmits up to RetryPolicy::max_attempts times;
 /// exhaustion (or the per-transfer deadline) surfaces a typed Status to
 /// both endpoints instead of hanging the rendezvous.
+///
+/// Completions are fixed-capacity InplaceFunctions (sim/callback.hpp). A
+/// matched transfer parks its two status callbacks in a reused transfer
+/// table, and its chip continuations capture only the table index, so a
+/// message allocates nothing once the table has grown to the run's
+/// largest number of transfers in flight.
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
@@ -60,10 +65,11 @@ struct RcceConfig {
 
 class RcceComm {
  public:
-  using Callback = std::function<void()>;
+  using Callback = InplaceFunction<void(), kChannelCallbackBytes>;
   /// Fault-aware completion: receives Ok on delivery, or the typed error
   /// (RetriesExhausted / DeadlineExceeded) when the transfer gave up.
-  using StatusCallback = std::function<void(const Status&)>;
+  using StatusCallback =
+      InplaceFunction<void(const Status&), kRcceStatusCallbackBytes>;
 
   explicit RcceComm(SccChip& chip, RcceConfig cfg = {});
 
@@ -116,21 +122,30 @@ class RcceComm {
     StatusCallback on_complete;
   };
   using Key = std::pair<CoreId, CoreId>;  // (from, to)
+  /// A matched transfer in flight, parked in transfers_ under its index.
+  struct Transfer {
+    CoreId from;
+    CoreId to;
+    double bytes;
+    int attempt;
+    SimTime first_attempt_at;
+    StatusCallback sender_done;
+    StatusCallback receiver_done;
+  };
 
   void start_transfer(CoreId from, CoreId to, double bytes,
                       StatusCallback sender_done,
                       StatusCallback receiver_done);
-  void attempt_transfer(CoreId from, CoreId to, double bytes, int attempt,
-                        SimTime first_attempt_at, StatusCallback sender_done,
-                        StatusCallback receiver_done);
-  void finish_delivery(CoreId to, double bytes, StatusCallback sender_done,
-                       StatusCallback receiver_done);
+  void attempt_transfer(std::uint32_t id);
+  void finish_delivery(std::uint32_t id);
   /// Shared retry-or-give-up tail for a lost or corrupted attempt. \p detect
   /// is when the sender learns of the loss (timeout expiry for a drop, NACK
   /// completion for a CRC failure); \p how labels the error message.
-  void resolve_loss(CoreId from, CoreId to, double bytes, int attempt,
-                    SimTime first_attempt_at, SimTime detect, const char* how,
-                    StatusCallback sender_done, StatusCallback receiver_done);
+  void resolve_loss(std::uint32_t id, SimTime detect, const char* how);
+  /// Free transfer \p id and complete both endpoints with \p status,
+  /// sender first. The slot is free before either callback runs, so a
+  /// callback that starts a new transfer may reuse it.
+  void complete(std::uint32_t id, const Status& status);
   /// Wrap a plain Callback into a StatusCallback that fails loudly.
   static StatusCallback require_ok(Callback cb, const char* what);
 
@@ -139,6 +154,8 @@ class RcceComm {
   FaultInjector* fault_ = nullptr;
   std::map<Key, std::deque<PendingSend>> sends_;
   std::map<Key, std::deque<StatusCallback>> recvs_;
+  std::vector<Transfer> transfers_;        ///< slot table (reused)
+  std::vector<std::uint32_t> free_transfers_;
   std::uint64_t delivered_ = 0;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t transfers_failed_ = 0;

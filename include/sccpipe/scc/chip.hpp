@@ -171,8 +171,6 @@ class SccChip {
 
   /// One dependent-miss segment of a walk, at the home controller's tile.
   void walk_step(WalkState st);
-  /// Tile of \p core's home memory controller.
-  TileId home_mc_tile(CoreId core) const;
   void refresh_power();
   void refresh_voltages();
   /// Fault query / busy accounting against an explicit clock (the time of

@@ -171,15 +171,22 @@ class InplaceFunction<R(Args...), Capacity> {
 /// callback object of the tier below (capacity + one ops pointer + padding)
 /// plus the capturing lambda's own context words; the chain is
 ///
-///   MPB put/get continuations
-///     -> chip compute/dram continuations (stage callbacks)
-///       -> memory-system bulk continuations
-///         -> fair-share flow completions
-///           -> the Simulator event queue itself.
+///   chip compute/dram continuations (stage callbacks)
+///     -> memory-system bulk continuations
+///       -> fair-share flow completions
+///         -> the Simulator event queue itself.
 ///
 /// The mesh fabric adds no tier: a located hop hands the caller's callable
 /// straight to the Simulator, which builds it in its event slot.
-inline constexpr std::size_t kMpbCallbackBytes = 104;
+///
+/// Message completions form a side tower. A channel callback (a stage's
+/// few words of context) fits, with its channel's context, in a stage
+/// continuation, a host-link callback or an RCCE status callback.
+/// RcceComm parks a matched transfer's two status callbacks in its own
+/// transfer table, so the chip continuations of a transfer capture only
+/// the table index.
+inline constexpr std::size_t kChannelCallbackBytes = 48;
+inline constexpr std::size_t kRcceStatusCallbackBytes = 80;
 inline constexpr std::size_t kStageCallbackBytes = 160;
 inline constexpr std::size_t kMemCallbackBytes = 192;
 inline constexpr std::size_t kFlowCallbackBytes = 224;
@@ -194,6 +201,12 @@ using StageCallback = InplaceFunction<void(), kStageCallbackBytes>;
 
 /// The Simulator's event callback — the outermost tier.
 using SimCallback = InplaceFunction<void(), kSimCallbackBytes>;
+
+/// A status callback holds a channel callback plus one pointer.
+static_assert(kRcceStatusCallbackBytes >=
+                  sizeof(InplaceFunction<void(), kChannelCallbackBytes>) +
+                      alignof(std::max_align_t),
+              "an RCCE status callback must hold a channel callback");
 
 /// True for every InplaceFunction instantiation: the one kind of callable
 /// that can be empty, so the Simulator CHECKs it before scheduling.

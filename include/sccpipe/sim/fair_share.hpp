@@ -78,6 +78,7 @@ class FairShareResource {
   std::string name_;
   double capacity_;
   std::vector<Flow> flows_;
+  std::vector<Callback> done_;  ///< completions being delivered
   SimTime last_settle_ = SimTime::zero();
   EventHandle pending_event_;
   double bytes_completed_ = 0.0;

@@ -1,5 +1,6 @@
 #include "sccpipe/core/channel.hpp"
 
+#include <cstring>
 #include <utility>
 
 #include "sccpipe/support/check.hpp"
@@ -8,11 +9,20 @@
 namespace sccpipe {
 
 std::uint32_t frame_token_crc(const FrameToken& token) {
+  // The header fields, packed in order: one update over 20 bytes gives
+  // the same CRC as one update per field.
+  unsigned char header[sizeof(token.frame) + sizeof(token.strip.y0) +
+                       sizeof(token.strip.rows) + sizeof(token.bytes)];
+  unsigned char* p = header;
+  std::memcpy(p, &token.frame, sizeof(token.frame));
+  p += sizeof(token.frame);
+  std::memcpy(p, &token.strip.y0, sizeof(token.strip.y0));
+  p += sizeof(token.strip.y0);
+  std::memcpy(p, &token.strip.rows, sizeof(token.strip.rows));
+  p += sizeof(token.strip.rows);
+  std::memcpy(p, &token.bytes, sizeof(token.bytes));
   Crc32 crc;
-  crc.update(&token.frame, sizeof(token.frame));
-  crc.update(&token.strip.y0, sizeof(token.strip.y0));
-  crc.update(&token.strip.rows, sizeof(token.strip.rows));
-  crc.update(&token.bytes, sizeof(token.bytes));
+  crc.update(header, sizeof(header));
   return crc.value();
 }
 
@@ -254,8 +264,18 @@ void CreditedSccChannel::on_credit() {
 
 void CreditedSccChannel::recv(RecvDone on_token) {
   SCCPIPE_CHECK(on_token != nullptr);
-  data_.recv([this, cb = std::move(on_token)](FrameToken token,
-                                              SimTime matched) mutable {
+  std::uint32_t slot;
+  if (!free_recv_done_.empty()) {
+    slot = free_recv_done_.back();
+    free_recv_done_.pop_back();
+    recv_done_[slot] = std::move(on_token);
+  } else {
+    slot = static_cast<std::uint32_t>(recv_done_.size());
+    recv_done_.push_back(std::move(on_token));
+  }
+  data_.recv([this, slot](FrameToken token, SimTime matched) {
+    RecvDone cb = std::move(recv_done_[slot]);
+    free_recv_done_.push_back(slot);
     --outstanding_;
     ++credit_messages_;
     // Return the freed slot as real mesh traffic: consumer -> producer.

@@ -980,10 +980,8 @@ class WalkthroughSim {
                   matched);
       const double pixels =
           static_cast<double>(tok.strip.rows) * static_cast<double>(side());
-      const int scratches =
-          scratch_params_for_frame(cfg_.seed, tok.frame, side(),
-                                   cfg_.cal.max_scratches)
-              .count;
+      const int scratches = scratch_count_for_frame(
+          cfg_.seed, tok.frame, cfg_.cal.max_scratches);
       const StageWork w = filter_work(cfg_.cal, st.kind, pixels, scratches);
       chip_->compute(st.core, w.cycles, [this, &st, gen, w, matched,
                                          tok = std::move(tok)]() mutable {
@@ -2077,8 +2075,7 @@ class WalkthroughSim {
     collect_transport_report(r);
     collect_gray_report(r);
     r.events_dispatched = sim_.dispatched();
-    r.sim_allocs = sim_.stats().allocs;
-    r.sim_peak_events = sim_.stats().peak_events;
+    r.sim_stats = sim_.stats();
     collect_checkpoint_report(r);
     return r;
   }
@@ -2220,7 +2217,7 @@ class WalkthroughSim {
   // turns its timed primitives into located event chains on the same queue.
   // The default reservation is far above the measured peak of pending
   // events (39 over the Table I grid), so a steady-state run never grows
-  // the queue — walkthrough_test asserts RunResult::sim_allocs == 0.
+  // the queue — walkthrough_test asserts RunResult::sim_stats.allocs == 0.
   Simulator sim_;
   std::unique_ptr<SccChip> chip_;
   std::unique_ptr<RcceComm> rcce_;
@@ -2582,10 +2579,8 @@ SingleCoreBreakdown run_single_core(const SceneBundle& scene,
           break;
         }
         default: {
-          const int scratches =
-              scratch_params_for_frame(cfg.seed, frame, scene.image_side(),
-                                       cfg.cal.max_scratches)
-                  .count;
+          const int scratches = scratch_count_for_frame(
+              cfg.seed, frame, cfg.cal.max_scratches);
           const StageWork w = filter_work(cfg.cal, kind, pixels, scratches);
           chip.compute(0, w.cycles, [this, w, done] {
             chip.dram_stream(0, w.dram_bytes, done);

@@ -195,6 +195,15 @@ ScratchParams scratch_params_for_frame(std::uint64_t seed, int frame,
   return ScratchParams::draw(rng, image_width, max_scratches);
 }
 
+int scratch_count_for_frame(std::uint64_t seed, int frame,
+                            int max_scratches) {
+  SCCPIPE_CHECK(max_scratches >= 0);
+  // The first draw of scratch_params_for_frame's stream.
+  Rng rng{seed ^ (0x5c2a7c00ULL + static_cast<std::uint64_t>(frame))};
+  return static_cast<int>(
+      rng.below(static_cast<std::uint64_t>(max_scratches) + 1));
+}
+
 FlickerParams flicker_params_for_frame(std::uint64_t seed, int frame) {
   Rng rng{seed ^ (0xf11c4e00ULL + static_cast<std::uint64_t>(frame))};
   return FlickerParams::draw(rng);

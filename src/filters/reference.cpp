@@ -36,8 +36,15 @@ void apply_sepia(Image& img) {
 
 void apply_blur(Image& img) {
   const Image src = img;
-  const int w = img.width();
-  const int h = img.height();
+  apply_blur(src.data(), img.data(), img.width(), img.height());
+}
+
+void apply_blur(const std::uint8_t* src, std::uint8_t* dst, int w, int h) {
+  const auto at = [w](int x, int y) {
+    return (static_cast<std::size_t>(y) * static_cast<std::size_t>(w) +
+            static_cast<std::size_t>(x)) *
+           4;
+  };
   for (int y = 0; y < h; ++y) {
     for (int x = 0; x < w; ++x) {
       int sum_r = 0, sum_g = 0, sum_b = 0, n = 0;
@@ -46,18 +53,18 @@ void apply_blur(Image& img) {
           const int nx = x + dx;
           const int ny = y + dy;
           if (nx < 0 || nx >= w || ny < 0 || ny >= h) continue;
-          const Color c = src.get(nx, ny);
-          sum_r += c.r;
-          sum_g += c.g;
-          sum_b += c.b;
+          const std::uint8_t* c = src + at(nx, ny);
+          sum_r += c[0];
+          sum_g += c[1];
+          sum_b += c[2];
           ++n;
         }
       }
-      const Color orig = src.get(x, y);
-      img.set(x, y,
-              Color{static_cast<std::uint8_t>(sum_r / n),
-                    static_cast<std::uint8_t>(sum_g / n),
-                    static_cast<std::uint8_t>(sum_b / n), orig.a});
+      std::uint8_t* out = dst + at(x, y);
+      out[0] = static_cast<std::uint8_t>(sum_r / n);
+      out[1] = static_cast<std::uint8_t>(sum_g / n);
+      out[2] = static_cast<std::uint8_t>(sum_b / n);
+      out[3] = src[at(x, y) + 3];
     }
   }
 }

@@ -46,7 +46,7 @@ void MemorySystem::bulk(CoreId core, double bytes, double core_rate_cap,
   //      controller completes flows in plain events, which execute at the
   //      bridge, so that hop leaves from the bridge — except for a flow
   //      too small to queue, which completes at once at the controller.
-  fabric_.hop(topo_.tile_of(core), fabric_.bridge_site(),
+  fabric_.hop(fabric_.core_tile(core), fabric_.bridge_site(),
               [this, core, bytes, core_rate_cap,
                cb = std::move(on_done)]() mutable {
     const McId mc = topo_.home_mc(core);
@@ -69,7 +69,7 @@ void MemorySystem::bulk(CoreId core, double bytes, double core_rate_cap,
       admit_at = fault_->mc_available(mc, now);
       service_bytes = bytes * fault_->mc_slowdown(mc, admit_at);
     }
-    const TileId mc_tile = topo_.tile_at(topo_.mc_position(mc));
+    const TileId mc_tile = fabric_.home_mc_tile(core);
     const SimTime start = max(now, admit_at) + mesh_extra +
                           fabric_.transit(fabric_.bridge_site(), mc_tile);
     const TileId done_from =
@@ -83,7 +83,7 @@ void MemorySystem::bulk(CoreId core, double bytes, double core_rate_cap,
       mcs_[mci]->start_flow(
           service_bytes,
           [this, core, done_from, cb = std::move(cb)]() mutable {
-            fabric_.hop(done_from, topo_.tile_of(core), std::move(cb));
+            fabric_.hop(done_from, fabric_.core_tile(core), std::move(cb));
           },
           core_rate_cap);
     });

@@ -74,52 +74,64 @@ void RcceComm::recv(CoreId to, CoreId from, StatusCallback on_complete) {
 void RcceComm::start_transfer(CoreId from, CoreId to, double bytes,
                               StatusCallback sender_done,
                               StatusCallback receiver_done) {
-  attempt_transfer(from, to, bytes, 1, chip_.sim().now(),
-                   std::move(sender_done), std::move(receiver_done));
+  Transfer t{from, to, bytes, 1, chip_.sim().now(), std::move(sender_done),
+             std::move(receiver_done)};
+  std::uint32_t id;
+  if (!free_transfers_.empty()) {
+    id = free_transfers_.back();
+    free_transfers_.pop_back();
+    transfers_[id] = std::move(t);
+  } else {
+    id = static_cast<std::uint32_t>(transfers_.size());
+    transfers_.push_back(std::move(t));
+  }
+  attempt_transfer(id);
+}
+
+void RcceComm::complete(std::uint32_t id, const Status& status) {
+  Transfer t = std::move(transfers_[id]);
+  free_transfers_.push_back(id);
+  // Sender unblocks first (its ack returns), then the receiver proceeds.
+  t.sender_done(status);
+  t.receiver_done(status);
 }
 
 /// Stages 4-5 of a delivered payload: receiver software overhead, then the
 /// bounce into the receiver's DRAM partition (§VI-A).
-void RcceComm::finish_delivery(CoreId to, double bytes,
-                               StatusCallback sender_done,
-                               StatusCallback receiver_done) {
+void RcceComm::finish_delivery(std::uint32_t id) {
+  const Transfer& t = transfers_[id];
+  const CoreId to = t.to;
+  const double bytes = t.bytes;
   const double recv_cycles =
       cfg_.recv_overhead_cycles + cfg_.per_chunk_cycles * chunk_count(bytes);
-  chip_.compute(to, recv_cycles, [this, to, bytes, sd = std::move(sender_done),
-                                  rd = std::move(receiver_done)]() mutable {
-    auto finish = [this, sd = std::move(sd), rd = std::move(rd)]() mutable {
+  chip_.compute(to, recv_cycles, [this, id, to, bytes] {
+    auto finish = [this, id] {
       ++delivered_;
-      // Sender unblocks first (its ack returns), then the receiver
-      // proceeds with the data.
-      sd(Status{});
-      rd(Status{});
+      complete(id, Status{});
     };
     if (cfg_.local_memory_banks) {
       // Data lands directly in the receiver's local bank.
       finish();
     } else {
-      chip_.dram_stream(to, bytes, std::move(finish));
+      chip_.dram_stream(to, bytes, finish);
     }
   });
 }
 
-void RcceComm::attempt_transfer(CoreId from, CoreId to, double bytes,
-                                int attempt, SimTime first_attempt_at,
-                                StatusCallback sender_done,
-                                StatusCallback receiver_done) {
+void RcceComm::attempt_transfer(std::uint32_t id) {
+  const Transfer& t = transfers_[id];
+  const CoreId from = t.from;
+  const CoreId to = t.to;
+  const double bytes = t.bytes;
   // Stage 1: sender software overhead + per-chunk handshakes (paid again on
   // every retransmission — the whole protocol round restarts).
   const double sender_cycles =
       cfg_.send_overhead_cycles + cfg_.per_chunk_cycles * chunk_count(bytes);
-  chip_.compute(from, sender_cycles, [this, from, to, bytes, attempt,
-                                      first_attempt_at,
-                                      sd = std::move(sender_done),
-                                      rd = std::move(receiver_done)]() mutable {
+  chip_.compute(from, sender_cycles, [this, id, from, to, bytes] {
     // Stage 2: sender streams the source buffer out of its own partition.
     // With hypothetical local memory banks (ablation) the source already
     // sits in the sender's local store — skip the partition read.
-    auto after_source = [this, from, to, bytes, attempt, first_attempt_at,
-                         sd = std::move(sd), rd = std::move(rd)]() mutable {
+    auto after_source = [this, id, from, to, bytes] {
       // Stage 3: payload crosses the mesh. The fault layer may lose or
       // delay it here; the mesh contention state advances either way (the
       // flits occupied the links up to the faulty point).
@@ -133,11 +145,7 @@ void RcceComm::attempt_transfer(CoreId from, CoreId to, double bytes,
                             : MessageFate::Deliver;
       if (fate == MessageFate::Deliver) {
         chip_.sim().schedule_at(mesh_done + extra,
-                                [this, to, bytes, sd = std::move(sd),
-                                 rd = std::move(rd)]() mutable {
-                                  finish_delivery(to, bytes, std::move(sd),
-                                                  std::move(rd));
-                                });
+                                [this, id] { finish_delivery(id); });
         return;
       }
       if (fate == MessageFate::Corrupt) {
@@ -145,83 +153,65 @@ void RcceComm::attempt_transfer(CoreId from, CoreId to, double bytes,
         // receiver pays its full consumption cost for the bad copy
         // (software overhead + partition bounce) before the NACK returns;
         // only then does the sender restart the protocol round.
-        chip_.sim().schedule_at(
-            mesh_done + extra,
-            [this, from, to, bytes, attempt, first_attempt_at,
-             sd = std::move(sd), rd = std::move(rd)]() mutable {
-              const double recv_cycles =
-                  cfg_.recv_overhead_cycles +
-                  cfg_.per_chunk_cycles * chunk_count(bytes);
-              chip_.compute(
-                  to, recv_cycles,
-                  [this, from, to, bytes, attempt, first_attempt_at,
-                   sd = std::move(sd), rd = std::move(rd)]() mutable {
-                    auto nack = [this, from, to, bytes, attempt,
-                                 first_attempt_at, sd = std::move(sd),
-                                 rd = std::move(rd)]() mutable {
-                      resolve_loss(from, to, bytes, attempt, first_attempt_at,
-                                   chip_.sim().now(), "corrupted",
-                                   std::move(sd), std::move(rd));
-                    };
-                    if (cfg_.local_memory_banks) {
-                      nack();
-                    } else {
-                      chip_.dram_stream(to, bytes, std::move(nack));
-                    }
-                  });
-            });
+        chip_.sim().schedule_at(mesh_done + extra, [this, id, to, bytes] {
+          const double recv_cycles =
+              cfg_.recv_overhead_cycles +
+              cfg_.per_chunk_cycles * chunk_count(bytes);
+          chip_.compute(to, recv_cycles, [this, id, to, bytes] {
+            auto nack = [this, id] {
+              resolve_loss(id, chip_.sim().now(), "corrupted");
+            };
+            if (cfg_.local_memory_banks) {
+              nack();
+            } else {
+              chip_.dram_stream(to, bytes, nack);
+            }
+          });
+        });
         return;
       }
       // The payload is gone. The sender spins on the ack flag until its
       // per-attempt timeout expires, then either retransmits after the
       // backoff or gives up with a typed error to both endpoints.
-      const SimTime detect = max(mesh_done, now + cfg_.retry.timeout);
-      resolve_loss(from, to, bytes, attempt, first_attempt_at, detect, "lost",
-                   std::move(sd), std::move(rd));
+      resolve_loss(id, max(mesh_done, now + cfg_.retry.timeout), "lost");
     };
     if (cfg_.local_memory_banks) {
       after_source();
     } else {
-      chip_.dram_stream(from, bytes, std::move(after_source));
+      chip_.dram_stream(from, bytes, after_source);
     }
   });
 }
 
-void RcceComm::resolve_loss(CoreId from, CoreId to, double bytes, int attempt,
-                            SimTime first_attempt_at, SimTime detect,
-                            const char* how, StatusCallback sender_done,
-                            StatusCallback receiver_done) {
+void RcceComm::resolve_loss(std::uint32_t id, SimTime detect,
+                            const char* how) {
+  const Transfer& t = transfers_[id];
   const RetryPolicy& rp = cfg_.retry;
-  const bool budget_left = attempt < rp.max_attempts;
+  const bool budget_left = t.attempt < rp.max_attempts;
   const SimTime next_start =
-      detect + (budget_left ? rp.backoff_after(attempt) : SimTime::zero());
-  const bool deadline_ok =
-      rp.deadline.is_zero() || next_start - first_attempt_at <= rp.deadline;
+      detect + (budget_left ? rp.backoff_after(t.attempt) : SimTime::zero());
+  const bool deadline_ok = rp.deadline.is_zero() ||
+                           next_start - t.first_attempt_at <= rp.deadline;
   if (budget_left && deadline_ok) {
-    chip_.sim().schedule_at(
-        next_start,
-        [this, from, to, bytes, attempt, first_attempt_at,
-         sd = std::move(sender_done), rd = std::move(receiver_done)]() mutable {
-          ++retransmissions_;
-          attempt_transfer(from, to, bytes, attempt + 1, first_attempt_at,
-                           std::move(sd), std::move(rd));
-        });
+    chip_.sim().schedule_at(next_start, [this, id] {
+      ++retransmissions_;
+      ++transfers_[id].attempt;
+      attempt_transfer(id);
+    });
     return;
   }
   std::ostringstream oss;
-  oss << "rcce " << from << "->" << to << " " << how << " after " << attempt
-      << " attempt(s), " << (detect - first_attempt_at).to_ms()
-      << " ms since rendezvous";
+  oss << "rcce " << t.from << "->" << t.to << " " << how << " after "
+      << t.attempt << " attempt(s), "
+      << (detect - t.first_attempt_at).to_ms() << " ms since rendezvous";
   Status failure{budget_left ? StatusCode::DeadlineExceeded
-                                   : StatusCode::RetriesExhausted,
-                       oss.str()};
-  chip_.sim().schedule_at(detect, [this, failure = std::move(failure),
-                                   sd = std::move(sender_done),
-                                   rd = std::move(receiver_done)]() mutable {
-    ++transfers_failed_;
-    sd(failure);
-    rd(failure);
-  });
+                             : StatusCode::RetriesExhausted,
+                 oss.str()};
+  chip_.sim().schedule_at(detect,
+                          [this, id, failure = std::move(failure)] {
+                            ++transfers_failed_;
+                            complete(id, failure);
+                          });
 }
 
 std::size_t RcceComm::abandon_pair(CoreId from, CoreId to) {

@@ -200,7 +200,7 @@ void SccChip::compute(CoreId core, double ref_cycles,
   SCCPIPE_CHECK(on_done != nullptr);
   // Hop from the bridge to the core's tile, run the work there, hop back.
   // A dead core starts nothing and returns nothing.
-  fabric_.hop(fabric_.bridge_site(), topo_.tile_of(core),
+  fabric_.hop(fabric_.bridge_site(), fabric_.core_tile(core),
               [this, core, ref_cycles, cb = std::move(on_done)]() mutable {
     if (core_dead_at(core, fabric_.now())) return;
     const SimTime dur = gray_adjusted(
@@ -209,7 +209,8 @@ void SccChip::compute(CoreId core, double ref_cycles,
     set_core_busy_at(core, true, fabric_.now());
     fabric_.after(dur, [this, core, cb = std::move(cb)]() mutable {
       set_core_busy_at(core, false, fabric_.now());
-      fabric_.hop(topo_.tile_of(core), fabric_.bridge_site(), std::move(cb));
+      fabric_.hop(fabric_.core_tile(core), fabric_.bridge_site(),
+                  std::move(cb));
     });
   });
 }
@@ -224,11 +225,11 @@ void SccChip::memory_walk(CoreId core, double line_accesses,
   // Busy accounting at the core's tile, then the dependent-miss segments
   // at the home controller's tile, where the walker registration and load
   // sampling execute.
-  fabric_.hop(fabric_.bridge_site(), topo_.tile_of(core),
+  fabric_.hop(fabric_.bridge_site(), fabric_.core_tile(core),
               [this, core, line_accesses, cb = std::move(on_done)]() mutable {
     if (core_dead_at(core, fabric_.now())) return;
     set_core_busy_at(core, true, fabric_.now());
-    fabric_.hop(topo_.tile_of(core), home_mc_tile(core),
+    fabric_.hop(fabric_.core_tile(core), fabric_.home_mc_tile(core),
                 [this, core, line_accesses, cb = std::move(cb)]() mutable {
       mem_.register_latency_stream(core);
       walk_step(WalkState{core, line_accesses / kSegments, kSegments,
@@ -240,10 +241,11 @@ void SccChip::memory_walk(CoreId core, double line_accesses,
 void SccChip::walk_step(WalkState st) {
   if (st.remaining == 0) {
     mem_.unregister_latency_stream(st.core);
-    fabric_.hop(home_mc_tile(st.core), topo_.tile_of(st.core),
+    fabric_.hop(fabric_.home_mc_tile(st.core), fabric_.core_tile(st.core),
                 [this, core = st.core, cb = std::move(st.on_done)]() mutable {
       set_core_busy_at(core, false, fabric_.now());
-      fabric_.hop(topo_.tile_of(core), fabric_.bridge_site(), std::move(cb));
+      fabric_.hop(fabric_.core_tile(core), fabric_.bridge_site(),
+                  std::move(cb));
     });
     return;
   }
@@ -255,24 +257,20 @@ void SccChip::walk_step(WalkState st) {
   });
 }
 
-TileId SccChip::home_mc_tile(CoreId core) const {
-  return topo_.tile_at(topo_.mc_position(topo_.home_mc(core)));
-}
-
 void SccChip::dram_stream(CoreId core, double bytes,
                           StageCallback on_done) {
   SCCPIPE_CHECK(on_done != nullptr);
   // The stream is issued from the core's tile (the memory system routes
   // it through the controller's tile and calls back at the core's tile),
   // then the continuation hops back to the bridge.
-  fabric_.hop(fabric_.bridge_site(), topo_.tile_of(core),
+  fabric_.hop(fabric_.bridge_site(), fabric_.core_tile(core),
               [this, core, bytes, cb = std::move(on_done)]() mutable {
     if (core_dead_at(core, fabric_.now())) return;
     set_core_busy_at(core, true, fabric_.now());
     mem_.bulk(core, bytes, copy_rate(core),
               [this, core, cb = std::move(cb)]() mutable {
                 set_core_busy_at(core, false, fabric_.now());
-                fabric_.hop(topo_.tile_of(core), fabric_.bridge_site(),
+                fabric_.hop(fabric_.core_tile(core), fabric_.bridge_site(),
                             std::move(cb));
               });
   });

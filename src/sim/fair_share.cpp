@@ -69,12 +69,15 @@ void FairShareResource::on_completion_event() {
   settle();
   // Collect finished flows first: their callbacks may start new flows on
   // this same resource (e.g. a pipeline stage chaining transfers), and the
-  // flow list must be consistent before user code runs.
-  std::vector<Callback> done;
+  // flow list must be consistent before user code runs. The list is a
+  // member, reused by every completion, so a completion allocates nothing
+  // once it has reached its largest size; no completion event can run
+  // while its callbacks do.
+  SCCPIPE_CHECK(done_.empty());
   auto it = flows_.begin();
   while (it != flows_.end()) {
     if (it->remaining_bytes <= kEpsilonBytes) {
-      done.push_back(std::move(it->on_done));
+      done_.push_back(std::move(it->on_done));
       it = flows_.erase(it);
       ++flows_completed_;
     } else {
@@ -82,7 +85,11 @@ void FairShareResource::on_completion_event() {
     }
   }
   reschedule();
-  for (Callback& cb : done) cb();
+  struct Clear {
+    std::vector<Callback>& done;
+    ~Clear() { done.clear(); }
+  } clear{done_};
+  for (Callback& cb : done_) cb();
 }
 
 }  // namespace sccpipe

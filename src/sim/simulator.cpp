@@ -66,8 +66,28 @@ std::uint32_t Simulator::acquire_slot(std::uint64_t seq) {
 }
 
 EventHandle Simulator::push_key(const HeapKey& key) {
-  if (heap_.size() == heap_.capacity()) ++stats_.allocs;
-  heap_.push(key);
+  // A new key carries the largest seq so far, so it comes before a queued
+  // key exactly when its time is strictly earlier.
+  if (held_) {
+    if (HeapKey::before(key, held_key_)) {
+      // The newcomer is the next event: the held key moves to the heap,
+      // and its register hit passes to the newcomer.
+      if (heap_.size() == heap_.capacity()) ++stats_.allocs;
+      heap_.push(held_key_);
+      held_key_ = key;
+    } else {
+      if (heap_.size() == heap_.capacity()) ++stats_.allocs;
+      heap_.push(key);
+    }
+  } else if (heap_.empty() || HeapKey::before(key, heap_.front())) {
+    held_key_ = key;
+    held_ = true;
+    ++stats_.register_hits;
+  } else {
+    if (heap_.size() == heap_.capacity()) ++stats_.allocs;
+    heap_.push(key);
+  }
+  ++stats_.scheduled;
   ++live_pending_;
   stats_.peak_events =
       std::max<std::uint64_t>(stats_.peak_events, live_pending_);
@@ -116,9 +136,10 @@ void Simulator::compact_if_worthwhile() {
   // majority, one O(n) filter + rebuild pass over the POD keys reclaims
   // the heap (the callbacks were already destroyed at cancel time).
   if (tombstones_ < kMinTombstonesForCompaction ||
-      tombstones_ * 2 < heap_.size()) {
+      tombstones_ * 2 < queued_keys()) {
     return;
   }
+  if (held_ && is_tombstone(held_key_)) held_ = false;
   heap_.remove_and_rebuild(
       [&](const HeapKey& key) { return is_tombstone(key); });
   tombstones_ = 0;
@@ -126,6 +147,11 @@ void Simulator::compact_if_worthwhile() {
 }
 
 void Simulator::drop_front_tombstones() {
+  if (held_) {
+    if (!is_tombstone(held_key_)) return;
+    held_ = false;
+    --tombstones_;
+  }
   while (!heap_.empty() && is_tombstone(heap_.front())) {
     heap_.pop_front();
     --tombstones_;
@@ -133,16 +159,23 @@ void Simulator::drop_front_tombstones() {
 }
 
 void Simulator::dispatch_front() {
-  const HeapKey key = heap_.front();
+  HeapKey key;
+  if (held_) {
+    // The register holds the next event: no sift.
+    key = held_key_;
+    held_ = false;
+  } else {
+    key = heap_.front();
+    // The slot table is far larger than the key array (one callback-sized
+    // entry per slot), so the callback line usually misses where the keys
+    // hit. Start its load now — it resolves while pop_front sifts — and
+    // once the new front is known, start that event's slot load so it
+    // resolves while the current callback runs.
+    SCCPIPE_SLOT_PREFETCH(&slot_fn(key.slot));
+    heap_.pop_front();
+    if (!heap_.empty()) SCCPIPE_SLOT_PREFETCH(&slot_fn(heap_.front().slot));
+  }
   Callback& fn = slot_fn(key.slot);
-  // The slot table is far larger than the key array (one callback-sized
-  // entry per slot), so the callback line usually misses where the keys
-  // hit. Start its load now — it resolves while pop_front sifts — and
-  // once the new front is known, start the *next* dispatch's slot load so
-  // it resolves while the current callback runs.
-  SCCPIPE_SLOT_PREFETCH(&fn);
-  heap_.pop_front();
-  if (!heap_.empty()) SCCPIPE_SLOT_PREFETCH(&slot_fn(heap_.front().slot));
   slot_seq_[key.slot] = 0;  // running, no longer pending or cancellable
   now_ = key.when;
   --live_pending_;
@@ -163,64 +196,70 @@ void Simulator::dispatch_front() {
 
 bool Simulator::step() {
   drop_front_tombstones();
-  if (heap_.empty()) return false;
+  if (queue_empty()) return false;
   dispatch_front();
   return true;
 }
 
-std::uint64_t Simulator::run_timestamp(std::uint64_t max_events) {
-  drop_front_tombstones();
-  if (heap_.empty() || max_events == 0) return 0;
-  const SimTime ts = heap_.front().when;
+std::uint64_t Simulator::dispatch_timestamp(SimTime ts,
+                                            std::uint64_t max_events) {
   std::uint64_t n = 0;
-  do {
+  while (n < max_events && !queue_empty() && front_key().when == ts) {
     dispatch_front();
     ++n;
     drop_front_tombstones();
-  } while (n < max_events && !heap_.empty() && heap_.front().when == ts);
+  }
   return n;
 }
 
-SimTime Simulator::run() {
-  while (step()) {
-  }
-  return now_;
+std::uint64_t Simulator::run_timestamp(std::uint64_t max_events) {
+  drop_front_tombstones();
+  if (queue_empty()) return 0;
+  return dispatch_timestamp(front_key().when, max_events);
 }
 
-SimTime Simulator::run_until(SimTime deadline) {
-  for (;;) {
-    drop_front_tombstones();
-    if (heap_.empty() || heap_.front().when > deadline) break;
-    // All events at the front timestamp are <= deadline: batch them.
-    run_timestamp(~std::uint64_t{0});
+bool Simulator::drain(SimTime deadline,
+                      std::uint64_t max_events_per_timestamp,
+                      SimTime* cut_at) {
+  drop_front_tombstones();
+  while (!queue_empty() && front_key().when <= deadline) {
+    const SimTime ts = front_key().when;
+    // A batch cut at the budget with the front still at the same instant
+    // is budget + 1 events without the clock moving.
+    if (dispatch_timestamp(ts, max_events_per_timestamp) ==
+            max_events_per_timestamp &&
+        !queue_empty() && front_key().when == ts) {
+      *cut_at = ts;
+      return false;
+    }
   }
+  return true;
+}
+
+SimTime Simulator::run() { return run_until(SimTime::max()); }
+
+SimTime Simulator::run_until(SimTime deadline) {
+  SimTime cut_at;
+  drain(deadline, ~std::uint64_t{0}, &cut_at);
   return now_;
 }
 
 SimTime Simulator::next_event_time() {
   drop_front_tombstones();
-  return heap_.empty() ? SimTime::max() : heap_.front().when;
+  return queue_empty() ? SimTime::max() : front_key().when;
 }
 
 std::size_t Simulator::pending() const { return live_pending_; }
 
 Status run_guarded(Simulator& sim, SimTime deadline,
                    std::uint64_t max_events_per_timestamp) {
-  for (;;) {
-    const SimTime ts = sim.next_event_time();
-    if (ts == SimTime::max() || ts > deadline) return Status();
-    // A batch cut at the budget with the front still at the same instant
-    // is budget + 1 events without the clock moving: a livelock.
-    if (sim.run_timestamp(max_events_per_timestamp) ==
-            max_events_per_timestamp &&
-        sim.next_event_time() == ts) {
-      return Status(StatusCode::DeadlineExceeded,
-                    "event loop livelocked: more than " +
-                        std::to_string(max_events_per_timestamp) +
-                        " events at t=" + ts.to_string() +
-                        " without the clock advancing");
-    }
-  }
+  SimTime ts;
+  if (sim.drain(deadline, max_events_per_timestamp, &ts)) return Status();
+  return Status(StatusCode::DeadlineExceeded,
+                "event loop livelocked: more than " +
+                    std::to_string(max_events_per_timestamp) +
+                    " events at t=" + ts.to_string() +
+                    " without the clock advancing");
 }
 
 }  // namespace sccpipe

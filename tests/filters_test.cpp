@@ -271,6 +271,21 @@ TEST(Scratch, FramePersistentParamsAreStripInvariant) {
               !(a.color == c.color));
 }
 
+TEST(Scratch, CountForFrameIsTheFirstDrawOfTheParamsStream) {
+  for (const std::uint64_t seed : {1ULL, 42ULL, 0x9e3779b97f4a7c15ULL}) {
+    for (const int max_scratches : {0, 1, 12}) {
+      for (int frame = 0; frame < 1000; ++frame) {
+        ASSERT_EQ(scratch_count_for_frame(seed, frame, max_scratches),
+                  scratch_params_for_frame(seed, frame, 400, max_scratches)
+                      .count)
+            << "seed " << seed << " frame " << frame << " max "
+            << max_scratches;
+      }
+    }
+  }
+  EXPECT_THROW(scratch_count_for_frame(1, 0, -1), CheckError);
+}
+
 // ------------------------------------------------------------------ Flicker
 
 TEST(Flicker, DeltaWithinPaperInterval) {

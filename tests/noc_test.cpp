@@ -259,5 +259,47 @@ TEST(MeshFabric, PostAtRunsAtTheInstantButNeverUndercutsTransit) {
   EXPECT_EQ(sim.dispatched(), 2u);
 }
 
+TEST(MeshFabric, TransitTableMatchesTheHopExpressionForEveryPair) {
+  // The SCC's 6x4 mesh at its router latency, and the cluster node's 8x4
+  // one at 2 ns (ChipConfig::mogon_node).
+  MeshLayout cluster;
+  cluster.width = 8;
+  cluster.height = 4;
+  cluster.mc_positions = {{0, 0}, {7, 0}, {0, 2}, {7, 2}};
+  const std::vector<std::pair<MeshLayout, SimTime>> meshes{
+      {MeshLayout{}, MeshTimingConfig{}.router_latency}, {cluster, 2_ns}};
+  for (const auto& [layout, hop] : meshes) {
+    Simulator sim;
+    const MeshFabric fab(sim, layout, hop);
+    const MeshTopology topo(layout);
+    for (TileId a = 0; a < topo.tile_count(); ++a) {
+      for (TileId b = 0; b < topo.tile_count(); ++b) {
+        const int hops = topo.hop_distance(topo.coord_of(a), topo.coord_of(b));
+        ASSERT_EQ(fab.transit(a, b), hop * static_cast<double>(hops))
+            << a << " -> " << b;
+        ASSERT_EQ(fab.transit(a, b).to_ns(), hop.to_ns() * hops);
+      }
+    }
+    for (CoreId c = 0; c < topo.core_count(); ++c) {
+      ASSERT_EQ(fab.core_tile(c), topo.tile_of(c));
+      ASSERT_EQ(fab.home_mc_tile(c),
+                topo.tile_at(topo.mc_position(topo.home_mc(c))));
+    }
+  }
+}
+
+TEST(MeshFabric, OffMeshTileOrCoreIsACheckError) {
+  Simulator sim;
+  MeshFabric fab(sim, MeshLayout{}, 5_ns);
+  EXPECT_THROW(fab.transit(-1, 0), CheckError);
+  EXPECT_THROW(fab.transit(0, 24), CheckError);
+  EXPECT_THROW(fab.transit(24, 24), CheckError);
+  EXPECT_THROW(fab.core_tile(48), CheckError);
+  EXPECT_THROW(fab.core_tile(-1), CheckError);
+  EXPECT_THROW(fab.home_mc_tile(48), CheckError);
+  EXPECT_THROW(fab.hop(0, 24, [] {}), CheckError);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
 }  // namespace
 }  // namespace sccpipe

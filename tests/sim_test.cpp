@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sccpipe/sim/fair_share.hpp"
@@ -662,6 +663,259 @@ TEST(SimulatorDeterminism, MatchesReferenceSchedulerOnChaosWorkload) {
 
   ASSERT_FALSE(trace_new.empty());
   EXPECT_EQ(trace_new, trace_ref);
+}
+
+// ------------------------------- next-event register vs reference engine
+
+// A seeded chaos workload written once for both engines. Every dispatch is
+// recorded as (time, event id) and every cancel's verdict is logged; the
+// engines must agree on both. Each dispatched event picks one action from
+// its RNG; the actions are the queue shapes the register must get right:
+//
+//  * a chain whose successor lands ahead of everything pending;
+//  * two successors pushed ahead of the front from one callback, the
+//    second earlier, so it displaces the first from the register;
+//  * a successor cancelled right after it was pushed — the held key;
+//  * a burst of far-future keys cancelled together with the held key, so
+//    the compaction runs while the held key is a tombstone;
+//  * far-future and zero-delay (co-timed) successors.
+template <typename Sim>
+class RegisterWorkload {
+ public:
+  struct Dispatch {
+    std::int64_t at_ns;
+    int id;
+    bool operator==(const Dispatch&) const = default;
+  };
+
+  RegisterWorkload(Sim& sim, std::uint64_t seed, int max_events)
+      : sim_(sim), rng_(seed), max_events_(max_events) {
+    for (int i = 0; i < 40; ++i) schedule(rng_.below(200));
+  }
+
+  std::vector<Dispatch> trace;
+  std::vector<bool> cancels;  ///< cancel() verdicts, in call order
+  /// When set, the first dispatched event with an id at or past spin_at
+  /// starts a zero-delay self-reschedule cycle of spin_length events.
+  int spin_at = -1;
+  int spin_length = 0;
+
+ private:
+  using Handle =
+      decltype(std::declval<Sim&>().schedule_after(SimTime{}, [] {}));
+
+  void schedule(std::uint64_t delay_ns) {
+    const int id = next_id_++;
+    pending_.push_back(sim_.schedule_after(
+        SimTime::ns(static_cast<std::int64_t>(delay_ns)),
+        [this, id] { fire(id); }));
+  }
+  void cancel(std::size_t i) { cancels.push_back(sim_.cancel(pending_[i])); }
+
+  void fire(int id) {
+    trace.push_back(Dispatch{sim_.now().to_ns(), id});
+    if (spin_at >= 0 && id >= spin_at) {
+      spin_at = -1;
+      spin(spin_length);
+      return;
+    }
+    if (next_id_ >= max_events_) return;
+    switch (rng_.below(6)) {
+      case 0:  // chain ahead of the front
+        schedule(rng_.below(3));
+        break;
+      case 1:  // the second successor displaces the first
+        schedule(5 + rng_.below(5));
+        schedule(rng_.below(5));
+        break;
+      case 2:  // cancel the held key, keep the chain alive
+        schedule(rng_.below(3));
+        cancel(pending_.size() - 1);
+        schedule(rng_.below(50));
+        break;
+      case 3:  // cancel anything, dispatched or pending
+        cancel(rng_.below(pending_.size()));
+        schedule(rng_.below(100));
+        break;
+      case 4:  // far future plus a co-timed successor
+        schedule(1000 + rng_.below(1000));
+        schedule(0);
+        break;
+      default:
+        if (rng_.below(8) != 0) {
+          schedule(rng_.below(300));
+          break;
+        }
+        // Burst: a held successor, then 100 far keys, all cancelled.
+        schedule(1);
+        const std::size_t first = pending_.size() - 1;
+        for (int i = 0; i < 100; ++i) schedule(100000 + rng_.below(1000));
+        for (std::size_t i = first; i < pending_.size(); ++i) cancel(i);
+        schedule(rng_.below(20));
+        break;
+    }
+  }
+
+  void spin(int left) {
+    if (left == 0) return;
+    const int id = next_id_++;
+    sim_.schedule_after(SimTime::zero(), [this, id, left] {
+      trace.push_back(Dispatch{sim_.now().to_ns(), id});
+      spin(left - 1);
+    });
+  }
+
+  Sim& sim_;
+  Rng rng_;
+  int max_events_;
+  int next_id_ = 0;
+  std::vector<Handle> pending_;
+};
+
+TEST(SimulatorDeterminism, RegisterMatchesReferenceSchedulerOnSeededChaos) {
+  std::uint64_t hits = 0;
+  std::uint64_t compactions = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Simulator sim;
+    RegisterWorkload<Simulator> got(sim, seed, 20000);
+    sim.run();
+    reference::Scheduler ref_sim;
+    RegisterWorkload<reference::Scheduler> want(ref_sim, seed, 20000);
+    ref_sim.run();
+    ASSERT_GT(got.trace.size(), 5000u) << "seed " << seed;
+    ASSERT_EQ(got.trace.size(), want.trace.size()) << "seed " << seed;
+    EXPECT_TRUE(std::equal(
+        got.trace.begin(), got.trace.end(), want.trace.begin(),
+        [](const auto& a, const auto& b) {
+          return a.at_ns == b.at_ns && a.id == b.id;
+        }))
+        << "seed " << seed;
+    EXPECT_EQ(got.cancels, want.cancels) << "seed " << seed;
+    EXPECT_EQ(sim.pending(), 0u);
+    hits += sim.stats().register_hits;
+    compactions += sim.stats().compactions;
+    EXPECT_LE(sim.stats().register_hits, sim.stats().scheduled);
+  }
+  // The workload exercised both the register and compaction.
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(compactions, 0u);
+}
+
+TEST(SimulatorDeterminism, RunUntilDeadlinesCutTheReferenceOrderAnywhere) {
+  // Deadlines drawn across the run land between the held key and the heap
+  // front, inside co-timed batches and past tombstones; each run_until
+  // must have dispatched exactly the reference's events at or before it.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    reference::Scheduler ref_sim;
+    RegisterWorkload<reference::Scheduler> want(ref_sim, seed, 6000);
+    ref_sim.run();
+    Simulator sim;
+    RegisterWorkload<Simulator> got(sim, seed, 6000);
+    Rng rng{seed * 977};
+    std::int64_t deadline = 0;
+    while (sim.pending() > 0) {
+      deadline += static_cast<std::int64_t>(rng.below(400));
+      sim.run_until(SimTime::ns(deadline));
+      const std::size_t n = got.trace.size();
+      ASSERT_LE(n, want.trace.size());
+      if (n > 0) {
+        ASSERT_LE(got.trace[n - 1].at_ns, deadline);
+      }
+      if (n < want.trace.size()) {
+        ASSERT_GT(want.trace[n].at_ns, deadline) << "seed " << seed;
+      }
+    }
+    ASSERT_EQ(got.trace.size(), want.trace.size());
+    for (std::size_t i = 0; i < got.trace.size(); ++i) {
+      ASSERT_EQ(got.trace[i].at_ns, want.trace[i].at_ns) << i;
+      ASSERT_EQ(got.trace[i].id, want.trace[i].id) << i;
+    }
+  }
+}
+
+TEST(SimulatorDeterminism, RunUntilBetweenTheHeldKeyAndTheHeapFront) {
+  Simulator sim;
+  std::vector<int> log;
+  sim.schedule_at(SimTime::us(100), [&] { log.push_back(100); });  // heap
+  sim.schedule_at(SimTime::us(10), [&] {                     // register
+    log.push_back(10);
+    // Ahead of the heap front: held. Then a deadline at 50 us lies
+    // between it (20 us) and the heap front (100 us).
+    sim.schedule_at(SimTime::us(20), [&] { log.push_back(20); });
+  });
+  EXPECT_EQ(sim.run_until(SimTime::us(50)), SimTime::us(20));
+  EXPECT_EQ(log, (std::vector<int>{10, 20}));
+  EXPECT_EQ(sim.next_event_time(), SimTime::us(100));
+  // A deadline before the held key dispatches nothing.
+  sim.schedule_at(SimTime::us(60), [&] { log.push_back(60); });
+  EXPECT_EQ(sim.run_until(SimTime::us(55)), SimTime::us(20));
+  EXPECT_EQ(log, (std::vector<int>{10, 20}));
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{10, 20, 60, 100}));
+  EXPECT_EQ(sim.stats().register_hits, 3u);
+}
+
+TEST(SimulatorDeterminism, CancelledHeldKeyIsDroppedAndCompacted) {
+  Simulator sim;
+  std::vector<int> log;
+  sim.schedule_at(SimTime::us(50), [&] { log.push_back(50); });
+  // Comes before 50 us: held in the register, 50 us moves to the heap.
+  const EventHandle held =
+      sim.schedule_at(SimTime::us(5), [&] { log.push_back(5); });
+  std::vector<EventHandle> far;
+  for (int i = 0; i < 63; ++i) {
+    far.push_back(sim.schedule_at(SimTime::us(1000 + i), [] {}));
+  }
+  for (const EventHandle& h : far) EXPECT_TRUE(sim.cancel(h));
+  EXPECT_EQ(sim.stats().compactions, 0u);
+  // The 64th tombstone is the held key: the compaction runs while it is
+  // held and must take it along.
+  EXPECT_TRUE(sim.cancel(held));
+  EXPECT_FALSE(sim.cancel(held));
+  EXPECT_EQ(sim.stats().compactions, 1u);
+  EXPECT_EQ(sim.pending(), 1u);
+  // Nothing of the held key is left: with 64 live keys, 64 new tombstones
+  // are exactly half the queue and compact it again.
+  for (int i = 0; i < 63; ++i) sim.schedule_at(SimTime::us(2000 + i), [] {});
+  far.clear();
+  for (int i = 0; i < 64; ++i) {
+    far.push_back(sim.schedule_at(SimTime::us(3000 + i), [] {}));
+  }
+  for (const EventHandle& h : far) EXPECT_TRUE(sim.cancel(h));
+  EXPECT_EQ(sim.stats().compactions, 2u);
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{50}));
+  EXPECT_EQ(sim.dispatched(), 64u);
+}
+
+TEST(SimulatorDeterminism, RunGuardedTripsWhereTheReferenceWouldSpin) {
+  // A zero-delay cycle started mid-workload: run_guarded must stop after
+  // exactly `budget` events at the cycle's instant, on the reference's
+  // order, and leave the rest pending.
+  constexpr std::uint64_t kBudget = 300;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    reference::Scheduler ref_sim;
+    RegisterWorkload<reference::Scheduler> want(ref_sim, seed, 4000);
+    want.spin_at = 1500;
+    want.spin_length = 1000;
+    ref_sim.run();
+    Simulator sim;
+    RegisterWorkload<Simulator> got(sim, seed, 4000);
+    got.spin_at = 1500;
+    got.spin_length = 1000;
+    const Status st = run_guarded(sim, SimTime::max(), kBudget);
+    ASSERT_EQ(st.code(), StatusCode::DeadlineExceeded) << st.to_string();
+    const std::int64_t t = sim.now().to_ns();
+    std::size_t first_at_t = 0;
+    while (want.trace[first_at_t].at_ns != t) ++first_at_t;
+    ASSERT_EQ(got.trace.size(), first_at_t + kBudget) << "seed " << seed;
+    for (std::size_t i = 0; i < got.trace.size(); ++i) {
+      ASSERT_EQ(got.trace[i].at_ns, want.trace[i].at_ns) << i;
+      ASSERT_EQ(got.trace[i].id, want.trace[i].id) << i;
+    }
+    EXPECT_EQ(sim.next_event_time(), sim.now());
+    EXPECT_GT(sim.pending(), 0u);
+  }
 }
 
 // ------------------------------------- batched same-timestamp dispatch

@@ -332,10 +332,33 @@ TEST_F(WalkthroughFixture, EventQueueNeverAllocatesInSteadyState) {
       RunConfig cfg = config(s, 4);
       cfg.platform = platform;
       const RunResult r = run_walkthrough(scene(), trace(), cfg);
-      EXPECT_EQ(r.sim_allocs, 0u)
-          << scenario_name(s) << " peak=" << r.sim_peak_events;
-      EXPECT_GT(r.sim_peak_events, 0u) << scenario_name(s);
+      EXPECT_EQ(r.sim_stats.allocs, 0u)
+          << scenario_name(s) << " peak=" << r.sim_stats.peak_events;
+      EXPECT_GT(r.sim_stats.peak_events, 0u) << scenario_name(s);
     }
+  }
+}
+
+TEST_F(WalkthroughFixture, MostEventsBypassTheHeap) {
+  // A chip operation is a chain of hop -> after -> hop links whose
+  // successor lands ahead of every pending event, so most pushes go to the
+  // next-event register and are dispatched without a sift. The count is a
+  // pure function of the event stream, so it repeats exactly.
+  for (const Scenario s : {Scenario::SingleRenderer,
+                           Scenario::RendererPerPipeline,
+                           Scenario::HostRenderer}) {
+    const RunConfig cfg = config(s, 4);
+    const RunResult a = run_walkthrough(scene(), trace(), cfg);
+    const RunResult b = run_walkthrough(scene(), trace(), cfg);
+    const SimulatorStats& st = a.sim_stats;
+    ASSERT_GT(st.scheduled, 0u) << scenario_name(s);
+    EXPECT_GE(static_cast<double>(st.register_hits),
+              0.75 * static_cast<double>(st.scheduled))
+        << scenario_name(s) << ": " << st.register_hits << " of "
+        << st.scheduled;
+    EXPECT_EQ(st.register_hits, b.sim_stats.register_hits)
+        << scenario_name(s);
+    EXPECT_EQ(st.scheduled, b.sim_stats.scheduled) << scenario_name(s);
   }
 }
 

@@ -7,6 +7,7 @@
 //   $ sccpipe --scenario mcpc --blur-mhz 800 --tail-mhz 400 --isolate-blur
 //   $ sccpipe --list           # enumerate accepted option values
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -283,6 +284,21 @@ int main(int argc, char** argv) {
       }
     }
   }
+  if (r.transport.enabled || r.recovery.enabled || r.gray.enabled) {
+    // The run's one frame ledger. A closed-loop run offers the whole
+    // walkthrough; an overload run counts what its feeder saw.
+    const TransportReport& t = r.transport;
+    const auto n = [](std::uint64_t v) {
+      return static_cast<unsigned long long>(v);
+    };
+    std::printf("frames:        %llu offered = %zu delivered + %llu shed "
+                "(admission) + %llu shed (breaker) + %llu shed (deadline) + "
+                "%llu shed (transport) + %d lost\n",
+                t.enabled ? n(t.frames_offered) : n(frames),
+                r.frame_done_ms.size(), n(t.shed_admission),
+                n(t.shed_breaker), n(t.shed_deadline), n(t.shed_transport),
+                r.recovery.frames_lost);
+  }
   if (r.transport.enabled) {
     const TransportReport& t = r.transport;
     std::printf("transport:     %llu first sends, %llu retransmits, %llu "
@@ -291,18 +307,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(t.retransmissions),
                 static_cast<unsigned long long>(t.dup_suppressed),
                 t.smoothed_rtt_ms);
-    std::printf("  ledger: %llu offered = %llu admitted + %llu shed "
-                "(admission) + %llu shed (breaker)\n",
-                static_cast<unsigned long long>(t.frames_offered),
-                static_cast<unsigned long long>(t.frames_admitted),
-                static_cast<unsigned long long>(t.shed_admission),
-                static_cast<unsigned long long>(t.shed_breaker));
-    std::printf("          %llu admitted = %llu delivered + %llu shed "
-                "(deadline) + %llu shed (transport)\n",
-                static_cast<unsigned long long>(t.frames_admitted),
-                static_cast<unsigned long long>(t.frames_delivered),
-                static_cast<unsigned long long>(t.shed_deadline),
-                static_cast<unsigned long long>(t.shed_transport));
     std::printf("  backpressure: %llu credit stalls (%.1f ms); queue peaks "
                 "feeder %d, link %d, stage %d\n",
                 static_cast<unsigned long long>(t.credit_stalls),
@@ -353,15 +357,10 @@ int main(int argc, char** argv) {
   if (r.gray.enabled) {
     const GrayReport& g = r.gray;
     std::printf("gray failures: %d flag(s) -> %d dvfs boost(s), %d "
-                "migration(s), %d rebalance(s), %d escalation(s)\n",
-                g.flags_raised, g.dvfs_boosts, g.migrations, g.rebalances,
-                g.escalations);
-    std::printf("  ledger: %llu offered = %llu delivered + %llu shed; %d "
+                "migration(s), %d rebalance(s), %d escalation(s); %d "
                 "in-flight frame(s) drained through migration\n",
-                static_cast<unsigned long long>(g.frames_offered),
-                static_cast<unsigned long long>(g.frames_delivered),
-                static_cast<unsigned long long>(g.frames_shed),
-                g.frames_drained);
+                g.flags_raised, g.dvfs_boosts, g.migrations, g.rebalances,
+                g.escalations, g.frames_drained);
     if (g.post_mitigation_fps > 0.0) {
       std::printf("  post-mitigation throughput %.2f fps\n",
                   g.post_mitigation_fps);

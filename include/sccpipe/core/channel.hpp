@@ -64,6 +64,12 @@ class Channel {
     on_error_ = std::move(handler);
   }
 
+  /// The owner dropped this channel (its pipeline was rebuilt or written
+  /// off): its late transport errors are ignored, and an RCCE channel also
+  /// discards its unmatched rendezvous and posts no further traffic, so
+  /// nothing of it pairs with a channel rebuilt on the same cores.
+  virtual void retire() { on_error_ = [](const Status&) {}; }
+
  protected:
   /// Report a transport failure; fails the run loudly when no handler is
   /// installed (an un-handled fault must not dissolve into a silent stall).
@@ -80,9 +86,7 @@ class SccChannel final : public Channel {
 
   void send(FrameToken token, SendDone on_sent) override;
   void recv(RecvDone on_token) override;
-
-  CoreId from() const { return from_; }
-  CoreId to() const { return to_; }
+  void retire() override;
 
  private:
   RcceComm& comm_;
@@ -170,9 +174,7 @@ class CreditedSccChannel final : public Channel {
 
   void send(FrameToken token, SendDone on_sent) override;
   void recv(RecvDone on_token) override;
-
-  CoreId from() const { return from_; }
-  CoreId to() const { return to_; }
+  void retire() override;
 
   std::uint64_t credit_stalls() const { return credit_stalls_; }
   SimTime credit_stall_time() const { return credit_stall_time_; }
@@ -198,6 +200,7 @@ class CreditedSccChannel final : public Channel {
   std::vector<RecvDone> recv_done_;
   std::vector<std::uint32_t> free_recv_done_;
   bool stalled_ = false;
+  bool retired_ = false;
   SimTime stall_since_{};
   std::uint64_t credit_stalls_ = 0;
   SimTime credit_stall_time_{};

@@ -119,8 +119,9 @@ struct TransportReport {
   std::uint64_t credit_grants = 0;  ///< credit-return control datagrams
   double smoothed_rtt_ms = 0.0;
 
-  // --- frame ledger (offered = admitted + shed_admission + shed_breaker;
-  //     admitted = delivered + shed_deadline + shed_transport) ------------
+  // --- frame counts, read off the run's one frame ledger (offered =
+  //     admitted + shed_admission + shed_breaker; admitted = delivered +
+  //     shed_deadline + shed_transport + RecoveryReport::frames_lost) -----
   std::uint64_t frames_offered = 0;
   std::uint64_t frames_admitted = 0;
   std::uint64_t frames_delivered = 0;

@@ -125,16 +125,14 @@ struct RunConfig {
   /// transport, credit-based backpressure, admission control / shedding /
   /// circuit breaker. Default-off: a disabled config keeps the legacy
   /// closed-loop run bit-identical. Only meaningful for HostRenderer runs;
-  /// cannot be combined with planned core failures (the supervisor rebuild
-  /// assumes rendezvous channels).
+  /// composes with core failures and gray detection.
   OverloadConfig overload{};
 
   /// Gray-failure tolerance (see core/recovery.hpp GrayConfig): service-
   /// time outlier detection on the heartbeat tick plus the mitigation
   /// ladder (DVFS boost -> drain-migrate -> rebalance). Default-off; when
   /// armed it builds the Supervisor even without planned core failures.
-  /// Cannot be combined with the overload data plane (the gray ledger
-  /// assumes the closed-loop frame accounting).
+  /// Composes with the overload data plane.
   GrayConfig gray{};
 
   /// Crash-durable run layer (see CheckpointConfig): periodic snapshots,
@@ -151,7 +149,9 @@ struct StageReport {
   int pipeline = -1;  ///< -1 for producer/transfer stages
   CoreId core = -1;
   QuantileSummary wait_ms{};  ///< per-frame waiting for the next input tile
-  double busy_ms = 0.0;       ///< total busy time on the stage's core
+  /// Busy time of the stage's core; a failed run counts it only up to the
+  /// stage's last counted frame, not the work it then dropped.
+  double busy_ms = 0.0;
   int frames = 0;  ///< frames the stage completed (transfer: frames shown)
 };
 
@@ -233,7 +233,7 @@ struct GrayActionRecord {
 };
 
 /// Gray-failure outcome of one run: every detector flag, every ladder
-/// action, and the audited frame ledger (offered = delivered + shed;
+/// action, and the run's frame counts (offered = delivered + shed;
 /// mitigation itself never loses a frame — drain-migration replays nothing
 /// and abandons nothing).
 struct GrayReport {
@@ -251,10 +251,11 @@ struct GrayReport {
   /// checkpoint replay after a death.
   int frames_drained = 0;
   std::vector<GrayActionRecord> actions;
-  /// Audited ledger over the whole run (CHECKed when the run is intact).
+  /// Read off the run's one frame ledger (balanced when the run is intact).
   std::uint64_t frames_offered = 0;
   std::uint64_t frames_delivered = 0;
-  std::uint64_t frames_shed = 0;  ///< lost to degraded pipelines only
+  /// Shed by the overload policy or lost to degraded pipelines.
+  std::uint64_t frames_shed = 0;
   /// Delivered-frame throughput from the first flag to the end of the run;
   /// 0 when nothing was flagged.
   double post_mitigation_fps = 0.0;
@@ -328,9 +329,9 @@ PlacementRequest placement_request(const RunConfig& cfg);
 /// Dry run of the configuration checks run_walkthrough() would CHECK —
 /// scenario, pipeline count, placement feasibility on the platform's mesh,
 /// fault targets, DVFS levels, the overload and retry knobs' ranges,
-/// validate_recovery(), validate_gray(), feature exclusions — without
-/// building a scene, a trace or a simulator. The only place a RunConfig is
-/// checked; InvalidArgument names the first problem.
+/// validate_recovery(), validate_gray(), overload only on the host feed —
+/// without building a scene, a trace or a simulator. The only place a
+/// RunConfig is checked; InvalidArgument names the first problem.
 Status validate_run_config(const RunConfig& cfg);
 
 /// The strip counts a trace needs to run every config in \p configs:

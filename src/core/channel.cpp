@@ -92,6 +92,11 @@ void SccChannel::recv(RecvDone on_token) {
   });
 }
 
+void SccChannel::retire() {
+  Channel::retire();
+  comm_.abandon_pair(from_, to_);
+}
+
 // --------------------------------------------------------- HostToChipChannel
 
 HostToChipChannel::HostToChipChannel(HostCpu& host, SccChip& chip,
@@ -277,13 +282,23 @@ void CreditedSccChannel::recv(RecvDone on_token) {
     RecvDone cb = std::move(recv_done_[slot]);
     free_recv_done_.push_back(slot);
     --outstanding_;
-    ++credit_messages_;
-    // Return the freed slot as real mesh traffic: consumer -> producer.
-    comm_.send(to_, from_, credit_bytes_, [this](const Status& s) {
-      if (!s.ok()) fail(s);
-    });
+    if (!retired_) {
+      ++credit_messages_;
+      // Return the freed slot as real mesh traffic: consumer -> producer.
+      comm_.send(to_, from_, credit_bytes_, [this](const Status& s) {
+        if (!s.ok()) fail(s);
+      });
+    }
     cb(std::move(token), matched);
   });
+}
+
+void CreditedSccChannel::retire() {
+  Channel::retire();
+  data_.retire();
+  comm_.abandon_pair(to_, from_);
+  waiting_.clear();
+  retired_ = true;
 }
 
 // ------------------------------------------------------- ChipToViewerChannel

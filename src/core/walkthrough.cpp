@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <deque>
 #include <map>
-#include <set>
 #include <span>
 #include <sstream>
 #include <string>
@@ -193,6 +192,66 @@ std::vector<Image> compose_frames(const SceneBundle& scene,
   return out;
 }
 
+/// Where every frame of a run ended up. A frame is offered once (all at
+/// the start of a closed-loop run; on arrival or render in an overload
+/// run) and then gets exactly one fate: delivered to the viewer, shed
+/// (admission queue full, breaker open, deadline missed, abandoned by the
+/// transport) or lost to a degraded pipeline. The transport, gray and
+/// recovery reports read their frame counts off this one ledger.
+class FrameLedger {
+ public:
+  enum class Fate : std::uint8_t {
+    Unoffered, Pending, Delivered,
+    ShedAdmission, ShedBreaker, ShedDeadline, ShedTransport, Lost,
+  };
+
+  /// \p offered_at_start: a closed-loop run offers every frame at once.
+  FrameLedger(int frames, bool offered_at_start)
+      : fate_(static_cast<std::size_t>(frames),
+              offered_at_start ? Fate::Pending : Fate::Unoffered),
+        offered_at_(fate_.size()) {}
+
+  void offer(int frame, SimTime at) {
+    offered_at_[static_cast<std::size_t>(frame)] = at;
+    move(frame, Fate::Unoffered, Fate::Pending);
+  }
+  /// Set \p frame's one fate.
+  void settle(int frame, Fate fate) { move(frame, Fate::Pending, fate); }
+
+  Fate fate(int frame) const { return fate_[static_cast<std::size_t>(frame)]; }
+  /// Shed or lost: the frame will never reach the viewer.
+  bool dropped(int frame) const { return fate(frame) > Fate::Delivered; }
+  SimTime offered_at(int frame) const {
+    return offered_at_[static_cast<std::size_t>(frame)];
+  }
+  std::uint64_t count(Fate f) const {
+    return static_cast<std::uint64_t>(
+        std::count(fate_.begin(), fate_.end(), f));
+  }
+  std::uint64_t offered() const {
+    return fate_.size() - count(Fate::Unoffered);
+  }
+  std::uint64_t shed() const {
+    return count(Fate::ShedAdmission) + count(Fate::ShedBreaker) +
+           count(Fate::ShedDeadline) + count(Fate::ShedTransport);
+  }
+
+ private:
+  void move(int frame, Fate from, Fate to) {
+    Fate& f = fate_[static_cast<std::size_t>(frame)];
+    SCCPIPE_CHECK_MSG(f == from, "frame " << frame << " given fate "
+                                          << static_cast<int>(to)
+                                          << " after fate "
+                                          << static_cast<int>(f));
+    f = to;
+  }
+
+  std::vector<Fate> fate_;
+  std::vector<SimTime> offered_at_;
+};
+
+using Fate = FrameLedger::Fate;
+
 /// One timed walkthrough run. Owns the simulator, the platform models and
 /// all stage actors; run() drives the event loop to completion.
 class WalkthroughSim {
@@ -201,7 +260,8 @@ class WalkthroughSim {
                  const RunConfig& cfg)
       : scene_(scene),
         trace_(trace),
-        cfg_(cfg) {
+        cfg_(cfg),
+        ledger_(scene.frame_count(), !cfg.overload.enabled()) {
     const Status valid = validate_run_config(cfg);
     SCCPIPE_CHECK_MSG(valid.ok(), valid.message());
     SCCPIPE_CHECK_MSG(trace.strip_counts().contains(1) &&
@@ -216,10 +276,11 @@ class WalkthroughSim {
       overload_mode_ = true;
       breaker_ = std::make_unique<CircuitBreaker>(
           cfg.overload.breaker_threshold, cfg.overload.breaker_cooldown);
-      arrival_at_.assign(static_cast<std::size_t>(frames_total()),
-                         SimTime::zero());
     }
     build_platform();
+    handed_busy_.assign(
+        static_cast<std::size_t>(chip_->topology().core_count()),
+        SimTime::zero());
     build_placement();
     apply_dvfs();
     build_channels_and_stages();
@@ -332,7 +393,7 @@ class WalkthroughSim {
   void apply_dvfs() {
     if (cfg_.blur_mhz > 0) {
       for (const auto& pl : placement_.pipeline_cores) {
-        chip_->set_core_frequency(blur_core_of(pl), cfg_.blur_mhz);
+        chip_->set_core_frequency(pl[pl.size() - 4], cfg_.blur_mhz);
       }
     }
     if (cfg_.tail_mhz > 0) {
@@ -345,10 +406,6 @@ class WalkthroughSim {
       }
       chip_->set_core_frequency(placement_.transfer, cfg_.tail_mhz);
     }
-  }
-
-  CoreId blur_core_of(const std::vector<CoreId>& pipeline_cores) const {
-    return pipeline_cores[pipeline_cores.size() - 4];
   }
 
   /// The Supervisor exists only when the plan schedules a core failure or
@@ -447,11 +504,10 @@ class WalkthroughSim {
         [this](const FrameToken& tok, SimTime at) {
           frame_done_ms_.push_back(at.to_ms());
           if (overload_mode_) {
-            latency_ms_.push_back(
-                (at - arrival_at_[static_cast<std::size_t>(tok.frame)])
-                    .to_ms());
+            latency_ms_.push_back((at - ledger_.offered_at(tok.frame)).to_ms());
           }
           commit_delivered(tok.frame);
+          note_handed_on(placement_.transfer);
           // Frame boundary: the one instant where host-side run state is
           // quiescent enough to snapshot. Pure host I/O — zero simulated
           // cost, no CSV impact.
@@ -481,11 +537,11 @@ class WalkthroughSim {
             [this](const FrameToken& tok, const Status& s) {
               // The frame was admitted and lost to the transport: ledger
               // it, count the failure toward the breaker, keep pumping.
-              ++transport_tally_.shed_transport;
               fault_errors_.push_back("host->connect link: shed frame " +
                                       std::to_string(tok.frame) + ": " +
                                       s.to_string());
               breaker_->on_failure(sim_.now());
+              shed(tok.frame, Fate::ShedTransport);
             });
         host_arq_ = arq.get();
         channels_.push_back(std::move(arq));
@@ -578,6 +634,16 @@ class WalkthroughSim {
     return static_cast<double>(r.rows) * side() * 4.0;
   }
   double frame_bytes() const { return strip_bytes(StripRange{0, side()}); }
+  FrameToken token(int frame, StripRange strip) const {
+    FrameToken tok;
+    tok.frame = frame;
+    tok.strip = strip;
+    tok.bytes = strip_bytes(strip);
+    return tok;
+  }
+  FrameToken whole_frame(int frame) const {
+    return token(frame, StripRange{0, side()});
+  }
 
   /// Render cost with the platform's raster scaling applied (see
   /// ChipConfig::render_cycles_scale).
@@ -706,6 +772,7 @@ class WalkthroughSim {
     if (supervisor_ && !snap_route(frame)) return;
     dist_active_ = true;
     dist_frame_ = frame;
+    note_handed_on(placement_.producer);
     dist_slot_ = 0;
     stage_checkpoint(placement_.producer, frame_bytes(), [this, frame] {
       if (failed_) return;
@@ -753,11 +820,8 @@ class WalkthroughSim {
         sit != frame_strips_.end()
             ? sit->second
             : divide_rows(side(), static_cast<int>(route.size()));
-    FrameToken tok;
-    tok.frame = frame;
-    tok.strip = strips[static_cast<std::size_t>(s)];
-    tok.bytes = strip_bytes(tok.strip);
-    record_outstanding(p, frame, tok);
+    FrameToken tok = token(frame, strips[static_cast<std::size_t>(s)]);
+    record_outstanding(p, frame, tok.strip);
     dist_slot_ = s;
     if (replay_active_[static_cast<std::size_t>(p)]) {
       // The pipeline is still replaying its checkpoint backlog. Queue
@@ -794,12 +858,10 @@ class WalkthroughSim {
           // Superseded by a remap: the rebuilt chain re-renders.
           if (superseded(p, gen)) return;
           const auto strips = divide_rows(side(), cfg_.pipelines);
-          FrameToken tok;
-          tok.frame = frame;
-          tok.strip = strips[static_cast<std::size_t>(p)];
-          tok.bytes = strip_bytes(tok.strip);
-          record_outstanding(p, frame, tok);
+          FrameToken tok = token(frame, strips[static_cast<std::size_t>(p)]);
+          record_outstanding(p, frame, tok.strip);
           head_sent_[static_cast<std::size_t>(p)] = frame;
+          note_handed_on(core);
           const double bytes = tok.bytes;
           stage_checkpoint(core, bytes, [this, p, frame, gen,
                                          tok = std::move(tok)]() mutable {
@@ -821,17 +883,11 @@ class WalkthroughSim {
     if (overload_mode_) {
       // Closed-loop overload run (ARQ/credits without an offered rate):
       // every frame is offered and admitted; only the transport can shed.
-      ++transport_tally_.frames_offered;
-      ++transport_tally_.frames_admitted;
-      arrival_at_[static_cast<std::size_t>(frame)] = sim_.now();
+      ledger_.offer(frame, sim_.now());
     }
     const RenderLoad& load = trace_.load(frame, 1, 0);
     host_->compute(host_render_cycles(cfg_.cal, load), [this, frame] {
-      FrameToken tok;
-      tok.frame = frame;
-      tok.strip = StripRange{0, side()};
-      tok.bytes = frame_bytes();
-      host_in_->send(std::move(tok),
+      host_in_->send(whole_frame(frame),
                      [this, frame] { host_render_frame(frame + 1); });
     });
   }
@@ -860,17 +916,17 @@ class WalkthroughSim {
 
   void frame_arrival(int frame) {
     if (failed_) return;
-    ++transport_tally_.frames_offered;
-    arrival_at_[static_cast<std::size_t>(frame)] = sim_.now();
+    ledger_.offer(frame, sim_.now());
     if (!breaker_->allow(sim_.now())) {
-      ++transport_tally_.shed_breaker;
+      shed(frame, Fate::ShedBreaker);
       return;
     }
     if (static_cast<int>(feeder_q_.size()) >= feeder_depth()) {
       // Stalest-first: under a latency deadline the oldest queued frame is
       // the least likely to still be useful; evict it, admit the newcomer.
-      ++transport_tally_.shed_admission;
+      const int stalest = feeder_q_.front();
       feeder_q_.pop_front();
+      shed(stalest, Fate::ShedAdmission);
     }
     feeder_q_.push_back(frame);
     max_feeder_q_ = std::max(max_feeder_q_,
@@ -887,12 +943,10 @@ class WalkthroughSim {
     // a frame that can no longer meet its deadline.
     const SimTime deadline = cfg_.overload.frame_deadline;
     while (!feeder_q_.empty() && !deadline.is_zero() &&
-           sim_.now() -
-                   arrival_at_[static_cast<std::size_t>(feeder_q_.front())] >
-               deadline) {
-      ++transport_tally_.frames_admitted;
-      ++transport_tally_.shed_deadline;
+           sim_.now() - ledger_.offered_at(feeder_q_.front()) > deadline) {
+      const int stale = feeder_q_.front();
       feeder_q_.pop_front();
+      shed(stale, Fate::ShedDeadline);
     }
     if (feeder_q_.empty()) {
       feeder_busy_ = false;
@@ -901,16 +955,11 @@ class WalkthroughSim {
     feeder_busy_ = true;
     const int frame = feeder_q_.front();
     feeder_q_.pop_front();
-    ++transport_tally_.frames_admitted;
     const RenderLoad& load = trace_.load(frame, 1, 0);
     host_->compute(host_render_cycles(cfg_.cal, load), [this, frame] {
-      FrameToken tok;
-      tok.frame = frame;
-      tok.strip = StripRange{0, side()};
-      tok.bytes = frame_bytes();
       // The link's accept callback (window slot + credit held) paces the
       // feeder; the admission queue above absorbs the offered-rate burst.
-      host_in_->send(std::move(tok), [this] { feeder_pump(); });
+      host_in_->send(whole_frame(frame), [this] { feeder_pump(); });
     });
   }
 
@@ -925,6 +974,7 @@ class WalkthroughSim {
       connect_wait_.add((matched - connect_wait_posted_).to_ms());
       producer_span_start_ = matched;
       ++connect_frames_;
+      note_handed_on(core);
       const int frame = tok.frame;
       if (overload_mode_) {
         // The ARQ delivers in order; shed frames leave holes in the frame
@@ -941,6 +991,18 @@ class WalkthroughSim {
       chip_->dram_stream(core, 2.0 * tok.bytes,
                          [this, frame] { begin_distribution(frame); });
     });
+  }
+
+  /// A stage on \p core counted one more frame. A failed run charges each
+  /// stage row only its core's busy time up to here (busy_ms), not the
+  /// work it then started and dropped.
+  void note_handed_on(CoreId core) {
+    handed_busy_[static_cast<std::size_t>(core)] = chip_->core_busy_time(core);
+  }
+  double busy_ms(CoreId core) const {
+    return (failed_ ? handed_busy_[static_cast<std::size_t>(core)]
+                    : chip_->core_busy_time(core))
+        .to_ms();
   }
 
   void start_filter_stages() {
@@ -993,6 +1055,7 @@ class WalkthroughSim {
             if (halted() || st.gen != gen) return;
             record_span(st.core, st.kind, frame, "process", matched,
                         sim_.now());
+            note_handed_on(st.core);
             if (++st.frames_done < frames_total()) arm_filter_stage(st);
           });
         });
@@ -1009,12 +1072,10 @@ class WalkthroughSim {
   //  - a stale strip, of a frame before the one being collected (a lost
   //    frame's strip draining out of its pipeline), is dropped and the slot
   //    listens again;
-  //  - shed frames are skipped: an overload run sheds frames before they
-  //    reach the chip, so a strip of a later frame on slot 0 moves the
-  //    collector on to that frame (the transport ledger audits the frames
-  //    skipped);
-  //  - lost frames are skipped: a frame a degraded pipeline held a strip of
-  //    can never be assembled;
+  //  - every frame the ledger has dropped is skipped (a shed frame never
+  //    reaches the chip, a lost one can never be assembled), and so is a
+  //    frame shed while slot 0 already listens for it, once a strip of a
+  //    later frame arrives there;
   //  - a recv superseded by a rebuild of its pipeline falls silent (its
   //    ticket is stale) and the rebuild posts a fresh one.
 
@@ -1034,10 +1095,18 @@ class WalkthroughSim {
                           transfer_assembly_[delivered_end_].frame == frame,
                       "viewer received frame " << frame
                                                << " out of assembly order");
+    ledger_.settle(frame, Fate::Delivered);
     while (delivered_end_ < assembled_end_ &&
            transfer_assembly_[delivered_end_].frame == frame) {
       ++delivered_end_;
     }
+  }
+
+  /// \p frame will never reach the chip. A collector that was waiting to
+  /// learn its route moves on.
+  void shed(int frame, Fate why) {
+    ledger_.settle(frame, why);
+    if (transfer_deferred_ && frame == transfer_frame_) transfer_begin_frame();
   }
 
   void transfer_begin_frame() {
@@ -1049,7 +1118,7 @@ class WalkthroughSim {
         if (supervisor_) supervisor_->stop();
         return;
       }
-      if (lost_frames_.count(transfer_frame_) != 0) {
+      if (ledger_.dropped(transfer_frame_)) {
         ++transfer_frame_;
         continue;
       }
@@ -1110,12 +1179,8 @@ class WalkthroughSim {
     const StageWork w = assemble_work(cfg_.cal, frame_bytes());
     chip_->compute(core, w.cycles, [this, core, w, frame] {
       chip_->dram_stream(core, w.dram_bytes, [this, frame] {
-        FrameToken tok;
-        tok.frame = frame;
-        tok.strip = StripRange{0, side()};
-        tok.bytes = frame_bytes();
         const SimTime span_start = sim_.now();
-        viewer_->send(std::move(tok), [this, frame, span_start] {
+        viewer_->send(whole_frame(frame), [this, frame, span_start] {
           record_span(placement_.transfer, StageKind::Transfer, frame,
                       "process", span_start, sim_.now());
           ++transfer_frame_;
@@ -1127,19 +1192,10 @@ class WalkthroughSim {
 
   // ------------------------------------------------- failure handling
 
-  /// Checkpoint bookkeeping: what each pipeline has been handed but not
-  /// yet delivered to the transfer stage.
-  struct SentStrip {
-    StripRange strip{};
-    double bytes = 0.0;
-  };
-
   /// Replay bookkeeping is the Supervisor's own: without one nothing is
   /// ever replayed, and a run pays for no index node per strip.
-  void record_outstanding(int p, int frame, const FrameToken& tok) {
-    if (!supervisor_) return;
-    outstanding_[static_cast<std::size_t>(p)][frame] =
-        SentStrip{tok.strip, tok.bytes};
+  void record_outstanding(int p, int frame, StripRange strip) {
+    if (supervisor_) outstanding_[static_cast<std::size_t>(p)][frame] = strip;
   }
 
   void ack_pipeline(int p, int frame) {
@@ -1187,23 +1243,19 @@ class WalkthroughSim {
         std::max(recovery_.max_detection_latency_ms, rec.detection_latency_ms);
     if (first_detect_ms_ < 0.0) first_detect_ms_ = rec.detected_at_ms;
 
-    if (core == placement_.producer) {
-      rec.stage = cfg_.scenario == Scenario::HostRenderer ? StageKind::Connect
-                                                          : StageKind::Render;
+    if (core == placement_.producer || core == placement_.transfer) {
+      const bool producer = core == placement_.producer;
+      rec.stage = !producer ? StageKind::Transfer
+                  : cfg_.scenario == Scenario::HostRenderer ? StageKind::Connect
+                                                            : StageKind::Render;
       recovery_.failures.push_back(rec);
-      on_fault("producer core " + std::to_string(core),
+      on_fault(std::string(producer ? "producer" : "transfer") + " core " +
+                   std::to_string(core),
                Status(StatusCode::Unavailable,
-                      "producer core failed; the frame source cannot be "
-                      "remapped"));
-      return;
-    }
-    if (core == placement_.transfer) {
-      rec.stage = StageKind::Transfer;
-      recovery_.failures.push_back(rec);
-      on_fault("transfer core " + std::to_string(core),
-               Status(StatusCode::Unavailable,
-                      "transfer (collector/watchdog) core failed; the "
-                      "assembly point cannot be remapped"));
+                      producer ? "producer core failed; the frame source "
+                                 "cannot be remapped"
+                               : "transfer (collector/watchdog) core failed; "
+                                 "the assembly point cannot be remapped"));
       return;
     }
     const auto [p, idx] = locate(core);
@@ -1256,29 +1308,13 @@ class WalkthroughSim {
     return {-1, 0};
   }
 
-  /// Drop the dead pipeline's pending rendezvous so nothing blocks on it.
-  void abandon_pipeline_pairs(int p) {
-    const auto& cores = cores_now_[static_cast<std::size_t>(p)];
-    const bool own_renderer = cfg_.scenario == Scenario::RendererPerPipeline;
-    CoreId prev = own_renderer ? cores[0] : placement_.producer;
-    for (std::size_t i = own_renderer ? 1 : 0; i < cores.size(); ++i) {
-      rcce_->abandon_pair(prev, cores[i]);
-      prev = cores[i];
-    }
-    rcce_->abandon_pair(prev, placement_.transfer);
-  }
-
-  /// Silence transport errors on a pipeline's superseded channels. Once a
-  /// pipeline is rebuilt (or written off), retransmit chains already in
-  /// flight toward the dead core may still exhaust their retries; the
-  /// replacement chain (or the lost-frame ledger) already accounts for that
-  /// data, so the stale error must not abort the run.
-  void swallow_pipeline_errors(int p) {
-    const std::size_t sp = static_cast<std::size_t>(p);
-    head_channels_[sp]->set_error_handler([](const Status&) {});
+  /// Retire a rebuilt (or written-off) pipeline's channels: nothing blocks
+  /// on them or pairs with a rebuilt chain on the same cores, and their late
+  /// errors are ignored (the new chain or the ledger accounts for the data).
+  void retire_pipeline_channels(int p) {
+    head_channels_[static_cast<std::size_t>(p)]->retire();
     for (int f = 0; f < kFilterCount; ++f) {
-      stages_[static_cast<std::size_t>(p * kFilterCount + f)]
-          ->out->set_error_handler([](const Status&) {});
+      stages_[static_cast<std::size_t>(p * kFilterCount + f)]->out->retire();
     }
   }
 
@@ -1303,8 +1339,7 @@ class WalkthroughSim {
       supervisor_->reset_gray(retired);
       supervisor_->unwatch(retired);
     }
-    abandon_pipeline_pairs(p);
-    swallow_pipeline_errors(p);
+    retire_pipeline_channels(p);
     cores_now_[sp][idx] = spare;
     apply_dvfs_to_replacement(p, idx, spare);
     ++pipeline_gen_[sp];
@@ -1334,12 +1369,14 @@ class WalkthroughSim {
     ++recovery_.pipelines_lost;
     pipeline_alive_[sp] = 0;
     ++pipeline_gen_[sp];
-    abandon_pipeline_pairs(p);
-    swallow_pipeline_errors(p);
+    retire_pipeline_channels(p);
     // Every frame with a strip stuck in this pipeline can never be
     // assembled; so too the frame currently being distributed if its route
-    // includes us.
-    for (const auto& [f, m] : outstanding_[sp]) lost_frames_.insert(f);
+    // includes us. Another degraded pipeline may have lost it already.
+    const auto lose = [this](int f) {
+      if (ledger_.fate(f) != Fate::Lost) ledger_.settle(f, Fate::Lost);
+    };
+    for (const auto& [f, m] : outstanding_[sp]) lose(f);
     outstanding_[sp].clear();
     replay_q_[sp].clear();
     replay_active_[sp] = 0;
@@ -1348,7 +1385,7 @@ class WalkthroughSim {
       const std::vector<int>* route = route_of(dist_frame_);
       if (route != nullptr &&
           std::find(route->begin(), route->end(), p) != route->end()) {
-        lost_frames_.insert(dist_frame_);
+        lose(dist_frame_);
       }
     }
     if (dist_pending_pipeline_ == p) {
@@ -1357,13 +1394,12 @@ class WalkthroughSim {
     }
     // The transfer stage may be waiting on a frame that just became lost
     // (if it waits on *this* pipeline, the frame necessarily is).
-    if (transfer_waiting_ && lost_frames_.count(transfer_frame_) != 0) {
+    if (transfer_waiting_ && ledger_.fate(transfer_frame_) == Fate::Lost) {
       transfer_waiting_ = false;
       ++transfer_ticket_seq_;  // invalidate the posted recv
       transfer_ticket_ = 0;
       transfer_begin_frame();
-    } else if (transfer_deferred_ &&
-               lost_frames_.count(transfer_frame_) != 0) {
+    } else if (transfer_deferred_ && ledger_.dropped(transfer_frame_)) {
       transfer_begin_frame();
     }
   }
@@ -1436,7 +1472,7 @@ class WalkthroughSim {
     }
     const int frame = q.front();
     q.pop_front();
-    const SentStrip& m = outstanding_[sp][frame];
+    const double bytes = strip_bytes(outstanding_[sp][frame]);
     if (gray_drain_[sp]) {
       // Drain-migration: the old core is alive and nothing was lost — the
       // re-send drains staged work, it does not recover from a death, so
@@ -1445,9 +1481,9 @@ class WalkthroughSim {
     } else {
       ++recovery_.checkpoint_replays;
       ++recovery_.frames_replayed;
-      recovery_.checkpoint_bytes += m.bytes;
+      recovery_.checkpoint_bytes += bytes;
     }
-    chip_->dram_stream(checkpoint_reader(p), m.bytes, [this, p, sp, gen,
+    chip_->dram_stream(checkpoint_reader(p), bytes, [this, p, sp, gen,
                                                        frame] {
       if (failed_ || gen != pipeline_gen_[sp]) return;
       const auto it = outstanding_[sp].find(frame);
@@ -1455,11 +1491,7 @@ class WalkthroughSim {
         pump_replay(p, gen);
         return;
       }
-      FrameToken tok;
-      tok.frame = frame;
-      tok.strip = it->second.strip;
-      tok.bytes = it->second.bytes;
-      head_channels_[sp]->send(std::move(tok), [this, p, gen] {
+      head_channels_[sp]->send(token(frame, it->second), [this, p, gen] {
         if (failed_ || gen != pipeline_gen_[static_cast<std::size_t>(p)]) {
           return;
         }
@@ -1597,33 +1629,22 @@ class WalkthroughSim {
         r.gray.actions[i].after_stage_ms = gray_after_hist_[i].quantile(0.5);
       }
     }
-    r.gray.frames_offered = static_cast<std::uint64_t>(frames_total());
-    r.gray.frames_delivered =
-        static_cast<std::uint64_t>(frame_done_ms_.size());
-    r.gray.frames_shed = static_cast<std::uint64_t>(lost_frames_.size());
-    // Audited invariant: mitigation never loses a frame. Whatever the
-    // ladder did — boosts, drain-migrations, re-splits — every offered
-    // frame is either delivered or explicitly shed by a *degraded*
-    // pipeline (spare exhaustion), never silently dropped.
-    if (!failed_ && !crashed_) {
-      SCCPIPE_CHECK_MSG(
-          r.gray.frames_offered ==
-              r.gray.frames_delivered + r.gray.frames_shed,
-          "gray ledger leak: offered " << r.gray.frames_offered
-              << " != delivered " << r.gray.frames_delivered << " + shed "
-              << r.gray.frames_shed);
+    r.gray.frames_offered = ledger_.offered();
+    r.gray.frames_delivered = ledger_.count(Fate::Delivered);
+    r.gray.frames_shed = ledger_.shed() + ledger_.count(Fate::Lost);
+    r.gray.post_mitigation_fps = fps_after(first_gray_flag_ms_);
+  }
+
+  /// Delivered-frame throughput from \p since_ms (unset when negative) to
+  /// the last delivery; 0 when no frame arrived after it.
+  double fps_after(double since_ms) const {
+    if (since_ms < 0.0 || frame_done_ms_.empty()) return 0.0;
+    int after = 0;
+    for (const double t : frame_done_ms_) {
+      if (t > since_ms) ++after;
     }
-    if (first_gray_flag_ms_ >= 0.0 && !frame_done_ms_.empty()) {
-      int after = 0;
-      for (const double t : frame_done_ms_) {
-        if (t > first_gray_flag_ms_) ++after;
-      }
-      const double span_s =
-          (frame_done_ms_.back() - first_gray_flag_ms_) / 1e3;
-      if (after > 0 && span_s > 0.0) {
-        r.gray.post_mitigation_fps = after / span_s;
-      }
-    }
+    const double span_s = (frame_done_ms_.back() - since_ms) / 1e3;
+    return after > 0 && span_s > 0.0 ? after / span_s : 0.0;
   }
 
   // ---------------------------------------------------------- checkpoints
@@ -1677,13 +1698,14 @@ class WalkthroughSim {
     if (host_arq_) host_arq_->transport().save_state(w);
     w.u32(supervisor_ != nullptr ? 1 : 0);
     if (supervisor_) supervisor_->save_state(w);
-    // Live frame ledger (overload runs tally as they go).
-    w.u64(transport_tally_.frames_offered);
-    w.u64(transport_tally_.frames_admitted);
-    w.u64(transport_tally_.shed_admission);
-    w.u64(transport_tally_.shed_deadline);
-    w.u64(transport_tally_.shed_transport);
-    w.u64(transport_tally_.shed_breaker);
+    // Live frame ledger, in the transport report's terms.
+    const TransportReport t = transport_frames();
+    w.u64(t.frames_offered);
+    w.u64(t.frames_admitted);
+    w.u64(t.shed_admission);
+    w.u64(t.shed_deadline);
+    w.u64(t.shed_transport);
+    w.u64(t.shed_breaker);
     // Recovery progress counters.
     w.i64(recovery_.failures_detected);
     w.i64(recovery_.failures_recovered);
@@ -1723,8 +1745,10 @@ class WalkthroughSim {
     w.i64(transfer_frame_);
     w.i64(connect_expected_);
     w.i64(max_feeder_q_);
-    w.u64(lost_frames_.size());
-    for (const int f : lost_frames_) w.i64(f);
+    w.u64(ledger_.count(Fate::Lost));
+    for (int f = 0; f < frames_total(); ++f) {
+      if (ledger_.fate(f) == Fate::Lost) w.i64(f);
+    }
     w.u64(pipeline_gen_.size());
     for (const int g : pipeline_gen_) w.i64(g);
     w.u64(acked_.size());
@@ -1765,58 +1789,51 @@ class WalkthroughSim {
   /// symmetric.
   void on_run_start() {
     if (failed_ || !cfg_.checkpoint.enabled()) return;
-    if (have_resume_ && !resume_checked_ &&
-        resume_snap_.frames_delivered == 0) {
-      resume_checked_ = true;
-      if (resume_snap_.sim_now_ns != 0 ||
-          component_blob(0, SimTime::zero()) != resume_snap_.state) {
-        checkpoint_fault(
-            "resume verify",
-            Status(StatusCode::DataLoss,
-                   "initial state diverged from snapshot '" +
-                       cfg_.checkpoint.file +
-                       "': the snapshot was written by a different build or "
-                       "environment"));
-        return;
-      }
-      ckpt_.resume_verified = true;
-    }
-    if (cfg_.checkpoint.every_frames > 0) {
-      write_checkpoint(0, SimTime::zero());
-    }
+    if (!verify_resume(0, SimTime::zero())) return;
+    if (cfg_.checkpoint.every_frames > 0) write_checkpoint(0, SimTime::zero());
   }
 
   void on_frame_boundary(SimTime at) {
     if (failed_) return;
     const std::uint64_t frames =
         static_cast<std::uint64_t>(frame_done_ms_.size());
-    // Resume verification anchor: when the replay reaches the snapshot's
-    // frame count, the live state must reproduce the stored blob exactly.
-    // A match proves the run is on the recorded trajectory; a mismatch
-    // means the build/config/environment drifted and continuing would
-    // produce silently different results — typed DataLoss instead.
-    if (have_resume_ && !resume_checked_ &&
-        frames == resume_snap_.frames_delivered) {
-      resume_checked_ = true;
-      if (at.to_ns() != resume_snap_.sim_now_ns ||
-          component_blob(frames, at) != resume_snap_.state) {
-        checkpoint_fault(
-            "resume verify",
-            Status(StatusCode::DataLoss,
-                   "deterministic replay diverged from snapshot '" +
-                       cfg_.checkpoint.file + "' at frame " +
-                       std::to_string(frames) +
-                       ": the snapshot was written by a different build or "
-                       "environment"));
-        return;
-      }
-      ckpt_.resume_verified = true;
-    }
+    if (!verify_resume(frames, at)) return;
     if (cfg_.checkpoint.every_frames > 0 &&
         frames % static_cast<std::uint64_t>(cfg_.checkpoint.every_frames) ==
             0) {
       write_checkpoint(frames, at);
     }
+  }
+
+  /// Resume verification anchor: when the replay reaches the snapshot's
+  /// frame count, the live state must reproduce the stored blob exactly.
+  /// A match proves the run is on the recorded trajectory; a mismatch
+  /// means the build/config/environment drifted and continuing would
+  /// produce silently different results — typed DataLoss instead, and
+  /// false.
+  bool verify_resume(std::uint64_t frames, SimTime at) {
+    if (!have_resume_ || resume_checked_ ||
+        frames != resume_snap_.frames_delivered) {
+      return true;
+    }
+    resume_checked_ = true;
+    if (at.to_ns() == resume_snap_.sim_now_ns &&
+        component_blob(frames, at) == resume_snap_.state) {
+      ckpt_.resume_verified = true;
+      return true;
+    }
+    const std::string& file = cfg_.checkpoint.file;
+    checkpoint_fault(
+        "resume verify",
+        Status(StatusCode::DataLoss,
+               (frames == 0 ? "initial state diverged from snapshot '" +
+                                  file + "'"
+                            : "deterministic replay diverged from snapshot '" +
+                                  file + "' at frame " +
+                                  std::to_string(frames)) +
+                   ": the snapshot was written by a different build or "
+                   "environment"));
+    return false;
   }
 
   void collect_checkpoint_report(RunResult& r) {
@@ -1842,18 +1859,19 @@ class WalkthroughSim {
   // -------------------------------------------------------------- results
   RunResult collect() {
     RunResult r;
-    // A fault-free run must always complete; a faulted run may legitimately
-    // end early (graceful failure, reported below), a degraded self-healing
-    // run delivers everything except the explicitly-lost frames, a crashed
-    // run stopped dispatching at its planned death by design, and an
-    // overload run sheds by design — its completeness invariant is the
-    // frame ledger checked in collect_transport_report.
-    SCCPIPE_CHECK_MSG(failed_ || crashed_ || overload_mode_ ||
-                          static_cast<int>(frame_done_ms_.size()) +
-                                  static_cast<int>(lost_frames_.size()) ==
-                              frames_total(),
-                      "walkthrough did not complete: " << frame_done_ms_.size()
-                          << '/' << frames_total() << " frames");
+    // The one frame-ledger check. A run that neither failed (a graceful
+    // failure ends early, reported below) nor crashed (dispatch stopped at
+    // its planned death) settled every frame of the walkthrough.
+    const std::uint64_t offered = ledger_.offered();
+    SCCPIPE_CHECK_MSG(
+        failed_ || crashed_ ||
+            (offered == static_cast<std::uint64_t>(frames_total()) &&
+             offered == ledger_.count(Fate::Delivered) + ledger_.shed() +
+                            ledger_.count(Fate::Lost)),
+        "frame ledger leak: " << offered << " of " << frames_total()
+            << " offered != " << ledger_.count(Fate::Delivered)
+            << " delivered + " << ledger_.shed() << " shed + "
+            << ledger_.count(Fate::Lost) << " lost");
     r.frame_done_ms = frame_done_ms_;
     if (!frame_done_ms_.empty()) {
       r.walkthrough = SimTime::ms(frame_done_ms_.back());
@@ -1861,54 +1879,36 @@ class WalkthroughSim {
     if (failed_) r.walkthrough = max(r.walkthrough, failed_at_);
     r.placement = placement_;
 
-    for (const auto& st : stages_) {
+    const auto row = [&](StageKind kind, int pipeline, CoreId core,
+                         const SampleSet* wait, int frames) {
       StageReport rep;
-      rep.kind = st->kind;
-      rep.pipeline = st->pipeline;
-      rep.core = st->core;
-      rep.wait_ms = st->wait_ms.summary();
-      rep.busy_ms = chip_->core_busy_time(st->core).to_ms();
-      rep.frames = st->frames_done;
+      rep.kind = kind;
+      rep.pipeline = pipeline;
+      rep.core = core;
+      if (wait != nullptr) rep.wait_ms = wait->summary();
+      rep.busy_ms = busy_ms(core);
+      rep.frames = frames;
       r.stages.push_back(rep);
+    };
+    for (const auto& st : stages_) {
+      row(st->kind, st->pipeline, st->core, &st->wait_ms, st->frames_done);
     }
     if (cfg_.scenario == Scenario::HostRenderer) {
-      StageReport rep;
-      rep.kind = StageKind::Connect;
-      rep.core = placement_.producer;
-      rep.wait_ms = connect_wait_.summary();
-      rep.busy_ms = chip_->core_busy_time(placement_.producer).to_ms();
-      rep.frames = connect_frames_;
-      r.stages.push_back(rep);
+      row(StageKind::Connect, -1, placement_.producer, &connect_wait_,
+          connect_frames_);
     } else if (cfg_.scenario == Scenario::SingleRenderer) {
-      StageReport rep;
-      rep.kind = StageKind::Render;
-      rep.core = placement_.producer;
-      rep.busy_ms = chip_->core_busy_time(placement_.producer).to_ms();
-      rep.frames = dist_frame_ + 1;  // rendered and handed to distribution
-      r.stages.push_back(rep);
-    } else if (cfg_.scenario == Scenario::RendererPerPipeline) {
-      for (int p = 0; p < cfg_.pipelines; ++p) {
-        const CoreId core =
-            placement_.pipeline_cores[static_cast<std::size_t>(p)][0];
-        StageReport rep;
-        rep.kind = StageKind::Render;
-        rep.pipeline = p;
-        rep.core = core;
-        rep.busy_ms = chip_->core_busy_time(core).to_ms();
+      // Rendered and handed to distribution.
+      row(StageKind::Render, -1, placement_.producer, nullptr,
+          dist_frame_ + 1);
+    } else {
+      for (std::size_t p = 0; p < head_sent_.size(); ++p) {
         // Rendered and handed to the pipeline's head.
-        rep.frames = head_sent_[static_cast<std::size_t>(p)] + 1;
-        r.stages.push_back(rep);
+        row(StageKind::Render, static_cast<int>(p),
+            placement_.pipeline_cores[p][0], nullptr, head_sent_[p] + 1);
       }
     }
-    {
-      StageReport rep;
-      rep.kind = StageKind::Transfer;
-      rep.core = placement_.transfer;
-      rep.wait_ms = transfer_wait_.summary();
-      rep.busy_ms = chip_->core_busy_time(placement_.transfer).to_ms();
-      rep.frames = static_cast<int>(frame_done_ms_.size());
-      r.stages.push_back(rep);
-    }
+    row(StageKind::Transfer, -1, placement_.transfer, &transfer_wait_,
+        static_cast<int>(frame_done_ms_.size()));
 
     // Fabric accounting (§VI-A: where the bytes actually went).
     r.fabric.mesh_total_bytes = chip_->mesh().total_bytes();
@@ -1953,41 +1953,31 @@ class WalkthroughSim {
     if (supervisor_ == nullptr) return;
     r.recovery.heartbeats_sent = supervisor_->heartbeats_sent();
     r.recovery.heartbeat_bytes = supervisor_->heartbeat_bytes_total();
-    r.recovery.frames_lost = static_cast<int>(lost_frames_.size());
-    if (first_detect_ms_ >= 0.0 && !frame_done_ms_.empty()) {
-      int after = 0;
-      for (const double t : frame_done_ms_) {
-        if (t > first_detect_ms_) ++after;
-      }
-      const double span_s = (frame_done_ms_.back() - first_detect_ms_) / 1e3;
-      if (after > 0 && span_s > 0.0) {
-        r.recovery.post_failure_fps = after / span_s;
-      }
-    }
+    r.recovery.frames_lost = static_cast<int>(ledger_.count(Fate::Lost));
+    r.recovery.post_failure_fps = fps_after(first_detect_ms_);
+  }
+
+  /// The transport report's frame counts, read off the ledger (zero outside
+  /// overload runs). A frame is admitted once it leaves the feeder queue.
+  TransportReport transport_frames() const {
+    TransportReport t;
+    if (!overload_mode_) return t;
+    t.frames_offered = ledger_.offered();
+    t.frames_delivered = ledger_.count(Fate::Delivered);
+    t.shed_admission = ledger_.count(Fate::ShedAdmission);
+    t.shed_breaker = ledger_.count(Fate::ShedBreaker);
+    t.shed_deadline = ledger_.count(Fate::ShedDeadline);
+    t.shed_transport = ledger_.count(Fate::ShedTransport);
+    t.frames_admitted = t.frames_offered - t.shed_admission - t.shed_breaker -
+                        feeder_q_.size();
+    return t;
   }
 
   void collect_transport_report(RunResult& r) {
     TransportReport& t = r.transport;
-    t = transport_tally_;
+    t = transport_frames();
     t.enabled = overload_mode_;
     if (!overload_mode_) return;
-    t.frames_delivered = static_cast<std::uint64_t>(frame_done_ms_.size());
-    // A crashed run's ledger is legitimately torn mid-flight (frames were
-    // admitted but never delivered/shed); only intact runs must balance.
-    if (!failed_ && !crashed_) {
-      SCCPIPE_CHECK_MSG(
-          t.frames_offered ==
-              t.frames_admitted + t.shed_admission + t.shed_breaker,
-          "overload ledger leak: offered " << t.frames_offered
-              << " != admitted " << t.frames_admitted << " + shed_admission "
-              << t.shed_admission << " + shed_breaker " << t.shed_breaker);
-      SCCPIPE_CHECK_MSG(
-          t.frames_admitted ==
-              t.frames_delivered + t.shed_deadline + t.shed_transport,
-          "overload ledger leak: admitted " << t.frames_admitted
-              << " != delivered " << t.frames_delivered << " + shed_deadline "
-              << t.shed_deadline << " + shed_transport " << t.shed_transport);
-    }
     if (host_arq_ != nullptr) {
       const ReliableHostChannel& w = host_arq_->transport();
       t.first_sends = w.first_sends();
@@ -2079,6 +2069,7 @@ class WalkthroughSim {
   const SceneBundle& scene_;
   const WorkloadTrace& trace_;
   RunConfig cfg_;
+  FrameLedger ledger_;
 
   // One event loop for the whole run. Host-side actors (links, channels,
   // supervisor, producer) schedule on sim_ directly; the chip's fabric
@@ -2119,6 +2110,8 @@ class WalkthroughSim {
   SampleSet transfer_wait_;
 
   std::vector<double> frame_done_ms_;
+  /// Per core: its busy time when its stage last counted a frame.
+  std::vector<SimTime> handed_busy_;
 
   // Fault-run state: typed wire handles for retransmission counters, and
   // the first-failure record that stops the pumps.
@@ -2135,13 +2128,11 @@ class WalkthroughSim {
   std::unique_ptr<CircuitBreaker> breaker_;
   ReliableHostToChipChannel* host_arq_ = nullptr;
   std::vector<CreditedSccChannel*> credited_;
-  std::deque<int> feeder_q_;        // admitted-but-unrendered frames
+  std::deque<int> feeder_q_;        // offered, not yet admitted
   bool feeder_busy_ = false;
-  std::vector<SimTime> arrival_at_;  // per frame: offered instant
-  std::vector<double> latency_ms_;   // per delivered frame: offer -> viewer
+  std::vector<double> latency_ms_;  // per delivered frame: offer -> viewer
   int max_feeder_q_ = 0;
   int connect_expected_ = 0;  // next frame id the connect stage may see
-  TransportReport transport_tally_;  // frame ledger counters, live
 
   // ---- per-pipeline state, sized for every run; it only moves when a
   //      Supervisor kills, rebuilds or re-routes a pipeline. The replay
@@ -2159,10 +2150,11 @@ class WalkthroughSim {
   std::vector<int> pipeline_gen_;
   std::vector<int> acked_;      // last frame delivered to transfer, per pl
   std::vector<int> head_sent_;  // last frame handed to the head, per pl
-  std::vector<std::map<int, SentStrip>> outstanding_;  // checkpoint index
+  /// Checkpoint index: the strips each pipeline was handed and has not yet
+  /// delivered to the transfer stage.
+  std::vector<std::map<int, StripRange>> outstanding_;
   std::vector<std::deque<int>> replay_q_;
   std::vector<char> replay_active_;
-  std::set<int> lost_frames_;
   std::map<int, std::vector<int>> frame_routes_;
   double first_detect_ms_ = -1.0;
 
@@ -2332,21 +2324,9 @@ Status validate_run_config(const RunConfig& cfg) {
     return invalid("reorder=/duplicate= fates on the host feed need the "
                    "sliding-window transport; pass --window > 0");
   }
-  if (cfg.overload.enabled()) {
-    if (cfg.scenario != Scenario::HostRenderer) {
-      return invalid("overload controls govern the host feed path; only the "
-                     "host-renderer scenario has one");
-    }
-    if (!cfg.fault.core_failures.empty()) {
-      return invalid("overload mode cannot be combined with planned core "
-                     "failures (the supervisor rebuild assumes rendezvous "
-                     "channels)");
-    }
-  }
-  if (cfg.gray.enabled() && cfg.overload.enabled()) {
-    return invalid("gray-failure mitigation cannot be combined with the "
-                   "overload data plane (the gray ledger assumes the "
-                   "closed-loop frame accounting)");
+  if (cfg.overload.enabled() && cfg.scenario != Scenario::HostRenderer) {
+    return invalid("overload controls govern the host feed path; only the "
+                   "host-renderer scenario has one");
   }
   return Status();
 }

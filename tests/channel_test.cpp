@@ -88,6 +88,29 @@ TEST_F(ChannelFixture, SendBlocksUntilReceiverConsumes) {
   EXPECT_GT(send_done, SimTime::zero());
 }
 
+// A rebuilt pipeline wires a fresh credited channel between the same two
+// cores. The retired channel's unmatched data send and credit receive must
+// not pair with the fresh channel's traffic, or the fresh one loses a
+// credit to its predecessor and stalls.
+TEST_F(ChannelFixture, RetiredCreditedChannelKeepsItsCredits) {
+  CreditedSccChannel old(comm, 0, 2, /*depth=*/1);
+  old.send(token(0), [] {});
+  old.retire();
+  CreditedSccChannel fresh(comm, 0, 2, /*depth=*/1);
+  int sent = 0;
+  std::vector<int> got;
+  for (int f = 1; f <= 3; ++f) {
+    fresh.send(token(f), [&] { ++sent; });
+  }
+  for (int f = 1; f <= 3; ++f) {
+    fresh.recv([&](FrameToken t, SimTime) { got.push_back(t.frame); });
+  }
+  sim.run();
+  EXPECT_EQ(sent, 3);
+  EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(fresh.max_occupancy(), 1);
+}
+
 // --------------------------------------------------------- HostToChipChannel
 
 TEST_F(ChannelFixture, HostChannelChargesConsumerCore) {

@@ -13,10 +13,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sccpipe/core/recovery.hpp"
 #include "sccpipe/core/walkthrough.hpp"
+#include "sccpipe/exec/executor.hpp"
 #include "sccpipe/filters/image.hpp"
 #include "sccpipe/sim/fault.hpp"
 #include "sccpipe/support/stats.hpp"
@@ -403,37 +405,160 @@ TEST(GrayEscalation, SlowThenDeadIsOneIncident) {
 
 // ------------------------------------------------------------ chaos mix
 
+/// The one frame ledger, read off the reports of a run that did not fail:
+/// every frame was offered and got one fate, offered = delivered + shed +
+/// lost, and the transport and gray views of it agree.
+void expect_frames_settled(const RunResult& r, const std::string& what) {
+  const std::uint64_t frames =
+      static_cast<std::uint64_t>(shared_scene().frame_count());
+  const TransportReport& t = r.transport;
+  const std::uint64_t shed = t.shed_admission + t.shed_breaker +
+                             t.shed_deadline + t.shed_transport;
+  const auto lost = static_cast<std::uint64_t>(r.recovery.frames_lost);
+  EXPECT_EQ(t.enabled ? t.frames_offered : frames, frames) << what;
+  EXPECT_EQ(frames, r.frame_done_ms.size() + shed + lost) << what;
+  if (t.enabled) {
+    EXPECT_EQ(t.frames_admitted,
+              t.frames_delivered + t.shed_deadline + t.shed_transport + lost)
+        << what;
+  }
+  if (r.gray.enabled) expect_ledger_balances(r.gray);
+}
+
+/// Everything a run reports about its frames and its faults.
+void expect_same_run(const RunResult& a, const RunResult& b,
+                     const std::string& what) {
+  SCOPED_TRACE(what);
+  expect_same_frames(a, b);
+  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
+  EXPECT_EQ(a.fault.failed, b.fault.failed);
+  EXPECT_EQ(a.fault.failure, b.fault.failure);
+  EXPECT_EQ(a.fault.fingerprint, b.fault.fingerprint);
+  EXPECT_EQ(a.transport.csv(), b.transport.csv());
+  EXPECT_EQ(a.recovery.frames_replayed, b.recovery.frames_replayed);
+  EXPECT_EQ(a.recovery.frames_lost, b.recovery.frames_lost);
+  EXPECT_EQ(a.recovery.spares_used, b.recovery.spares_used);
+  EXPECT_EQ(a.gray.flags_raised, b.gray.flags_raised);
+  EXPECT_EQ(a.gray.migrations, b.gray.migrations);
+  EXPECT_EQ(a.gray.escalations, b.gray.escalations);
+  EXPECT_EQ(a.gray.frames_shed, b.gray.frames_shed);
+}
+
 TEST(GrayChaos, SlowCorePlusCoreFailPlusBurstLossConverges) {
   const auto& cores = clean_run().placement.pipeline_cores;
-  RunConfig cfg = gray_config(GrayPolicy::Rebalance);
-  cfg.fault.seed = 17;
-  cfg.fault.slow_cores.push_back(
+  const double capacity_fps =
+      shared_scene().frame_count() / clean_run().walkthrough.to_sec();
+  RunConfig cocktail = gray_config(GrayPolicy::Rebalance);
+  cocktail.fault.seed = 17;
+  cocktail.fault.slow_cores.push_back(
       SlowCore{cores[1][2], 6.0, mid_run_instant(0.2)});
-  cfg.fault.core_failures.push_back({cores[0][3], mid_run_instant(0.45)});
-  cfg.fault.rcce_drop_rate = 0.03;
-  cfg.fault.burst_enter_rate = 0.05;
-  cfg.fault.burst_exit_rate = 0.5;
-  cfg.fault.burst_loss_rate = 0.8;
-  cfg.rcce.retry.max_attempts = 16;
-  cfg.rcce.retry.timeout = SimTime::ms(2);
+  cocktail.fault.core_failures.push_back({cores[0][3], mid_run_instant(0.45)});
+  cocktail.fault.rcce_drop_rate = 0.03;
+  cocktail.fault.burst_enter_rate = 0.05;
+  cocktail.fault.burst_exit_rate = 0.5;
+  cocktail.fault.burst_loss_rate = 0.8;
+  cocktail.rcce.retry.max_attempts = 16;
+  cocktail.rcce.retry.timeout = SimTime::ms(2);
 
-  const RunResult a = run_walkthrough(shared_scene(), shared_trace(), cfg);
-  const RunResult b = run_walkthrough(shared_scene(), shared_trace(), cfg);
-  // The cocktail is fully seeded: same outcome twice.
-  EXPECT_EQ(a.fault.failed, b.fault.failed);
-  EXPECT_EQ(a.fault.fingerprint, b.fault.fingerprint);
-  expect_same_frames(a, b);
-  EXPECT_EQ(a.gray.flags_raised, b.gray.flags_raised);
-  EXPECT_EQ(a.gray.escalations, b.gray.escalations);
+  // The cocktail converges: the fail-stop remaps, the straggler is
+  // mitigated, retries absorb the bursts, no frame is lost.
+  const RunResult c = run_walkthrough(shared_scene(), shared_trace(), cocktail);
+  ASSERT_FALSE(c.fault.failed) << c.fault.failure;
+  EXPECT_EQ(c.recovery.failures_recovered, 1u);
+  EXPECT_EQ(c.recovery.frames_lost, 0u);
+  EXPECT_EQ(c.frame_done_ms.size(), 8u);
+  expect_ledger_balances(c.gray);
+  EXPECT_EQ(c.gray.frames_shed, 0u);
 
-  // And the outcome is full convergence: the fail-stop remaps, the
-  // straggler is mitigated, retries absorb the bursts, no frame is lost.
-  ASSERT_FALSE(a.fault.failed) << a.fault.failure;
-  EXPECT_EQ(a.recovery.failures_recovered, 1u);
-  EXPECT_EQ(a.recovery.frames_lost, 0u);
-  EXPECT_EQ(a.frame_done_ms.size(), 8u);
-  expect_ledger_balances(a.gray);
-  EXPECT_EQ(a.gray.frames_shed, 0u);
+  // Every fault mode against every other: core-fail (remap / degrade) x
+  // slow core x burst loss x overload (off / credited stage channels /
+  // ARQ feed at 16x capacity, admission depth 2 and a deadline) x gray (off / migrate).
+  std::vector<RunConfig> grid;
+  std::vector<std::string> names;
+  const auto add = [&](RunConfig cfg, std::string name) {
+    grid.push_back(std::move(cfg));
+    names.push_back(std::move(name));
+  };
+  add(cocktail, "cocktail");  // fully seeded: the same outcome twice
+  const auto arq_feed = [&](RunConfig& cfg) {
+    cfg.overload.window = 4;
+    cfg.overload.queue_depth = 2;
+    cfg.overload.offered_fps = 16.0 * capacity_fps;
+    cfg.overload.frame_deadline = SimTime::sec(0.1 * 8.0 / capacity_fps);
+  };
+  for (const bool degrade : {false, true}) {
+    for (const bool slow : {false, true}) {
+      for (const bool burst : {false, true}) {
+        for (const int overload : {0, 1, 2}) {
+          for (const bool gray : {false, true}) {
+            RunConfig cfg = gray_config(GrayPolicy::Migrate);
+            cfg.fault.seed = 17;
+            if (!gray) cfg.gray.detect_factor = 0.0;
+            cfg.fault.core_failures.push_back(
+                {cores[0][3], mid_run_instant(0.45)});
+            if (degrade) cfg.recovery.max_spares = 0;
+            if (slow) {
+              cfg.fault.slow_cores.push_back(
+                  SlowCore{cores[1][2], 6.0, mid_run_instant(0.2)});
+            }
+            if (burst) {
+              cfg.fault.rcce_drop_rate = 0.03;
+              cfg.fault.burst_enter_rate = 0.05;
+              cfg.fault.burst_exit_rate = 0.5;
+              cfg.fault.burst_loss_rate = 0.8;
+              cfg.rcce.retry.max_attempts = 16;
+              cfg.rcce.retry.timeout = SimTime::ms(2);
+            }
+            if (overload == 1) cfg.overload.queue_depth = 4;
+            if (overload == 2) arq_feed(cfg);
+            add(cfg, std::string(degrade ? "degrade" : "remap") +
+                         (slow ? " slow" : "") + (burst ? " burst" : "") +
+                         (overload == 1   ? " credited"
+                          : overload == 2 ? " arq"
+                                          : "") +
+                         (gray ? " gray" : ""));
+          }
+        }
+      }
+    }
+  }
+  // Shapes that once hung or aborted: a Supervisor watching a shedding
+  // feed (a core that dies after the run, or only the gray detector), and
+  // credited channels rebuilt around a spare (a remapped scratch or blur
+  // core, at depth 4 and 1).
+  RunConfig late = gray_config(GrayPolicy::Off);
+  late.gray.detect_factor = 0.0;
+  late.fault.core_failures.push_back({cores[1][1], mid_run_instant(5.0)});
+  arq_feed(late);
+  add(late, "arq, core dies after the run");
+  RunConfig watched = gray_config(GrayPolicy::Off);
+  watched.gray.detect_factor = 5.0;
+  arq_feed(watched);
+  add(watched, "arq, gray detector only");
+  for (const int depth : {4, 1}) {
+    for (const CoreId victim : {cores[0][2], cores[1][1]}) {
+      RunConfig cfg = gray_config(GrayPolicy::Off);
+      cfg.gray.detect_factor = 0.0;
+      cfg.overload.queue_depth = depth;
+      cfg.fault.core_failures.push_back({victim, mid_run_instant(0.45)});
+      add(cfg, "credited depth " + std::to_string(depth) + ", core " +
+                   std::to_string(victim) + " remapped");
+    }
+  }
+
+  std::vector<RunResult> serial, pooled;
+  ASSERT_NO_THROW(serial = exec::run_grid(shared_scene(), shared_trace(),
+                                          grid, /*jobs=*/1));
+  ASSERT_NO_THROW(pooled = exec::run_grid(shared_scene(), shared_trace(),
+                                          grid, /*jobs=*/4));
+  int settled = 0;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    expect_same_run(serial[i], pooled[i], names[i]);
+    if (serial[i].fault.failed) continue;
+    expect_frames_settled(serial[i], names[i]);
+    ++settled;
+  }
+  EXPECT_EQ(settled, static_cast<int>(grid.size()));
 }
 
 // -------------------------------------------------- weighted strip split

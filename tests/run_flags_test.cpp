@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,8 +67,10 @@ std::string describe(const Flags& flags) {
   return out;
 }
 
-/// Runs \p cfg on the tiny scene and checks its fault, transport and gray
-/// ledgers.
+/// Runs \p cfg on the tiny scene and checks its fault report and, unless
+/// it failed, its one frame ledger: every frame offered, and offered =
+/// delivered + shed + lost, read off the transport, recovery and gray
+/// reports.
 void expect_clean_run(const RunConfig& cfg, const std::string& what) {
   RunResult r;
   ASSERT_NO_THROW(r = run_walkthrough(tiny_scene(), tiny_trace(), cfg))
@@ -80,23 +83,19 @@ void expect_clean_run(const RunConfig& cfg, const std::string& what) {
   EXPECT_LE(f.frames_completed, kFrames) << what;
   if (f.failed) return;
   const TransportReport& t = r.transport;
-  EXPECT_EQ(t.enabled, cfg.overload.enabled()) << what;
-  if (t.enabled) {
-    EXPECT_EQ(t.frames_offered, static_cast<std::uint64_t>(kFrames)) << what;
-    EXPECT_EQ(t.frames_offered,
-              t.frames_admitted + t.shed_admission + t.shed_breaker)
-        << what;
-    EXPECT_EQ(t.frames_admitted,
-              t.frames_delivered + t.shed_deadline + t.shed_transport)
-        << what;
-  } else {
-    EXPECT_EQ(f.frames_completed + r.recovery.frames_lost, kFrames) << what;
-  }
   const GrayReport& g = r.gray;
+  EXPECT_EQ(t.enabled, cfg.overload.enabled()) << what;
   EXPECT_EQ(g.enabled, cfg.gray.enabled()) << what;
+  const std::uint64_t frames = kFrames;
+  const std::uint64_t offered = t.enabled ? t.frames_offered : frames;
+  const std::uint64_t shed = t.shed_admission + t.shed_breaker +
+                             t.shed_deadline + t.shed_transport;
+  const auto lost = static_cast<std::uint64_t>(r.recovery.frames_lost);
+  EXPECT_EQ(offered, frames) << what;
+  EXPECT_EQ(offered, r.frame_done_ms.size() + shed + lost) << what;
   if (g.enabled) {
-    EXPECT_EQ(g.frames_offered, static_cast<std::uint64_t>(kFrames)) << what;
-    EXPECT_EQ(g.frames_offered, g.frames_delivered + g.frames_shed) << what;
+    EXPECT_EQ(g.frames_offered, offered) << what;
+    EXPECT_EQ(g.frames_shed, shed + lost) << what;
   }
 }
 
@@ -279,6 +278,7 @@ TEST(RunFlags, SeededFuzzRejectsOrRunsCleanly) {
   int rejected_reading = 0;
   int rejected_checking = 0;
   int ran = 0;
+  int composed = 0;  // overload runs with a core failure or gray detection
   for (int i = 0; i < 2000; ++i) {
     Flags flags;
     for (const auto& [flag, values] : plausible_values()) {
@@ -305,11 +305,16 @@ TEST(RunFlags, SeededFuzzRejectsOrRunsCleanly) {
     }
     expect_clean_run(cfg, what);
     ++ran;
+    if (cfg.overload.enabled() &&
+        (!cfg.fault.core_failures.empty() || cfg.gray.enabled())) {
+      ++composed;
+    }
   }
-  // The draw must exercise all three outcomes.
+  // The draw must exercise all three outcomes, and fault modes together.
   EXPECT_GT(rejected_reading, 100);
   EXPECT_GT(rejected_checking, 100);
   EXPECT_GT(ran, 100);
+  EXPECT_GT(composed, 10);
 }
 
 }  // namespace

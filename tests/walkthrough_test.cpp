@@ -617,6 +617,38 @@ TEST_F(WalkthroughFixture, StageFramesCountOnlyFramesThatRan) {
   }
 }
 
+// A failed run charges each stage row only the work of the frames it
+// counted. `sccpipe --frames 40 --size 120 --scenario 1-rend --pipelines 3
+// --fault-plan 'rcce-drop=0.05' --rcce-retries 1 --stages` fails with one
+// frame distributed while the renderer is most of the way through the
+// next; the render row must not charge that dropped frame.
+TEST(StageBusy, FailedRunChargesOnlyCountedFrames) {
+  const SceneBundle scene(CityParams{}, CameraConfig{}, 120, 40);
+  const WorkloadTrace trace = WorkloadTrace::build(scene, 3);
+  RunConfig cfg;
+  cfg.scenario = Scenario::SingleRenderer;
+  cfg.pipelines = 3;
+  const RunResult clean = run_walkthrough(scene, trace, cfg);
+  cfg.fault.rcce_drop_rate = 0.05;
+  cfg.rcce.retry.max_attempts = 1;
+  const RunResult failed = run_walkthrough(scene, trace, cfg);
+  ASSERT_TRUE(failed.fault.failed);
+  const StageReport* render = failed.stage(StageKind::Render, -1);
+  const StageReport* clean_render = clean.stage(StageKind::Render, -1);
+  ASSERT_NE(render, nullptr);
+  ASSERT_NE(clean_render, nullptr);
+  ASSERT_EQ(render->frames, 1);
+  ASSERT_EQ(clean_render->frames, 40);
+  // One frame's render and distribution: about the fault-free mean.
+  EXPECT_GT(render->busy_ms, 0.9 * clean_render->busy_ms / 40);
+  EXPECT_LT(render->busy_ms, 1.1 * clean_render->busy_ms / 40);
+  for (const StageReport& s : failed.stages) {
+    if (s.frames == 0) {
+      EXPECT_EQ(s.busy_ms, 0.0) << stage_name(s.kind);
+    }
+  }
+}
+
 // The event stream itself: how many events a run dispatches and the
 // simulated time it ends at, pinned across the engine's host-speed work.
 // A refactor of the event kernel or the mesh fabric that adds, drops or

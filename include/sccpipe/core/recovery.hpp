@@ -225,8 +225,8 @@ class Supervisor {
     SimTime last_heartbeat = SimTime::zero();
     // Gray-detector state, live only when gray_cfg_.enabled(). The window
     // samples stay in arrival order (chronological), which keeps the
-    // snapshot serialization canonical; quantiles go through the shared
-    // fixed-bucket histogram at window close.
+    // snapshot serialization canonical; the window-close median sorts a
+    // scratch copy.
     std::vector<double> window_ms;  ///< service samples, current window
     double baseline_ms = 0.0;       ///< EWMA of unsuspicious window p50s
     int streak = 0;                 ///< consecutive windows over threshold
@@ -250,7 +250,7 @@ class Supervisor {
   /// flag survives the unwatch that precedes a fail-stop verdict — that is
   /// what lets the walkthrough merge slow-then-dead into one incident.
   std::vector<CoreId> gray_flagged_;
-  LatencyHistogram window_hist_{0.1};  ///< scratch, reused per window close
+  std::vector<double> scratch_;  ///< median input, reused per window close
   EventHandle tick_event_{};
   bool started_ = false;
   bool stopped_ = false;

@@ -54,9 +54,19 @@ class MeshTopology {
   int mc_count() const { return static_cast<int>(layout_.mc_positions.size()); }
   const MeshLayout& layout() const { return layout_; }
 
-  TileId tile_of(CoreId core) const;
-  TileCoord coord_of(TileId tile) const;
-  TileId tile_at(TileCoord c) const;
+  TileId tile_of(CoreId core) const {
+    if (!valid_core(core)) check_core(core);
+    return core / layout_.cores_per_tile;
+  }
+  TileCoord coord_of(TileId tile) const {
+    SCCPIPE_CHECK(tile >= 0 && tile < tile_count());
+    return TileCoord{tile % layout_.width, tile / layout_.width};
+  }
+  TileId tile_at(TileCoord c) const {
+    SCCPIPE_CHECK(c.x >= 0 && c.x < layout_.width && c.y >= 0 &&
+                  c.y < layout_.height);
+    return c.y * layout_.width + c.x;
+  }
   TileCoord core_coord(CoreId core) const { return coord_of(tile_of(core)); }
 
   bool valid_core(CoreId core) const {
@@ -87,6 +97,10 @@ class MeshTopology {
   int link_index_count() const { return tile_count() * 4; }
 
  private:
+  /// CHECK-fails naming \p core when it is off the chip. Out of line, so
+  /// the message formatting does not keep tile_of() from inlining.
+  void check_core(CoreId core) const;
+
   MeshLayout layout_;
   std::vector<McId> tile_home_mc_;   ///< nearest controller, per tile
   std::vector<int> tile_home_hops_;  ///< hops to that controller, per tile

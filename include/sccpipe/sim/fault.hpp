@@ -278,6 +278,16 @@ class FaultInjector {
   const FaultPlan& plan() const { return plan_; }
   /// The pre-generated window faults (and core failures), sorted by start.
   const std::vector<FaultEvent>& schedule() const { return schedule_; }
+  /// True when schedule() holds a \p kind event. Every window query for a
+  /// kind that is not planned returns its no-fault answer at once.
+  bool planned(FaultKind kind) const { return (planned_ & bit(kind)) != 0; }
+  /// True when a link or router fate is planned; only then does a mesh
+  /// transfer consult the injector per hop.
+  bool plans_mesh_fate() const {
+    return (planned_ & (bit(FaultKind::LinkDown) | bit(FaultKind::LinkDegrade) |
+                        bit(FaultKind::RouterDegrade) |
+                        bit(FaultKind::LinkLatency))) != 0;
+  }
 
   // --- NoC hooks ---------------------------------------------------------
   /// Earliest instant >= \p at when the link accepts traffic (a message
@@ -312,10 +322,6 @@ class FaultInjector {
   /// Earliest instant >= \p at when \p core may *start* new work — an
   /// intermittent-stall window defers work to its end, never drops it.
   SimTime core_available(int core, SimTime at) const;
-  /// True when the plan contains any fail-slow fate (slow-core with factor
-  /// != 1, degraded-link with factor != 1, or an intermittent stall) — the
-  /// gray-failure detector only has something to find when this holds.
-  bool has_gray_faults() const;
 
   // --- message fates (stateful; recorded into the trace) -----------------
   /// Decide the fate of one RCCE transfer attempt. On Deliver/Corrupt,
@@ -361,12 +367,16 @@ class FaultInjector {
   Status restore_state(snapshot::Reader& r);
 
  private:
+  static constexpr std::uint32_t bit(FaultKind kind) {
+    return 1u << static_cast<unsigned>(kind);
+  }
   SimTime available_after(FaultKind kind, int target, SimTime at) const;
   double slowdown(FaultKind kind, int target, SimTime at) const;
 
   FaultPlan plan_{};
   bool enabled_ = false;
   std::vector<FaultEvent> schedule_;
+  std::uint32_t planned_ = 0;  ///< bit(kind) of every kind in schedule_
   std::vector<FaultEvent> trace_;
   Rng rcce_rng_{0};
   Rng host_rng_{0};

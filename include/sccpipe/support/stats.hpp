@@ -53,47 +53,6 @@ double quantile_sorted(const std::vector<double>& sorted, double q);
 /// Sorts a copy of \p samples and summarises it. Empty input -> all zeros.
 QuantileSummary summarize(std::vector<double> samples);
 
-/// Fixed-bucket latency histogram with *exact* quantiles. Samples are
-/// partitioned into fixed-width buckets by value but retained verbatim, so
-/// quantile() can locate the R-7 order statistics by walking the bucket
-/// counts and sorting only the one or two buckets that contain them —
-/// answers are bit-identical to quantile_sorted() over the full sorted
-/// sample vector, at a fraction of the sort cost for the common case of
-/// narrow latency distributions. Used by the gray-failure detector's
-/// per-window service-time quantiles (core/recovery) and the transport
-/// report's p50/p99 (core/walkthrough).
-///
-/// Values below zero clamp into the first bucket and values beyond the
-/// bucket cap clamp into the last; clamping only coarsens the partition
-/// (more samples share a bucket), never the answer.
-class LatencyHistogram {
- public:
-  explicit LatencyHistogram(double bucket_width = 1.0,
-                            std::size_t max_buckets = 4096);
-
-  void add(double x);
-  void add(SimTime t) { add(t.to_ms()); }
-  void clear();
-
-  std::size_t count() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  double sum() const { return sum_; }
-  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
-
-  /// Exact linear-interpolated (R-7) quantile, q in [0,1]; bit-identical to
-  /// quantile_sorted() over the same samples. CHECK-fails when empty.
-  double quantile(double q) const;
-
- private:
-  std::size_t bucket_of(double x) const;
-
-  double width_;
-  std::size_t max_buckets_;
-  std::size_t count_ = 0;
-  double sum_ = 0.0;
-  std::vector<std::vector<double>> buckets_;  ///< grown lazily as values land
-};
-
 /// Sample collector that retains values for quantile queries.
 class SampleSet {
  public:

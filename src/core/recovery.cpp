@@ -248,13 +248,16 @@ void Supervisor::evaluate_gray(SimTime now) {
     double norm;
   };
   std::vector<Eval> evals;
+  const auto median = [this] {  // of scratch_, sorted in place
+    std::sort(scratch_.begin(), scratch_.end());
+    return quantile_sorted(scratch_, 0.5);
+  };
   for (std::size_t i = 0; i < watched_.size(); ++i) {
     Watched& w = watched_[i];
     if (w.window_ms.empty()) continue;  // stage saw no strip this window
     if (fault_.core_failed(w.core, now)) continue;  // silence scan's case
-    window_hist_.clear();
-    for (const double ms : w.window_ms) window_hist_.add(ms);
-    const double p50 = window_hist_.quantile(0.5);
+    scratch_.assign(w.window_ms.begin(), w.window_ms.end());
+    const double p50 = median();
     if (w.baseline_ms <= 0.0) w.baseline_ms = p50;  // first window seeds
     evals.push_back(Eval{i, p50, p50 / w.baseline_ms});
     ++gray_windows_;
@@ -264,9 +267,9 @@ void Supervisor::evaluate_gray(SimTime now) {
   // Median of the normalized service times across reporting cores. A
   // uniform slowdown moves every norm — and so the median — by the same
   // multiple, which is exactly why it never flags anyone.
-  window_hist_.clear();
-  for (const Eval& e : evals) window_hist_.add(e.norm);
-  const double median_norm = window_hist_.quantile(0.5);
+  scratch_.clear();
+  for (const Eval& e : evals) scratch_.push_back(e.norm);
+  const double median_norm = median();
   const double threshold = gray_cfg_.detect_factor * median_norm;
 
   // Pass 2: streak accounting and baseline maintenance. Evidence for any

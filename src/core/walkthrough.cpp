@@ -1509,22 +1509,22 @@ class WalkthroughSim {
   // shrink its pipeline's strip share. Every action records the trigger
   // evidence and the before/after stage service time (RunResult::gray).
 
-  /// Append an action and its (aligned) post-action sample histogram.
+  /// Append an action and its (aligned) post-action sample list.
   std::size_t push_gray_action(GrayActionRecord act) {
     gray_.actions.push_back(std::move(act));
-    gray_after_hist_.emplace_back(0.1);
+    gray_after_ms_.emplace_back();
     return gray_.actions.size() - 1;
   }
 
   /// Feed one service sample to the detector and to every pending action's
-  /// "after" histogram for this core.
+  /// "after" samples for this core.
   void note_service(CoreId core, double service_ms) {
     supervisor_->record_service(core, service_ms);
     if (gray_after_.empty()) return;
     const auto it = gray_after_.find(core);
     if (it == gray_after_.end()) return;
     for (const std::size_t i : it->second) {
-      gray_after_hist_[i].add(service_ms);
+      gray_after_ms_[i].push_back(service_ms);
     }
   }
 
@@ -1625,8 +1625,10 @@ class WalkthroughSim {
     if (!cfg_.gray.enabled()) return;
     r.gray.enabled = true;
     for (std::size_t i = 0; i < r.gray.actions.size(); ++i) {
-      if (i < gray_after_hist_.size() && !gray_after_hist_[i].empty()) {
-        r.gray.actions[i].after_stage_ms = gray_after_hist_[i].quantile(0.5);
+      if (i < gray_after_ms_.size() && !gray_after_ms_[i].empty()) {
+        std::vector<double>& after = gray_after_ms_[i];
+        std::sort(after.begin(), after.end());
+        r.gray.actions[i].after_stage_ms = quantile_sorted(after, 0.5);
       }
     }
     r.gray.frames_offered = ledger_.offered();
@@ -2003,14 +2005,9 @@ class WalkthroughSim {
         t.goodput_fps =
             static_cast<double>(frame_done_ms_.size()) / span_sec;
       }
-      // Exact R-7 quantiles via the shared fixed-bucket histogram —
-      // bit-identical to sorting latency_ms_ and calling quantile_sorted
-      // (tests/gray_failure_test.cpp HistogramMatchesSortQuantiles guards
-      // the equivalence), without the full sort.
-      LatencyHistogram lat_hist(1.0);
-      for (const double ms : latency_ms_) lat_hist.add(ms);
-      t.p50_latency_ms = lat_hist.quantile(0.5);
-      t.p99_latency_ms = lat_hist.quantile(0.99);
+      std::sort(latency_ms_.begin(), latency_ms_.end());
+      t.p50_latency_ms = quantile_sorted(latency_ms_, 0.5);
+      t.p99_latency_ms = quantile_sorted(latency_ms_, 0.99);
     }
     t.breaker_trips = breaker_->trips();
     t.breaker_final = breaker_->state();
@@ -2162,7 +2159,7 @@ class WalkthroughSim {
   GrayReport gray_;                        // live tally; finished in collect
   std::map<CoreId, int> gray_rung_;        // ladder rungs climbed, per core
   std::map<CoreId, double> gray_flag_ms_;  // first-flag instant, per core
-  std::vector<LatencyHistogram> gray_after_hist_;  // per action, aligned
+  std::vector<std::vector<double>> gray_after_ms_;  // per action, aligned
   std::map<CoreId, std::vector<std::size_t>> gray_after_;  // core -> actions
   std::vector<char> gray_drain_;     // pipeline mid-drain (supervisor-sized)
   std::vector<double> pipe_weight_;  // strip shares (rebalance rung)

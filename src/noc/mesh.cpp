@@ -20,7 +20,7 @@ SimTime MeshModel::transfer(SimTime start, TileCoord from, TileCoord to,
   SCCPIPE_CHECK(bytes >= 0.0);
   const SimTime serialisation =
       SimTime::sec(bytes / cfg_.link_bandwidth_bytes_per_sec);
-  const bool faulty = fault_ != nullptr && fault_->enabled();
+  const bool faulty = fault_ != nullptr && fault_->plans_mesh_fate();
   // Injection router always charges once, even for a local (same-tile) hop.
   SimTime t = start + (faulty ? cfg_.router_latency *
                                     fault_->router_slowdown(topo_.tile_at(from), start)

@@ -34,20 +34,8 @@ MeshTopology::MeshTopology(MeshLayout layout) : layout_(std::move(layout)) {
   }
 }
 
-TileId MeshTopology::tile_of(CoreId core) const {
+void MeshTopology::check_core(CoreId core) const {
   SCCPIPE_CHECK_MSG(valid_core(core), "core " << core);
-  return core / layout_.cores_per_tile;
-}
-
-TileCoord MeshTopology::coord_of(TileId tile) const {
-  SCCPIPE_CHECK(tile >= 0 && tile < tile_count());
-  return TileCoord{tile % layout_.width, tile / layout_.width};
-}
-
-TileId MeshTopology::tile_at(TileCoord c) const {
-  SCCPIPE_CHECK(c.x >= 0 && c.x < layout_.width && c.y >= 0 &&
-                c.y < layout_.height);
-  return c.y * layout_.width + c.x;
 }
 
 TileCoord MeshTopology::mc_position(McId mc) const {

@@ -535,10 +535,12 @@ FaultInjector::FaultInjector(const FaultPlan& plan, int link_count,
                      if (a.target != b.target) return a.target < b.target;
                      return static_cast<int>(a.kind) < static_cast<int>(b.kind);
                    });
+  for (const FaultEvent& ev : schedule_) planned_ |= bit(ev.kind);
 }
 
 SimTime FaultInjector::available_after(FaultKind kind, int target,
                                        SimTime at) const {
+  if (!planned(kind)) return at;
   SimTime t = at;
   // Chained outages are rare and the schedule is tiny; a rescan after each
   // adjustment handles overlapping windows exactly.
@@ -557,6 +559,7 @@ SimTime FaultInjector::available_after(FaultKind kind, int target,
 }
 
 double FaultInjector::slowdown(FaultKind kind, int target, SimTime at) const {
+  if (!planned(kind)) return 1.0;
   double factor = 1.0;
   for (const FaultEvent& ev : schedule_) {
     if (ev.kind == kind && ev.target == target && ev.start <= at &&
@@ -568,32 +571,26 @@ double FaultInjector::slowdown(FaultKind kind, int target, SimTime at) const {
 }
 
 SimTime FaultInjector::link_available(int link_index, SimTime at) const {
-  if (!enabled_) return at;
   return available_after(FaultKind::LinkDown, link_index, at);
 }
 
 double FaultInjector::link_slowdown(int link_index, SimTime at) const {
-  if (!enabled_) return 1.0;
   return slowdown(FaultKind::LinkDegrade, link_index, at);
 }
 
 double FaultInjector::router_slowdown(int tile, SimTime at) const {
-  if (!enabled_) return 1.0;
   return slowdown(FaultKind::RouterDegrade, tile, at);
 }
 
 double FaultInjector::link_latency_factor(int link_index, SimTime at) const {
-  if (!enabled_) return 1.0;
   return slowdown(FaultKind::LinkLatency, link_index, at);
 }
 
 SimTime FaultInjector::mc_available(int mc, SimTime at) const {
-  if (!enabled_) return at;
   return available_after(FaultKind::McStall, mc, at);
 }
 
 double FaultInjector::mc_slowdown(int mc, SimTime at) const {
-  if (!enabled_) return 1.0;
   return slowdown(FaultKind::McDegrade, mc, at);
 }
 
@@ -614,23 +611,11 @@ SimTime FaultInjector::core_fail_time(int core) const {
 }
 
 double FaultInjector::core_slowdown(int core, SimTime at) const {
-  if (!enabled_) return 1.0;
   return slowdown(FaultKind::SlowCore, core, at);
 }
 
 SimTime FaultInjector::core_available(int core, SimTime at) const {
-  if (!enabled_) return at;
   return available_after(FaultKind::CoreStall, core, at);
-}
-
-bool FaultInjector::has_gray_faults() const {
-  for (const SlowCore& sc : plan_.slow_cores) {
-    if (sc.factor != 1.0) return true;
-  }
-  for (const DegradedLink& dl : plan_.degraded_links) {
-    if (dl.factor != 1.0) return true;
-  }
-  return !plan_.stalls.empty();
 }
 
 MessageFate FaultInjector::rcce_message_fate(SimTime at, int from, int to,

@@ -39,78 +39,6 @@ double quantile_sorted(const std::vector<double>& sorted, double q) {
   return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
 }
 
-LatencyHistogram::LatencyHistogram(double bucket_width,
-                                   std::size_t max_buckets)
-    : width_(bucket_width), max_buckets_(max_buckets) {
-  SCCPIPE_CHECK(bucket_width > 0.0);
-  SCCPIPE_CHECK(max_buckets > 0);
-}
-
-std::size_t LatencyHistogram::bucket_of(double x) const {
-  if (!(x > 0.0)) return 0;  // negatives (and NaN) clamp low
-  const double idx = x / width_;
-  if (idx >= static_cast<double>(max_buckets_)) return max_buckets_ - 1;
-  return static_cast<std::size_t>(idx);
-}
-
-void LatencyHistogram::add(double x) {
-  const std::size_t b = bucket_of(x);
-  if (b >= buckets_.size()) buckets_.resize(b + 1);
-  buckets_[b].push_back(x);
-  ++count_;
-  sum_ += x;
-}
-
-void LatencyHistogram::clear() {
-  // Keep the allocated bucket spine (the detector reuses one histogram per
-  // window); only the retained samples go.
-  for (std::vector<double>& b : buckets_) b.clear();
-  count_ = 0;
-  sum_ = 0.0;
-}
-
-double LatencyHistogram::quantile(double q) const {
-  SCCPIPE_CHECK(count_ > 0);
-  SCCPIPE_CHECK_MSG(q >= 0.0 && q <= 1.0, "q=" << q);
-  // Mirror quantile_sorted()'s R-7 arithmetic exactly — same pos/lo/frac,
-  // same back()-clamp — so the two paths agree to the last bit.
-  const double pos = q * static_cast<double>(count_ - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  const std::size_t hi = lo + 1;
-  double v_lo = 0.0, v_hi = 0.0;
-  bool have_lo = false, have_hi = false;
-  std::size_t cum = 0;
-  std::vector<double> scratch;
-  for (const std::vector<double>& b : buckets_) {
-    if (b.empty()) continue;
-    const std::size_t next = cum + b.size();
-    const bool lo_here = !have_lo && lo < next;
-    const bool hi_here = have_lo && !have_hi && hi < next;
-    if (lo_here || hi_here) {
-      scratch = b;
-      std::sort(scratch.begin(), scratch.end());
-      if (lo_here) {
-        v_lo = scratch[lo - cum];
-        have_lo = true;
-        if (hi < next) {
-          v_hi = scratch[hi - cum];
-          have_hi = true;
-        }
-      } else {
-        v_hi = scratch[hi - cum];
-        have_hi = true;
-      }
-    }
-    if (have_hi) break;
-    cum = next;
-  }
-  SCCPIPE_CHECK(have_lo);
-  if (hi >= count_) return v_lo;  // q == 1 (or count == 1): the maximum
-  SCCPIPE_CHECK(have_hi);
-  return v_lo + frac * (v_hi - v_lo);
-}
-
 QuantileSummary summarize(std::vector<double> samples) {
   QuantileSummary s;
   if (samples.empty()) return s;

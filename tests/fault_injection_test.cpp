@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sccpipe/core/walkthrough.hpp"
 #include "sccpipe/sim/fault.hpp"
 
@@ -196,6 +201,159 @@ TEST(FaultInjector, LinkDownWindowDelaysAndDegrades) {
   // Other links are unaffected.
   const int other = (ev.target + 1) % 96;
   EXPECT_EQ(inj.link_available(other, mid), mid);
+}
+
+// ---------------------------------------------- queries vs a full scan
+
+// Test-local oracles: every window query as a plain scan of schedule(),
+// with no shortcut for a kind the plan does not contain.
+SimTime scan_available(const FaultInjector& inj, FaultKind kind, int target,
+                       SimTime at) {
+  SimTime t = at;
+  for (bool moved = true; moved;) {
+    moved = false;
+    for (const FaultEvent& ev : inj.schedule()) {
+      if (ev.kind == kind && ev.target == target && ev.start <= t &&
+          t < ev.end) {
+        t = ev.end;
+        moved = true;
+      }
+    }
+  }
+  return t;
+}
+
+double scan_slowdown(const FaultInjector& inj, FaultKind kind, int target,
+                     SimTime at) {
+  double factor = 1.0;
+  for (const FaultEvent& ev : inj.schedule()) {
+    if (ev.kind == kind && ev.target == target && ev.start <= at &&
+        at < ev.end) {
+      factor = std::min(factor, ev.factor);
+    }
+  }
+  return 1.0 / factor;
+}
+
+// Compares all eight window queries with the scan on every target and on a
+// time grid plus each event's edges; returns the number of queries whose
+// answer a planned fault moved, so a caller can tell the plan was reached.
+int expect_queries_match_scan(const FaultInjector& inj, int links, int tiles,
+                              int mcs, int cores, const std::string& name) {
+  std::vector<SimTime> times;
+  for (int i = 0; i <= 120; ++i) {
+    times.push_back(inj.plan().horizon * (i / 100.0));
+  }
+  for (const FaultEvent& ev : inj.schedule()) {
+    for (const SimTime t : {ev.start, ev.end}) {
+      times.push_back(t);
+      if (t > SimTime::zero()) times.push_back(t - SimTime::ns(1));
+    }
+  }
+  int moved = 0;
+  const auto avail = [&](SimTime got, FaultKind kind, int target, SimTime at) {
+    EXPECT_EQ(got, scan_available(inj, kind, target, at))
+        << name << " " << fault_kind_name(kind) << " target " << target
+        << " at " << at.to_ns();
+    moved += got != at;
+  };
+  const auto slow = [&](double got, FaultKind kind, int target, SimTime at) {
+    EXPECT_EQ(got, scan_slowdown(inj, kind, target, at))
+        << name << " " << fault_kind_name(kind) << " target " << target
+        << " at " << at.to_ns();
+    moved += got != 1.0;
+  };
+  for (const SimTime at : times) {
+    for (int l = 0; l < links; ++l) {
+      avail(inj.link_available(l, at), FaultKind::LinkDown, l, at);
+      slow(inj.link_slowdown(l, at), FaultKind::LinkDegrade, l, at);
+      slow(inj.link_latency_factor(l, at), FaultKind::LinkLatency, l, at);
+    }
+    for (int t = 0; t < tiles; ++t) {
+      slow(inj.router_slowdown(t, at), FaultKind::RouterDegrade, t, at);
+    }
+    for (int m = 0; m < mcs; ++m) {
+      avail(inj.mc_available(m, at), FaultKind::McStall, m, at);
+      slow(inj.mc_slowdown(m, at), FaultKind::McDegrade, m, at);
+    }
+    for (int c = 0; c < cores; ++c) {
+      avail(inj.core_available(c, at), FaultKind::CoreStall, c, at);
+      slow(inj.core_slowdown(c, at), FaultKind::SlowCore, c, at);
+    }
+  }
+  return moved;
+}
+
+TEST(FaultInjector, EveryQueryMatchesAFullScanOfTheSchedule) {
+  const auto base = [](std::uint64_t seed) {
+    FaultPlan plan;
+    plan.seed = seed;
+    plan.horizon = SimTime::ms(200);
+    plan.window = SimTime::ms(20);
+    return plan;
+  };
+  const std::vector<std::pair<FaultKind, void (*)(FaultPlan&)>> alone = {
+      {FaultKind::LinkDegrade, [](FaultPlan& p) { p.link_degrade_count = 4; }},
+      {FaultKind::LinkDown, [](FaultPlan& p) { p.link_down_count = 4; }},
+      {FaultKind::RouterDegrade,
+       [](FaultPlan& p) { p.router_degrade_count = 3; }},
+      {FaultKind::McDegrade, [](FaultPlan& p) { p.mc_degrade_count = 2; }},
+      {FaultKind::McStall, [](FaultPlan& p) { p.mc_stall_count = 2; }},
+      {FaultKind::SlowCore,
+       [](FaultPlan& p) {
+         p.slow_cores.push_back({14, 4.0, SimTime::ms(30)});
+       }},
+      {FaultKind::LinkLatency,
+       [](FaultPlan& p) {
+         p.degraded_links.push_back({1, 2, 3.0, SimTime::ms(40)});
+       }},
+      {FaultKind::CoreStall,
+       [](FaultPlan& p) {
+         p.stalls.push_back({26, SimTime::ms(15), SimTime::ms(4)});
+       }},
+  };
+  for (const std::uint64_t seed : {1u, 7u, 23u}) {
+    FaultPlan all = base(seed);
+    for (const auto& [kind, add] : alone) {
+      FaultPlan plan = base(seed);
+      add(plan);
+      add(all);
+      const FaultInjector inj(plan, 96, 24, 4, 6);
+      for (const auto& [other, unused] : alone) {
+        EXPECT_EQ(inj.planned(other), other == kind)
+            << fault_kind_name(kind) << " plan, " << fault_kind_name(other);
+      }
+      EXPECT_GT(expect_queries_match_scan(inj, 96, 24, 4, 48,
+                                          fault_kind_name(kind)),
+                0)
+          << fault_kind_name(kind) << " seed " << seed;
+    }
+    const FaultInjector every(all, 96, 24, 4, 6);
+    EXPECT_GT(expect_queries_match_scan(every, 96, 24, 4, 48, "all"), 0);
+
+    // No window kind: a disabled plan, and message fates alone.
+    FaultPlan messages = base(seed);
+    messages.rcce_drop_rate = 0.1;
+    for (const FaultPlan& none : {base(seed), messages}) {
+      const FaultInjector inj(none, 96, 24, 4, 6);
+      EXPECT_EQ(expect_queries_match_scan(inj, 96, 24, 4, 48, "none"), 0);
+    }
+
+    // Overlapping LinkDown windows on one link: a message waits out every
+    // window it runs into.
+    FaultPlan chained = base(seed);
+    chained.link_down_count = 8;
+    chained.window = SimTime::ms(60);
+    const FaultInjector one_link(chained, 1, 24, 4);
+    const std::vector<FaultEvent>& downs = one_link.schedule();
+    EXPECT_TRUE(std::adjacent_find(downs.begin(), downs.end(),
+                                   [](const FaultEvent& a,
+                                      const FaultEvent& b) {
+                                     return b.start < a.end;
+                                   }) != downs.end());
+    EXPECT_GT(expect_queries_match_scan(one_link, 1, 24, 4, 48, "chained"),
+              0);
+  }
 }
 
 // ------------------------------------------------------- walkthrough runs

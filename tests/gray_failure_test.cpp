@@ -6,12 +6,10 @@
 // rebalance) takes exactly the actions its ceiling allows while the frame
 // ledger balances to zero loss, a slow-then-dead core resolves as ONE
 // escalated incident, and the whole path is deterministic from run to
-// run. Also pins the LatencyHistogram's quantiles to quantile_sorted()
-// bit-for-bit — the transport report's p50/p99 ride on that equivalence.
+// run.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -21,7 +19,6 @@
 #include "sccpipe/exec/executor.hpp"
 #include "sccpipe/filters/image.hpp"
 #include "sccpipe/sim/fault.hpp"
-#include "sccpipe/support/stats.hpp"
 
 namespace sccpipe {
 namespace {
@@ -194,39 +191,6 @@ TEST(GrayConfigValidation, TypedErrorsOnBadTuning) {
   EXPECT_EQ(policy, GrayPolicy::Rebalance);
   EXPECT_EQ(parse_gray_policy("yolo", &policy).code(),
             StatusCode::InvalidArgument);
-}
-
-// ------------------------------------------------- histogram equivalence
-
-TEST(LatencyHistogramTest, HistogramMatchesSortQuantiles) {
-  // Deterministic mixed-scale samples: sub-bucket clusters, negatives
-  // (clamp low), and values past the bucket cap (clamp high). The
-  // histogram must agree with quantile_sorted() bit-for-bit — the
-  // transport report's p50/p99 and the gray detector's window p50 both
-  // lean on this equivalence.
-  std::uint64_t s = 0x9e3779b97f4a7c15ULL;
-  const auto next = [&s] {
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    return static_cast<double>(s % 100000) / 7.0 - 100.0;
-  };
-  LatencyHistogram h(0.5, 64);
-  std::vector<double> samples;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = next();
-    h.add(x);
-    samples.push_back(x);
-  }
-  std::sort(samples.begin(), samples.end());
-  for (const double q : {0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
-    EXPECT_EQ(h.quantile(q), quantile_sorted(samples, q)) << "q=" << q;
-  }
-  // clear() keeps the bucket spine but forgets the samples.
-  h.clear();
-  EXPECT_TRUE(h.empty());
-  h.add(3.25);
-  EXPECT_EQ(h.quantile(0.5), 3.25);
 }
 
 // --------------------------------------------------- metamorphic: factor 1

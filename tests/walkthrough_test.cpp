@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sccpipe/core/walkthrough.hpp"
@@ -778,6 +779,37 @@ TEST_F(WalkthroughFixture, EventStreamMatchesPinnedCounts) {
                       return !r.recovery.enabled && r.fault.rcce_drops > 0;
                     },
                     1610, 84525624, 0, StatusCode::RetriesExhausted});
+  }
+  // Every mesh fate, both MC fates, a degraded link, a stall train and a
+  // slow core under gray detection: the faulty hop path and every fault
+  // query a plan can reach. Each of the eight window kinds moves the pins
+  // of at least one of the two seeds.
+  for (const auto& [name, seed, events, ns] :
+       {std::tuple{"mcpc k=4 every window fate, seed 13", 13, 8560, 206261082},
+        std::tuple{"mcpc k=4 every window fate, seed 25", 25, 8168,
+                   202958586}}) {
+    RunConfig cfg = mcpc;
+    EXPECT_TRUE(cfg.fault
+                    .parse("link-down=3;link-degrade=3;router-degrade=2;"
+                           "mc-stall=1;mc-degrade=1;window=30ms")
+                    .ok());
+    cfg.fault.seed = static_cast<std::uint64_t>(seed);
+    cfg.fault.horizon = clean.walkthrough;
+    cfg.fault.degraded_links.push_back(DegradedLink{1, 2, 3.0, at(0.1)});
+    cfg.fault.stalls.push_back(StallSpec{clean.placement.pipeline_cores[0][1],
+                                         SimTime::ms(5), SimTime::ms(1)});
+    cfg.fault.slow_cores.push_back(
+        SlowCore{clean.placement.pipeline_cores[2][0], 6.0, at(0.2)});
+    cfg.recovery.heartbeat_period = SimTime::ms(2);
+    cfg.recovery.detection_deadline = SimTime::ms(5);
+    cfg.gray.detect_factor = 1.3;
+    cfg.gray.detect_windows = 2;
+    runs.push_back({name, cfg,
+                    [&clean](const RunResult& r) {
+                      return r.walkthrough > clean.walkthrough &&
+                             r.gray.flags_raised > 0;
+                    },
+                    static_cast<std::uint64_t>(events), ns, 12});
   }
 
   const WorkloadTrace trace7 = WorkloadTrace::build(scene(), StripCounts{1, 7});

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <ios>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -650,11 +652,41 @@ TEST(StageBusy, FailedRunChargesOnlyCountedFrames) {
   }
 }
 
-// The event stream itself: how many events a run dispatches and the
-// simulated time it ends at, pinned across the engine's host-speed work.
-// A refactor of the event kernel or the mesh fabric that adds, drops or
-// reorders an event moves one of these; `sim_events_per_s` is only
-// comparable across such refactors while they hold.
+/// FNV-1a over the timing a run reports: each frame's viewer arrival, each
+/// stage row's busy time, frames and wait quartiles (times in whole ns),
+/// and the fault layer's fingerprint. A fault whose delay is absorbed
+/// before the last frame still moves it.
+std::uint64_t timing_digest(const RunResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto ns = [&mix](double ms) {
+    mix(static_cast<std::uint64_t>(std::llround(ms * 1e6)));
+  };
+  mix(r.frame_done_ms.size());
+  for (const double ms : r.frame_done_ms) ns(ms);
+  mix(r.stages.size());
+  for (const StageReport& s : r.stages) {
+    ns(s.busy_ms);
+    mix(static_cast<std::uint64_t>(s.frames));
+    ns(s.wait_ms.q1);
+    ns(s.wait_ms.median);
+    ns(s.wait_ms.q3);
+  }
+  mix(r.fault.fingerprint);
+  return h;
+}
+
+// The event stream itself: how many events a run dispatches, the simulated
+// time it ends at and a digest of its per-frame and per-stage timing,
+// pinned across the engine's host-speed work. A refactor of the event
+// kernel or the mesh fabric that adds, drops or reorders an event moves
+// one of these; `sim_events_per_s` is only comparable across such
+// refactors while they hold.
 TEST_F(WalkthroughFixture, EventStreamMatchesPinnedCounts) {
   struct PinnedStream {
     const char* name;
@@ -663,6 +695,7 @@ TEST_F(WalkthroughFixture, EventStreamMatchesPinnedCounts) {
     std::uint64_t events;
     std::int64_t walkthrough_ns;
     int frames_completed;
+    std::uint64_t digest;  ///< timing_digest()
     /// Ok for a run that must complete; otherwise the code it must fail
     /// with (a failed run's drain is part of its event stream).
     StatusCode failure = StatusCode::Ok;
@@ -682,7 +715,7 @@ TEST_F(WalkthroughFixture, EventStreamMatchesPinnedCounts) {
   };
   runs.push_back({"n-rend k=7 ordered",
                   config(Scenario::RendererPerPipeline, 7), complete(7), 14940,
-                  320079917, 12});
+                  320079917, 12, 0x4c6faffb6f77a0c1});
   {
     RunConfig cfg = mcpc;
     cfg.fault.seed = 4;
@@ -695,7 +728,7 @@ TEST_F(WalkthroughFixture, EventStreamMatchesPinnedCounts) {
                       return r.recovery.spares_used > 0 &&
                              r.recovery.frames_replayed > 0;
                     },
-                    9126, 194006326, 12});
+                    9126, 194006326, 12, 0xe60050790f51e58c});
   }
   {
     RunConfig cfg = mcpc;
@@ -710,7 +743,7 @@ TEST_F(WalkthroughFixture, EventStreamMatchesPinnedCounts) {
         SlowCore{clean.placement.pipeline_cores[1][0], 8.0, at(0.1)});
     runs.push_back({"mcpc k=4 gray rebalance", cfg,
                     [](const RunResult& r) { return r.gray.rebalances > 0; },
-                    8101, 192308283, 12});
+                    8101, 192308283, 12, 0xad24488ae978bb98});
   }
   {
     RunConfig cfg = mcpc;
@@ -724,13 +757,13 @@ TEST_F(WalkthroughFixture, EventStreamMatchesPinnedCounts) {
                                  r.transport.shed_deadline >
                              0;
                     },
-                    3365, 64017341, 3});
+                    3365, 64017341, 3, 0xc8d7f78e61aa2252});
   }
   {
     RunConfig cfg = config(Scenario::SingleRenderer, 3);
     cfg.platform = PlatformKind::Cluster;
-    runs.push_back(
-        {"1-rend cluster k=3", cfg, complete(3), 6084, 24375618, 12});
+    runs.push_back({"1-rend cluster k=3", cfg, complete(3), 6084, 24375618,
+                    12, 0xae127fcb05cb16df});
   }
   {
     // A supervised single-renderer run: distribution through the routed
@@ -748,7 +781,7 @@ TEST_F(WalkthroughFixture, EventStreamMatchesPinnedCounts) {
                       return r.recovery.spares_used > 0 &&
                              r.recovery.frames_replayed > 0;
                     },
-                    8273, 411019032, 12});
+                    8273, 411019032, 12, 0xc1ef341df59f51d1});
   }
   {
     // A dead render core with no spare to promote ends the run.
@@ -765,7 +798,8 @@ TEST_F(WalkthroughFixture, EventStreamMatchesPinnedCounts) {
                     [](const RunResult& r) {
                       return r.recovery.failures_detected > 0;
                     },
-                    2374, 114400000, 2, StatusCode::Unavailable});
+                    2374, 114400000, 2, 0x7cefd586b0fb7797,
+                    StatusCode::Unavailable});
   }
   {
     // An unsupervised fault run that exhausts its one attempt: the strips
@@ -778,16 +812,18 @@ TEST_F(WalkthroughFixture, EventStreamMatchesPinnedCounts) {
                     [](const RunResult& r) {
                       return !r.recovery.enabled && r.fault.rcce_drops > 0;
                     },
-                    1610, 84525624, 0, StatusCode::RetriesExhausted});
+                    1610, 84525624, 0, 0x75365a135b10c8e7,
+                    StatusCode::RetriesExhausted});
   }
   // Every mesh fate, both MC fates, a degraded link, a stall train and a
   // slow core under gray detection: the faulty hop path and every fault
   // query a plan can reach. Each of the eight window kinds moves the pins
   // of at least one of the two seeds.
-  for (const auto& [name, seed, events, ns] :
-       {std::tuple{"mcpc k=4 every window fate, seed 13", 13, 8560, 206261082},
-        std::tuple{"mcpc k=4 every window fate, seed 25", 25, 8168,
-                   202958586}}) {
+  for (const auto& [name, seed, events, ns, digest] :
+       {std::tuple{"mcpc k=4 every window fate, seed 13", 13, 8560, 206261082,
+                   0x236d76be9de93a3aull},
+        std::tuple{"mcpc k=4 every window fate, seed 25", 25, 8168, 202958586,
+                   0xc41bb864be6314bcull}}) {
     RunConfig cfg = mcpc;
     EXPECT_TRUE(cfg.fault
                     .parse("link-down=3;link-degrade=3;router-degrade=2;"
@@ -809,7 +845,7 @@ TEST_F(WalkthroughFixture, EventStreamMatchesPinnedCounts) {
                       return r.walkthrough > clean.walkthrough &&
                              r.gray.flags_raised > 0;
                     },
-                    static_cast<std::uint64_t>(events), ns, 12});
+                    static_cast<std::uint64_t>(events), ns, 12, digest});
   }
 
   const WorkloadTrace trace7 = WorkloadTrace::build(scene(), StripCounts{1, 7});
@@ -827,6 +863,8 @@ TEST_F(WalkthroughFixture, EventStreamMatchesPinnedCounts) {
     EXPECT_EQ(r.events_dispatched, run.events) << run.name;
     EXPECT_EQ(r.walkthrough.to_ns(), run.walkthrough_ns) << run.name;
     EXPECT_EQ(r.fault.frames_completed, run.frames_completed) << run.name;
+    EXPECT_EQ(timing_digest(r), run.digest)
+        << run.name << ": 0x" << std::hex << timing_digest(r);
   }
 }
 

@@ -14,14 +14,11 @@
 #include "sccpipe/core/walkthrough.hpp"
 #include "sccpipe/exec/executor.hpp"
 #include "sccpipe/support/args.hpp"
-#include "sccpipe/support/snapshot.hpp"
 #include "sccpipe/support/table.hpp"
 
 #include "run_flags.hpp"
 
-// Exit codes: 0 ok, 1 run failed gracefully (typed fault), 2 bad flags,
-// 65 checkpoint/resume data error, 70 planned crash (the run died at a
-// crash-at instant; resume with --resume to continue it).
+// Exit codes: 0 ok, 1 run failed gracefully (typed fault), 2 bad flags.
 
 using namespace sccpipe;
 
@@ -74,15 +71,6 @@ int main(int argc, char** argv) {
   add_run_flags(args);
   args.add_flag("fault-seed",
                 "fault schedule RNG seed (0 = keep the plan's seed)", "0");
-  args.add_flag("checkpoint-every",
-                "write a run snapshot every N delivered frames (0 = off)",
-                "0");
-  args.add_flag("checkpoint-file",
-                "snapshot path, written atomically (tmp + rename)", "");
-  args.add_flag("resume",
-                "load --checkpoint-file, verify it by deterministic replay "
-                "and continue past the crash that ended the previous attempt",
-                "false");
   args.add_flag("csv", "emit one CSV row instead of tables", "false");
   args.add_flag("timeline", "write a chrome://tracing JSON to this path", "");
   args.add_flag("stages", "print the per-stage report", "true");
@@ -131,9 +119,6 @@ int main(int argc, char** argv) {
   cfg.isolate_blur_tile = args.get_bool("isolate-blur");
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   const int fault_seed = args.get_int("fault-seed");
-  cfg.checkpoint.every_frames = args.get_int("checkpoint-every");
-  cfg.checkpoint.file = args.get("checkpoint-file");
-  cfg.checkpoint.resume = args.get_bool("resume");
   const int frames = args.get_int("frames");
   const int size = args.get_int("size");
   // Last read: its Status also carries the first malformed number above.
@@ -147,13 +132,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (fault_seed > 0) cfg.fault.seed = static_cast<std::uint64_t>(fault_seed);
-  if (const Status st = snapshot::validate_checkpoint_args(
-          cfg.checkpoint.every_frames, args.has("checkpoint-every"),
-          cfg.checkpoint.file, cfg.checkpoint.resume);
-      !st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
-    return 2;
-  }
   if (frames <= 0 || size <= 0) {
     std::fprintf(stderr, "error: --frames and --size must be positive, got "
                  "%d and %d\n", frames, size);
@@ -189,23 +167,6 @@ int main(int argc, char** argv) {
     timeline.write(timeline_path);
     std::fprintf(stderr, "[sccpipe] timeline (%zu spans) -> %s\n",
                  timeline.size(), timeline_path.c_str());
-  }
-
-  if (r.checkpoint.error_code != StatusCode::Ok) {
-    std::fprintf(stderr, "error: checkpoint: [%s] %s\n",
-                 status_code_name(r.checkpoint.error_code),
-                 r.checkpoint.error.c_str());
-    return 65;
-  }
-  if (r.checkpoint.crashed) {
-    std::fprintf(stderr,
-                 "[sccpipe] run crashed at the planned instant %.3f s with "
-                 "%llu checkpoint(s) on disk; rerun with --resume "
-                 "--checkpoint-file %s to continue\n",
-                 r.checkpoint.crashed_at_ms / 1000.0,
-                 static_cast<unsigned long long>(r.checkpoint.checkpoints_written),
-                 cfg.checkpoint.file.c_str());
-    return 70;
   }
 
   if (args.get_bool("csv")) {
@@ -246,14 +207,6 @@ int main(int argc, char** argv) {
   if (r.host_busy_sec > 0.0) {
     std::printf("host:          busy %.2f s, extra %.0f J\n", r.host_busy_sec,
                 r.host_extra_energy_joules);
-  }
-  if (r.checkpoint.enabled) {
-    std::printf("checkpoints:   %llu written (last at frame %llu)%s%s\n",
-                static_cast<unsigned long long>(r.checkpoint.checkpoints_written),
-                static_cast<unsigned long long>(
-                    r.checkpoint.last_checkpoint_frames),
-                r.checkpoint.resumed ? ", resumed" : "",
-                r.checkpoint.resume_verified ? " and replay-verified" : "");
   }
   if (r.fault.enabled) {
     std::printf("fault layer:   seed %llu, fingerprint %016llx\n",

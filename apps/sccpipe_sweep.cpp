@@ -29,7 +29,6 @@
 #include "sccpipe/core/walkthrough.hpp"
 #include "sccpipe/exec/executor.hpp"
 #include "sccpipe/support/args.hpp"
-#include "sccpipe/support/snapshot.hpp"
 
 #include "run_flags.hpp"
 
@@ -79,13 +78,6 @@ struct GridRun {
   double wall_sec = 0.0;  // host wall-clock of this run (perf record only)
   RunResult result;
 };
-
-bool file_exists(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fclose(f);
-  return true;
-}
 
 double now_sec() {
   return std::chrono::duration<double>(
@@ -151,14 +143,6 @@ int main(int argc, char** argv) {
                 "perf record path, or 'none' to disable",
                 "BENCH_sweep.json");
   add_run_flags(args);
-  args.add_flag("checkpoint-every",
-                "write per-run snapshots every N delivered frames (0 = off)",
-                "0");
-  args.add_flag("checkpoint-file",
-                "snapshot base path; run i writes '<path>.<i>'", "");
-  args.add_flag("resume",
-                "resume each run whose per-run snapshot exists "
-                "(verify-by-replay)", "false");
   args.add_flag("help", "show this help", "false");
   if (!args.parse(argc, argv) || args.get_bool("help")) {
     std::fprintf(stderr, "%s%s", args.error().empty() ? "" :
@@ -175,10 +159,6 @@ int main(int argc, char** argv) {
   // grid point (the seed keeps each run deterministic regardless of worker
   // interleaving).
   RunConfig base;
-  CheckpointConfig checkpoint;
-  checkpoint.every_frames = args.get_int("checkpoint-every");
-  checkpoint.file = args.get("checkpoint-file");
-  checkpoint.resume = args.get_bool("resume");
   int jobs = args.get_int("jobs");
   const int frames = args.get_int("frames");
   const int size = args.get_int("size");
@@ -187,21 +167,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "[sweep] error: %s\n", st.message().c_str());
     return 2;
   }
-  if (const Status st = snapshot::validate_checkpoint_args(
-          checkpoint.every_frames, args.has("checkpoint-every"),
-          checkpoint.file, /*resume=*/false);
-      !st.ok()) {
-    // Resume readability is checked per run below (each run has its own
-    // '<path>.<i>' file; only the base path + directory validate here).
-    std::fprintf(stderr, "[sweep] error: %s\n", st.to_string().c_str());
-    return 2;
-  }
-  if (checkpoint.resume && checkpoint.file.empty()) {
-    std::fprintf(stderr,
-                 "[sweep] error: --resume needs --checkpoint-file <base>\n");
-    return 2;
-  }
-
   const std::optional<std::vector<int>> pipeline_list =
       parse_range(args.get("pipelines"));
   if (!pipeline_list) {
@@ -260,15 +225,6 @@ int main(int argc, char** argv) {
           gr.cfg.arrangement = arrangement;
           gr.cfg.platform = platform;
           gr.cfg.pipelines = k;
-          if (checkpoint.enabled()) {
-            gr.cfg.checkpoint = checkpoint;
-            gr.cfg.checkpoint.file =
-                checkpoint.file + "." + std::to_string(runs.size());
-            // Only runs whose previous attempt left a snapshot resume;
-            // the rest start fresh (their file does not exist yet).
-            gr.cfg.checkpoint.resume =
-                checkpoint.resume && file_exists(gr.cfg.checkpoint.file);
-          }
           runs.push_back(std::move(gr));
         }
       }
@@ -313,35 +269,6 @@ int main(int argc, char** argv) {
     runs[i].wall_sec = now_sec() - rt0;
   });
   const double wall = now_sec() - t0;
-
-  // A planned crash or a checkpoint data error aborts the sweep before any
-  // CSV is emitted — mirroring a real process death — so the caller can
-  // rerun with --resume and still get a byte-identical, complete CSV.
-  std::size_t crashed = 0;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const CheckpointReport& ck = runs[i].result.checkpoint;
-    if (ck.error_code != StatusCode::Ok) {
-      std::fprintf(stderr, "[sweep] run %zu checkpoint error: [%s] %s\n", i,
-                   status_code_name(ck.error_code), ck.error.c_str());
-      return 65;
-    }
-    if (ck.crashed) {
-      ++crashed;
-      std::fprintf(stderr,
-                   "[sweep] run %zu crashed at %.3f s (%llu checkpoint(s) in "
-                   "%s)\n",
-                   i, ck.crashed_at_ms / 1000.0,
-                   static_cast<unsigned long long>(ck.checkpoints_written),
-                   runs[i].cfg.checkpoint.file.c_str());
-    }
-  }
-  if (crashed > 0) {
-    std::fprintf(stderr,
-                 "[sweep] %zu run(s) crashed; rerun with --resume to "
-                 "continue them\n",
-                 crashed);
-    return 70;
-  }
 
   std::printf("scenario,arrangement,platform,pipelines,walkthrough_s,"
               "mean_watts,chip_energy_j,host_busy_s,host_extra_j,"

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "sccpipe/core/table1.hpp"
 #include "sccpipe/exec/executor.hpp"
 #include "sccpipe/support/args.hpp"
 
@@ -67,56 +68,52 @@ void print_banner(const std::string& experiment, const std::string& summary) {
   std::printf("================================================================\n\n");
 }
 
-void add_sweep_rows(TextTable& table, const SweepSpec& spec, int max_k,
-                    SvgPlot* plot) {
-  // One colour per sweep: the simulated (solid) and published (dashed)
-  // curves of a configuration share it.
+void add_table1_rows(TextTable& table, std::size_t first_row,
+                     const std::vector<std::string>& labels, SvgPlot& plot) {
+  // One colour per configuration: its simulated (solid) and published
+  // (dashed) curves share it.
   static constexpr const char* kColors[] = {"#2f6fb2", "#c23b3b", "#3d9950",
                                             "#8b5cb5", "#c28a2f", "#3ba6a6"};
-  const char* color =
-      plot ? kColors[(plot->series_count() / 2) % 6] : "";
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    const Table1Row& row = kTable1[first_row + i];
+    const std::string& label = labels[i];
+    const char* color = kColors[(plot.series_count() / 2) % 6];
+    std::vector<RunConfig> cfgs;
+    for (int k = 1; k <= 7; ++k) {
+      RunConfig cfg;
+      cfg.scenario = row.scenario;
+      cfg.arrangement = row.arrangement;
+      cfg.platform = row.platform;
+      cfg.pipelines = k;
+      cfgs.push_back(cfg);
+    }
+    const std::vector<double> secs = run_batch_seconds(cfgs);
 
-  PlotSeries sim_series;
-  sim_series.color = color;
-  sim_series.label = spec.label + " (sim)";
-  table.row().add(spec.label + " (sim)");
-  std::vector<RunConfig> cfgs;
-  for (int k = 1; k <= max_k; ++k) {
-    RunConfig cfg;
-    cfg.scenario = spec.scenario;
-    cfg.arrangement = spec.arrangement;
-    cfg.platform = spec.platform;
-    cfg.pipelines = k;
-    cfgs.push_back(cfg);
-  }
-  const std::vector<double> secs = run_batch_seconds(cfgs);
-  for (int k = 1; k <= max_k; ++k) {
-    const double s = secs[static_cast<std::size_t>(k - 1)];
-    table.add(s, 1);
-    sim_series.x.push_back(k);
-    sim_series.y.push_back(s);
-  }
-  if (plot) plot->add_series(sim_series);
-  if (!spec.paper_seconds.empty()) {
+    PlotSeries sim_series;
+    sim_series.color = color;
+    sim_series.label = label + " (sim)";
+    table.row().add(label + " (sim)");
+    for (int k = 1; k <= 7; ++k) {
+      const double s = secs[static_cast<std::size_t>(k - 1)];
+      table.add(s, 1);
+      sim_series.x.push_back(k);
+      sim_series.y.push_back(s);
+    }
+    plot.add_series(sim_series);
+
     PlotSeries paper_series;
-    paper_series.label = spec.label + " (paper)";
+    paper_series.color = color;
+    paper_series.label = label + " (paper)";
     paper_series.dashed = true;
     paper_series.markers = false;
-    table.row().add(spec.label + " (paper)");
-    for (int k = 0; k < max_k; ++k) {
-      if (k < static_cast<int>(spec.paper_seconds.size())) {
-        const double v = spec.paper_seconds[static_cast<std::size_t>(k)];
-        table.add(v, 0);
-        paper_series.x.push_back(k + 1);
-        paper_series.y.push_back(v);
-      } else {
-        table.add("-");
-      }
+    table.row().add(label + " (paper)");
+    for (int k = 1; k <= 7; ++k) {
+      const double v = row.paper_s[k - 1];
+      table.add(v, 0);
+      paper_series.x.push_back(k);
+      paper_series.y.push_back(v);
     }
-    if (plot && !paper_series.x.empty()) {
-      paper_series.color = color;  // pair with the simulated curve
-      plot->add_series(paper_series);
-    }
+    plot.add_series(paper_series);
   }
 }
 

@@ -14,6 +14,7 @@
 ///   A malformed or out-of-range value of either stops the binary with
 ///   exit status 2 when the world is built.
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,22 +69,12 @@ std::vector<double> run_batch_seconds(const std::vector<RunConfig>& cfgs);
 /// reports, what we print.
 void print_banner(const std::string& experiment, const std::string& summary);
 
-/// Append a "k=1..7" sweep row: label, then one duration per pipeline
-/// count, next to the paper's row for comparison.
-struct SweepSpec {
-  std::string label;
-  Scenario scenario;
-  Arrangement arrangement = Arrangement::Ordered;
-  PlatformKind platform = PlatformKind::Scc;
-  std::vector<double> paper_seconds;  // may be empty
-};
-
-/// Run the sweep for k = 1..max_k and add "<label> (sim)" and, when paper
-/// numbers exist, "<label> (paper)" rows to the table. When \p plot is
-/// given, the simulated series (solid) and the paper's (dashed) are added
-/// to it as well.
-void add_sweep_rows(TextTable& table, const SweepSpec& spec, int max_k = 7,
-                    SvgPlot* plot = nullptr);
+/// Run Table I rows first_row, first_row + 1, ... (core/table1.hpp) for
+/// k = 1..7, one per entry of \p labels, and add "<label> (sim)" and
+/// "<label> (paper)" rows to \p table and the simulated (solid) and
+/// published (dashed) series to \p plot.
+void add_table1_rows(TextTable& table, std::size_t first_row,
+                     const std::vector<std::string>& labels, SvgPlot& plot);
 
 /// Write an SVG figure to $SCCPIPE_FIGURE_DIR (default "figures/") and
 /// print where it went.

@@ -19,15 +19,7 @@ int main() {
   TextTable table({"configuration", "1 pl.", "2 pl.", "3 pl.", "4 pl.",
                    "5 pl.", "6 pl.", "7 pl."});
   SvgPlot plot("Fig. 9 — one renderer, 1..7 pipelines", "number of pipelines", "time in sec");
-  add_sweep_rows(table, {"unordered", Scenario::SingleRenderer,
-                         Arrangement::Unordered, PlatformKind::Scc,
-                         {207, 107, 102, 102, 102, 101, 101}}, 7, &plot);
-  add_sweep_rows(table, {"ordered", Scenario::SingleRenderer,
-                         Arrangement::Ordered, PlatformKind::Scc,
-                         {208, 108, 104, 103, 102, 101, 101}}, 7, &plot);
-  add_sweep_rows(table, {"flipped", Scenario::SingleRenderer,
-                         Arrangement::Flipped, PlatformKind::Scc,
-                         {208, 107, 102, 102, 102, 101, 101}}, 7, &plot);
+  add_table1_rows(table, 0, {"unordered", "ordered", "flipped"}, plot);
   std::printf("%s\n", table.to_string().c_str());
   write_figure(plot, "fig09_single_renderer");
 

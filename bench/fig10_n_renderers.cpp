@@ -19,15 +19,7 @@ int main() {
   TextTable table({"configuration", "1 pl.", "2 pl.", "3 pl.", "4 pl.",
                    "5 pl.", "6 pl.", "7 pl."});
   SvgPlot plot("Fig. 10 — one renderer per pipeline", "number of pipelines", "time in sec");
-  add_sweep_rows(table, {"unordered", Scenario::RendererPerPipeline,
-                         Arrangement::Unordered, PlatformKind::Scc,
-                         {235, 117, 78, 69, 65, 62, 58}}, 7, &plot);
-  add_sweep_rows(table, {"ordered", Scenario::RendererPerPipeline,
-                         Arrangement::Ordered, PlatformKind::Scc,
-                         {236, 118, 79, 68, 65, 61, 58}}, 7, &plot);
-  add_sweep_rows(table, {"flipped", Scenario::RendererPerPipeline,
-                         Arrangement::Flipped, PlatformKind::Scc,
-                         {236, 117, 79, 68, 65, 61, 59}}, 7, &plot);
+  add_table1_rows(table, 3, {"unordered", "ordered", "flipped"}, plot);
   std::printf("%s\n", table.to_string().c_str());
   write_figure(plot, "fig10_n_renderers");
 

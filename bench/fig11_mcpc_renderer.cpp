@@ -19,15 +19,7 @@ int main() {
   TextTable table({"configuration", "1 pl.", "2 pl.", "3 pl.", "4 pl.",
                    "5 pl.", "6 pl.", "7 pl."});
   SvgPlot plot("Fig. 11 — MCPC renders, SCC filters", "number of pipelines", "time in sec");
-  add_sweep_rows(table, {"unordered", Scenario::HostRenderer,
-                         Arrangement::Unordered, PlatformKind::Scc,
-                         {231, 113, 72, 54, 54, 55, 54}}, 7, &plot);
-  add_sweep_rows(table, {"ordered", Scenario::HostRenderer,
-                         Arrangement::Ordered, PlatformKind::Scc,
-                         {231, 112, 70, 54, 53, 55, 54}}, 7, &plot);
-  add_sweep_rows(table, {"flipped", Scenario::HostRenderer,
-                         Arrangement::Flipped, PlatformKind::Scc,
-                         {232, 113, 72, 54, 51, 54, 54}}, 7, &plot);
+  add_table1_rows(table, 6, {"unordered", "ordered", "flipped"}, plot);
   std::printf("%s\n", table.to_string().c_str());
   write_figure(plot, "fig11_mcpc_renderer");
 

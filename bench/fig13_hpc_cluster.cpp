@@ -19,15 +19,9 @@ int main() {
   TextTable table({"configuration", "1 pl.", "2 pl.", "3 pl.", "4 pl.",
                    "5 pl.", "6 pl.", "7 pl."});
   SvgPlot plot("Fig. 13 — Mogon HPC cluster node", "number of pipelines", "time in sec");
-  add_sweep_rows(table, {"external renderer", Scenario::HostRenderer,
-                         Arrangement::Ordered, PlatformKind::Cluster,
-                         {32, 24, 20, 20, 19, 20, 18}}, 7, &plot);
-  add_sweep_rows(table, {"single renderer", Scenario::SingleRenderer,
-                         Arrangement::Ordered, PlatformKind::Cluster,
-                         {26, 14, 10, 7, 6, 5, 4}}, 7, &plot);
-  add_sweep_rows(table, {"parallel renderer", Scenario::RendererPerPipeline,
-                         Arrangement::Ordered, PlatformKind::Cluster,
-                         {25, 14, 10, 8, 6, 5, 4}}, 7, &plot);
+  add_table1_rows(table, 9,
+                  {"external renderer", "single renderer", "parallel renderer"},
+                  plot);
   std::printf("%s\n", table.to_string().c_str());
   write_figure(plot, "fig13_hpc_cluster");
 

@@ -65,6 +65,7 @@ struct Calibration {
   int max_scratches = 12;
 
   static Calibration defaults() { return {}; }
+  bool operator==(const Calibration&) const = default;
 };
 
 }  // namespace sccpipe

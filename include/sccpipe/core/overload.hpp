@@ -18,8 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "sccpipe/support/snapshot.hpp"
-#include "sccpipe/support/status.hpp"
 #include "sccpipe/support/time.hpp"
 
 namespace sccpipe {
@@ -48,6 +46,7 @@ struct OverloadConfig {
     return offered_fps > 0.0 || window > 0 || queue_depth > 0 ||
            frame_deadline > SimTime::zero() || breaker_threshold > 0;
   }
+  bool operator==(const OverloadConfig&) const = default;
 };
 
 enum class BreakerState : std::uint8_t { Closed, Open, HalfOpen };
@@ -83,14 +82,6 @@ class CircuitBreaker {
   const std::vector<BreakerTransition>& transitions() const {
     return transitions_;
   }
-
-  /// Serialize the breaker's mutable state (state machine position, failure
-  /// streak, probe flag, trip count and the full transition log). The
-  /// threshold/cooldown config is not serialized — it is rebuilt from the
-  /// run config on resume.
-  void save_state(snapshot::Writer& w) const;
-  /// Inverse of save_state(). Typed DataLoss/VersionSkew from the reader.
-  Status restore_state(snapshot::Reader& r);
 
  private:
   void move_to(BreakerState to, SimTime at);

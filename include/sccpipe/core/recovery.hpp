@@ -30,7 +30,6 @@
 #include "sccpipe/noc/topology.hpp"
 #include "sccpipe/scc/chip.hpp"
 #include "sccpipe/sim/fault.hpp"
-#include "sccpipe/support/snapshot.hpp"
 #include "sccpipe/support/stats.hpp"
 #include "sccpipe/support/status.hpp"
 #include "sccpipe/support/time.hpp"
@@ -49,6 +48,8 @@ struct RecoveryConfig {
   /// offers). 0 forces every failure down the degrade path — used by the
   /// spare-exhaustion tests.
   int max_spares = -1;
+
+  bool operator==(const RecoveryConfig&) const = default;
 };
 
 /// Parse-time validation of a recovery config. Typed InvalidArgument when
@@ -93,6 +94,7 @@ struct GrayConfig {
   GrayPolicy policy = GrayPolicy::Rebalance;
 
   bool enabled() const { return detect_factor > 0.0; }
+  bool operator==(const GrayConfig&) const = default;
 };
 
 /// Typed validation of the gray-detector flags: detect_factor must exceed 1
@@ -211,21 +213,12 @@ class Supervisor {
   double heartbeat_bytes_total() const { return heartbeat_bytes_; }
   std::uint64_t gray_windows_evaluated() const { return gray_windows_; }
 
-  /// Serialize the supervisor's mutable state: the watched set with its
-  /// last-heartbeat clocks, the liveness traffic tally and the stopped
-  /// flag. The pending tick event is not serialized — resume replays from
-  /// t=0, so the tick chain is re-created by start().
-  void save_state(snapshot::Writer& w) const;
-  /// Inverse of save_state(). Typed DataLoss/VersionSkew from the reader.
-  Status restore_state(snapshot::Reader& r);
-
  private:
   struct Watched {
     CoreId core = -1;
     SimTime last_heartbeat = SimTime::zero();
     // Gray-detector state, live only when gray_cfg_.enabled(). The window
-    // samples stay in arrival order (chronological), which keeps the
-    // snapshot serialization canonical; the window-close median sorts a
+    // samples stay in arrival order; the window-close median sorts a
     // scratch copy.
     std::vector<double> window_ms;  ///< service samples, current window
     double baseline_ms = 0.0;       ///< EWMA of unsuspicious window p50s
@@ -236,7 +229,6 @@ class Supervisor {
   void tick();
   void evaluate_gray(SimTime now);
   Watched* find(CoreId core);
-  const Watched* find(CoreId core) const;
 
   SccChip& chip_;
   const FaultInjector& fault_;

@@ -57,27 +57,6 @@ const char* platform_name(PlatformKind p);
 /// other name.
 bool parse_platform(std::string_view name, PlatformKind* out);
 
-/// Crash-durability knobs: periodic run snapshots plus resume-by-replay.
-/// Default-off, and a disabled config leaves the run bit-identical to one
-/// with no checkpoint layer — snapshots are captured at host frame
-/// boundaries with zero simulated cost, so even an enabled config changes
-/// only host-side I/O, never the CSV.
-struct CheckpointConfig {
-  /// Write a snapshot every N viewer frames (0 = never).
-  int every_frames = 0;
-  /// Snapshot path (written atomically: tmp + rename).
-  std::string file;
-  /// Verify-by-replay against `file` before continuing: the run replays
-  /// deterministically from t = 0, re-captures the component state at the
-  /// snapshot's frame boundary, and compares byte-for-byte (typed DataLoss
-  /// on divergence). One planned crash-at fate beyond the snapshot's
-  /// recorded count is disarmed, so the resumed run sails past the crash
-  /// that ended the previous attempt.
-  bool resume = false;
-
-  bool enabled() const { return every_frames > 0 || resume; }
-};
-
 /// Optional hardware overrides for ablation studies (0 = platform default).
 struct PlatformOverrides {
   double link_bandwidth_bytes_per_sec = 0.0;  ///< constrain the mesh links
@@ -86,6 +65,8 @@ struct PlatformOverrides {
   /// Use the silicon's real 2x2-tile voltage domains instead of the
   /// paper's idealised per-tile voltage (affects the DVFS power bill).
   bool quad_tile_voltage_domains = false;
+
+  bool operator==(const PlatformOverrides&) const = default;
 };
 
 struct RunConfig {
@@ -135,13 +116,12 @@ struct RunConfig {
   /// Composes with the overload data plane.
   GrayConfig gray{};
 
-  /// Crash-durable run layer (see CheckpointConfig): periodic snapshots,
-  /// resume-by-replay, planned crash-at fates. Default-off.
-  CheckpointConfig checkpoint{};
-
   /// Optional: record per-stage wait/process spans here (chrome://tracing
   /// export; see timeline.hpp). Must outlive the run.
   TimelineRecorder* timeline = nullptr;
+
+  /// Field by field, the fault plan's fate lists included.
+  bool operator==(const RunConfig&) const = default;
 };
 
 struct StageReport {
@@ -192,27 +172,6 @@ struct FaultReport {
   std::uint64_t rcce_transfers_failed = 0;
   /// FNV-1a hash of the fault schedule + decision trace (determinism tests).
   std::uint64_t fingerprint = 0;
-};
-
-/// Checkpoint/crash/resume outcome of one run. Deliberately NOT part of the
-/// CSV: a checkpointed run's CSV must stay byte-identical to an
-/// uncheckpointed one.
-struct CheckpointReport {
-  bool enabled = false;            ///< cfg.checkpoint was active
-  std::uint64_t checkpoints_written = 0;
-  std::uint64_t last_checkpoint_frames = 0;  ///< frame count at the last write
-  bool resumed = false;            ///< a snapshot was loaded at start
-  /// The replay reached the snapshot's frame boundary and the re-captured
-  /// component blob matched byte-for-byte.
-  bool resume_verified = false;
-  bool crashed = false;            ///< a planned crash-at fate ended this run
-  double crashed_at_ms = 0.0;
-  /// Planned crash-at fates disarmed for this attempt (resume arithmetic).
-  std::uint32_t crashes_consumed = 0;
-  /// First checkpoint-layer failure: snapshot load/parse, fingerprint
-  /// mismatch, replay divergence, or a checkpoint write error.
-  StatusCode error_code = StatusCode::Ok;
-  std::string error;
 };
 
 /// One mitigation action the gray policy ladder took, with the detector
@@ -305,10 +264,6 @@ struct RunResult {
   /// register hits. The walkthrough reserves its queue up front, so a
   /// steady-state run reports zero growths. Not part of the CSV.
   SimulatorStats sim_stats;
-
-  /// Checkpoint/crash/resume outcome (enabled == false unless
-  /// cfg.checkpoint or a crash-at fate was active).
-  CheckpointReport checkpoint;
 
   /// Convenience: wait summary of the first stage of the given kind.
   const StageReport* stage(StageKind kind, int pipeline = 0) const;

@@ -120,18 +120,6 @@ class ReliableHostChannel {
   /// Smoothed RTT estimate (zero before the first sample).
   SimTime smoothed_rtt() const;
 
-  // --- checkpoint hooks ---------------------------------------------------
-  /// Serialize the channel's scalar protocol state: sequence/credit
-  /// cursors, the RTT estimator and every counter. In-flight messages,
-  /// pending callbacks and timers are deliberately *not* serialized —
-  /// resume replays the run from t=0, so they are re-created by the replay;
-  /// the snapshot only has to pin the deterministic protocol position for
-  /// the byte-identity check.
-  void save_state(snapshot::Writer& w) const;
-  /// Inverse of save_state() for the serialized scalars. Typed
-  /// DataLoss/VersionSkew from the reader.
-  Status restore_state(snapshot::Reader& r);
-
  private:
   struct PendingPush {
     double bytes;

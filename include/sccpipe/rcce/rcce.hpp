@@ -61,6 +61,8 @@ struct RcceConfig {
   /// when a FaultInjector is attached; the default (max_attempts = 1)
   /// surfaces the first loss as an error after `retry.timeout`.
   RetryPolicy retry{};
+
+  bool operator==(const RcceConfig&) const = default;
 };
 
 class RcceComm {

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "sccpipe/support/rng.hpp"
-#include "sccpipe/support/snapshot.hpp"
 #include "sccpipe/support/status.hpp"
 #include "sccpipe/support/time.hpp"
 
@@ -63,6 +62,7 @@ struct RetryPolicy {
   /// Backoff to wait after the \p failed_attempts-th loss (1-based),
   /// capped at max_backoff.
   SimTime backoff_after(int failed_attempts) const;
+  bool operator==(const RetryPolicy&) const = default;
 };
 
 enum class FaultKind : std::uint8_t {
@@ -82,16 +82,14 @@ enum class FaultKind : std::uint8_t {
                   ///< successors (delivered out of order)
   HostDuplicate,  ///< decision record: a host datagram was delivered twice
   HostBurstDrop,  ///< decision record: lost in a burst-loss (bad) state
-  CrashAt,        ///< process fate: the host process dies at a planned
-                  ///< instant (crash-at=<time>; executed by the run driver,
-                  ///< never entering the schedule or the trace — see
-                  ///< FaultPlan::crashes)
-  SlowCore,       ///< fail-slow: core `target`'s compute and memory-walk
+  // Explicit from here on: fingerprint() mixes each kind's number, so the
+  // kinds after a deleted one (15) keep theirs.
+  SlowCore = 16,  ///< fail-slow: core `target`'s compute and memory-walk
                   ///< latencies multiplied by 1/factor from `start` onward
-  LinkLatency,    ///< degraded link: per-hop router latency on link `target`
-                  ///< multiplied by 1/factor from `start` onward
-  CoreStall,      ///< intermittent stall: core `target` starts no new work
-                  ///< during [start, end) — one window per period
+  LinkLatency = 17,  ///< degraded link: per-hop router latency on link
+                     ///< `target` multiplied by 1/factor from `start` onward
+  CoreStall = 18,    ///< intermittent stall: core `target` starts no new
+                     ///< work during [start, end) — one window per period
 };
 
 const char* fault_kind_name(FaultKind kind);
@@ -113,6 +111,8 @@ struct FaultEvent {
 struct CoreFailure {
   int core = -1;
   SimTime at = SimTime::zero();
+
+  bool operator==(const CoreFailure&) const = default;
 };
 
 /// A planned fail-slow onset ("slow-core=<core>:<factor>@<time>"): from
@@ -125,6 +125,8 @@ struct SlowCore {
   int core = -1;
   double factor = 1.0;  ///< latency multiplier, >= 1
   SimTime at = SimTime::zero();
+
+  bool operator==(const SlowCore&) const = default;
 };
 
 /// A planned mesh-link degradation ("degraded-link=<a>-<b>:<factor>@<time>"):
@@ -136,6 +138,8 @@ struct DegradedLink {
   int tile_b = -1;
   double factor = 1.0;  ///< per-hop latency multiplier, >= 1
   SimTime at = SimTime::zero();
+
+  bool operator==(const DegradedLink&) const = default;
 };
 
 /// A planned intermittent stall ("intermittent-stall=<core>:<period>:
@@ -146,6 +150,8 @@ struct StallSpec {
   int core = -1;
   SimTime period = SimTime::zero();
   SimTime duration = SimTime::zero();
+
+  bool operator==(const StallSpec&) const = default;
 };
 
 /// What can go wrong, reproducible from `seed`. Parsed from the CLI's
@@ -209,17 +215,6 @@ struct FaultPlan {
   /// one spec per core — overlapping stall trains are rejected at parse).
   std::vector<StallSpec> stalls;
 
-  /// Planned *process* deaths ("crash-at=<time>", repeatable): the run
-  /// driver stops dispatching at the first armed instant and the CLI exits
-  /// as if the host process had been killed — the in-tree stand-in for a
-  /// real SIGKILL in the crash/resume tests. Deliberately a config-only key
-  /// (it does not flip enabled()): a crash is not a simulated fault, it
-  /// must neither attach the fault layer nor perturb any RNG stream or the
-  /// fingerprint, or a resumed run could not be byte-identical to an
-  /// uninterrupted one. A resume disarms the crashes the previous attempts
-  /// already consumed (see CheckpointConfig in core/walkthrough.hpp).
-  std::vector<SimTime> crashes;
-
   /// True when any fault class is active; a disabled plan is guaranteed to
   /// leave the simulation bit-identical to one with no fault layer at all.
   /// Derived from the same field table the parser uses, so a newly added
@@ -234,11 +229,12 @@ struct FaultPlan {
   /// duplicate=<rate>[:<time>], burst-loss=<enter>:<exit>[:<loss>],
   /// link-degrade=<n>:<factor>, link-down=<n>,
   /// router-degrade=<n>:<factor>, mc-degrade=<n>:<factor>,
-  /// mc-stall=<n>, core-fail=<core>@<time>, crash-at=<time>,
+  /// mc-stall=<n>, core-fail=<core>@<time>,
   /// slow-core=<core>:<factor>@<time>, degraded-link=<a>-<b>:<factor>@<time>,
   /// intermittent-stall=<core>:<period>:<duration>,
   /// horizon=<time>, window=<time>, seed=<n>.
   Status parse(const std::string& text);
+  bool operator==(const FaultPlan&) const = default;
 };
 
 /// Fate of one message attempt, decided by the injector.
@@ -354,17 +350,6 @@ class FaultInjector {
   std::uint64_t host_reorders() const { return host_reorders_; }
   std::uint64_t host_duplicates() const { return host_duplicates_; }
   std::uint64_t host_burst_drops() const { return host_burst_drops_; }
-
-  // --- checkpoint hooks ---------------------------------------------------
-  /// Serialize the injector's mutable state — both message-fate RNG
-  /// streams, every decision counter, the burst-loss channel state and the
-  /// full decision trace. The eager window schedule is *not* serialized: it
-  /// is a pure function of the plan and is rebuilt identically on resume.
-  void save_state(snapshot::Writer& w) const;
-  /// Inverse of save_state(); a restored injector continues the exact
-  /// decision sequence (and fingerprint) the saved one would have produced.
-  /// Typed DataLoss/VersionSkew errors surface from the reader.
-  Status restore_state(snapshot::Reader& r);
 
  private:
   static constexpr std::uint32_t bit(FaultKind kind) {

@@ -78,16 +78,6 @@ class Rng {
   /// Derive an independent child stream (for per-stage / per-core RNGs).
   constexpr Rng fork() { return Rng{next() ^ 0xa5a5a5a55a5a5a5aULL}; }
 
-  /// Snapshot/restore of the raw 256-bit engine state, for the run
-  /// checkpoint layer (support/snapshot.hpp): a restored stream continues
-  /// the exact draw sequence the saved one would have produced.
-  constexpr const std::array<std::uint64_t, 4>& state() const {
-    return state_;
-  }
-  constexpr void set_state(const std::array<std::uint64_t, 4>& s) {
-    state_ = s;
-  }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

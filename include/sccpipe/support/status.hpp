@@ -22,9 +22,6 @@ enum class StatusCode {
   Unavailable,        ///< the target resource is faulted out of service
   Cancelled,          ///< the operation was abandoned (run aborting)
   InvalidArgument,    ///< malformed user input (e.g. a fault-plan string)
-  NotFound,           ///< a named resource (e.g. a snapshot file) is absent
-  DataLoss,           ///< stored bytes are truncated or fail their checksum
-  VersionSkew,        ///< stored bytes use an incompatible format version
 };
 
 const char* status_code_name(StatusCode code);

@@ -70,51 +70,6 @@ void CircuitBreaker::on_failure(SimTime now) {
   }
 }
 
-void CircuitBreaker::save_state(snapshot::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(state_));
-  w.i64(consecutive_failures_);
-  w.u32(probe_outstanding_ ? 1 : 0);
-  w.i64(opened_at_.to_ns());
-  w.i64(trips_);
-  w.u64(transitions_.size());
-  for (const BreakerTransition& t : transitions_) {
-    w.i64(t.at.to_ns());
-    w.u32(static_cast<std::uint32_t>(t.from));
-    w.u32(static_cast<std::uint32_t>(t.to));
-  }
-}
-
-Status CircuitBreaker::restore_state(snapshot::Reader& r) {
-  std::uint32_t state = 0, probe = 0;
-  std::int64_t streak = 0, opened_ns = 0, trips = 0;
-  if (Status s = r.u32(&state); !s.ok()) return s;
-  if (Status s = r.i64(&streak); !s.ok()) return s;
-  if (Status s = r.u32(&probe); !s.ok()) return s;
-  if (Status s = r.i64(&opened_ns); !s.ok()) return s;
-  if (Status s = r.i64(&trips); !s.ok()) return s;
-  std::uint64_t n = 0;
-  if (Status s = r.u64(&n); !s.ok()) return s;
-  std::vector<BreakerTransition> transitions;
-  transitions.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::int64_t at_ns = 0;
-    std::uint32_t from = 0, to = 0;
-    if (Status s = r.i64(&at_ns); !s.ok()) return s;
-    if (Status s = r.u32(&from); !s.ok()) return s;
-    if (Status s = r.u32(&to); !s.ok()) return s;
-    transitions.push_back(BreakerTransition{SimTime::ns(at_ns),
-                                            static_cast<BreakerState>(from),
-                                            static_cast<BreakerState>(to)});
-  }
-  state_ = static_cast<BreakerState>(state);
-  consecutive_failures_ = static_cast<int>(streak);
-  probe_outstanding_ = probe != 0;
-  opened_at_ = SimTime::ns(opened_ns);
-  trips_ = static_cast<int>(trips);
-  transitions_ = std::move(transitions);
-  return Status();
-}
-
 std::string TransportReport::csv_header() {
   return "first_sends,retransmits,dup_suppressed,offered,admitted,"
          "delivered,shed_admission,shed_deadline,shed_transport,"

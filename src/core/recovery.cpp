@@ -95,14 +95,6 @@ Supervisor::Watched* Supervisor::find(CoreId core) {
   return &*it;
 }
 
-const Supervisor::Watched* Supervisor::find(CoreId core) const {
-  const auto it = std::lower_bound(
-      watched_.begin(), watched_.end(), core,
-      [](const Watched& w, CoreId c) { return w.core < c; });
-  if (it == watched_.end() || it->core != core) return nullptr;
-  return &*it;
-}
-
 void Supervisor::enable_gray(GrayConfig cfg, GrayHandler on_gray) {
   SCCPIPE_CHECK(!started_);
   SCCPIPE_CHECK(validate_gray(cfg).ok());
@@ -323,87 +315,6 @@ void Supervisor::evaluate_gray(SimTime now) {
     on_gray_(f.core, now, f.ev);
     if (stopped_) return;
   }
-}
-
-void Supervisor::save_state(snapshot::Writer& w) const {
-  w.u32(stopped_ ? 1 : 0);
-  w.u64(heartbeats_);
-  w.f64(heartbeat_bytes_);
-  w.u64(watched_.size());
-  for (const Watched& watched : watched_) {
-    w.i64(watched.core);
-    w.i64(watched.last_heartbeat.to_ns());
-  }
-  // Gray-detector block, present exactly when the detector is configured —
-  // the config is part of the run setup, so save and restore agree on the
-  // layout, and a gray-off snapshot stays byte-identical to the pre-gray
-  // format.
-  if (!gray_cfg_.enabled()) return;
-  w.u64(gray_windows_);
-  for (const Watched& watched : watched_) {
-    w.f64(watched.baseline_ms);
-    w.i64(watched.streak);
-    w.u32(watched.flagged ? 1 : 0);
-    w.u64(watched.window_ms.size());
-    for (const double ms : watched.window_ms) w.f64(ms);
-  }
-  w.u64(gray_flagged_.size());
-  for (const CoreId c : gray_flagged_) w.i64(c);
-}
-
-Status Supervisor::restore_state(snapshot::Reader& r) {
-  std::uint32_t stopped = 0;
-  std::uint64_t heartbeats = 0, n = 0;
-  double bytes = 0.0;
-  if (Status s = r.u32(&stopped); !s.ok()) return s;
-  if (Status s = r.u64(&heartbeats); !s.ok()) return s;
-  if (Status s = r.f64(&bytes); !s.ok()) return s;
-  if (Status s = r.u64(&n); !s.ok()) return s;
-  std::vector<Watched> watched;
-  watched.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::int64_t core = 0, last_ns = 0;
-    if (Status s = r.i64(&core); !s.ok()) return s;
-    if (Status s = r.i64(&last_ns); !s.ok()) return s;
-    Watched& w = watched.emplace_back();
-    w.core = static_cast<CoreId>(core);
-    w.last_heartbeat = SimTime::ns(last_ns);
-  }
-  std::uint64_t gray_windows = 0;
-  std::vector<CoreId> gray_flagged;
-  if (gray_cfg_.enabled()) {
-    if (Status s = r.u64(&gray_windows); !s.ok()) return s;
-    for (Watched& watched : watched) {
-      std::int64_t streak = 0;
-      std::uint32_t flagged = 0;
-      std::uint64_t samples = 0;
-      if (Status s = r.f64(&watched.baseline_ms); !s.ok()) return s;
-      if (Status s = r.i64(&streak); !s.ok()) return s;
-      if (Status s = r.u32(&flagged); !s.ok()) return s;
-      if (Status s = r.u64(&samples); !s.ok()) return s;
-      watched.streak = static_cast<int>(streak);
-      watched.flagged = flagged != 0;
-      watched.window_ms.resize(static_cast<std::size_t>(samples));
-      for (double& ms : watched.window_ms) {
-        if (Status s = r.f64(&ms); !s.ok()) return s;
-      }
-    }
-    std::uint64_t n_flagged = 0;
-    if (Status s = r.u64(&n_flagged); !s.ok()) return s;
-    gray_flagged.reserve(static_cast<std::size_t>(n_flagged));
-    for (std::uint64_t i = 0; i < n_flagged; ++i) {
-      std::int64_t c = 0;
-      if (Status s = r.i64(&c); !s.ok()) return s;
-      gray_flagged.push_back(static_cast<CoreId>(c));
-    }
-  }
-  stopped_ = stopped != 0;
-  heartbeats_ = heartbeats;
-  heartbeat_bytes_ = bytes;
-  watched_ = std::move(watched);
-  gray_windows_ = gray_windows;
-  gray_flagged_ = std::move(gray_flagged);
-  return Status();
 }
 
 }  // namespace sccpipe

@@ -9,14 +9,12 @@
 #include <string>
 #include <utility>
 
-#include "sccpipe/core/run_snapshot.hpp"
 #include "sccpipe/filters/filters.hpp"
 #include "sccpipe/noc/fabric.hpp"
 #include "sccpipe/noc/mesh.hpp"
 #include "sccpipe/scc/dvfs.hpp"
 #include "sccpipe/support/check.hpp"
 #include "sccpipe/support/parallel.hpp"
-#include "sccpipe/support/snapshot.hpp"
 
 namespace sccpipe {
 
@@ -285,9 +283,6 @@ class WalkthroughSim {
     apply_dvfs();
     build_channels_and_stages();
     build_supervisor();
-    crash_plan_ = cfg_.fault.crashes;
-    std::sort(crash_plan_.begin(), crash_plan_.end());
-    config_fp_ = run_config_fingerprint(cfg_);
     transfer_assembly_.reserve(static_cast<std::size_t>(frames_total()) *
                                static_cast<std::size_t>(cfg.pipelines));
   }
@@ -298,22 +293,7 @@ class WalkthroughSim {
   }
 
   RunResult run() {
-    // Cores are allocated before the resume gate: collect() and the chip
-    // teardown both expect an allocated placement even when the resume
-    // snapshot turns out to be unusable and the event loop never runs.
     allocate_cores();
-    if (cfg_.checkpoint.resume && !load_resume()) return collect();
-    // Arm the first planned crash this attempt has not consumed. The crash
-    // is a *process* fate executed here in the driver: dispatch simply
-    // stops at the armed instant (events at exactly T still run, matching
-    // run_until semantics), as if the host process had been killed. It
-    // never touches the fault layer, so the dispatched prefix — and every
-    // checkpoint written before T — is byte-identical to the uninterrupted
-    // run's.
-    const SimTime crash_at =
-        crashes_disarmed_ < crash_plan_.size()
-            ? crash_plan_[crashes_disarmed_]
-            : SimTime::max();
     if (supervisor_) {
       supervisor_->start([this](CoreId core, SimTime detected_at) {
         handle_core_failure(core, detected_at);
@@ -322,17 +302,10 @@ class WalkthroughSim {
     start_producer();
     start_filter_stages();
     transfer_begin_frame();
-    on_run_start();
     chip_->fabric().set_in_run(true);
-    const Status drained = run_guarded(sim_, crash_at, kMaxEventsPerTimestamp);
+    const Status drained =
+        run_guarded(sim_, SimTime::max(), kMaxEventsPerTimestamp);
     chip_->fabric().set_in_run(false);
-    // Work left beyond the crash instant means the run was cut short; a
-    // walkthrough that legitimately finished before T drains to empty and
-    // never counts as crashed.
-    if (crash_at != SimTime::max() && sim_.pending() > 0) {
-      crashed_ = true;
-      crashed_at_ = crash_at;
-    }
     if (!drained.ok()) {
       // The event loop refused to hang; surface the typed verdict as the
       // run's failure so callers see DeadlineExceeded, not a short run.
@@ -508,10 +481,6 @@ class WalkthroughSim {
           }
           commit_delivered(tok.frame);
           note_handed_on(placement_.transfer);
-          // Frame boundary: the one instant where host-side run state is
-          // quiescent enough to snapshot. Pure host I/O — zero simulated
-          // cost, no CSV impact.
-          if (cfg_.checkpoint.enabled()) on_frame_boundary(at);
         });
     if (fault_) viewer_ch->set_fault(fault_.get(), cfg_.rcce.retry);
     viewer_wire_ = viewer_ch.get();
@@ -1649,224 +1618,15 @@ class WalkthroughSim {
     return after > 0 && span_s > 0.0 ? after / span_s : 0.0;
   }
 
-  // ---------------------------------------------------------- checkpoints
-  /// First checkpoint-layer failure wins in the report; every one also
-  /// fails the run through the ordinary fault path so a broken resume or
-  /// write surfaces as a typed, graceful failure, never a wrong CSV.
-  void checkpoint_fault(const std::string& where, const Status& st) {
-    if (ckpt_.error_code == StatusCode::Ok) {
-      ckpt_.error_code = st.code();
-      ckpt_.error = st.message();
-    }
-    on_fault(where, st);
-  }
-
-  /// Load + validate the resume snapshot. Returns false (run failed, typed
-  /// NotFound/DataLoss/VersionSkew/InvalidArgument) when the file is
-  /// missing, corrupt, from another format version, or from a different
-  /// run configuration.
-  bool load_resume() {
-    ckpt_.resumed = true;
-    Status st = load_run_snapshot(cfg_.checkpoint.file, &resume_snap_);
-    if (st.ok() && resume_snap_.config_fingerprint != config_fp_) {
-      st = Status(StatusCode::InvalidArgument,
-                  "snapshot '" + cfg_.checkpoint.file +
-                      "' was written by a different run configuration "
-                      "(config fingerprint mismatch)");
-    }
-    if (!st.ok()) {
-      checkpoint_fault("resume", st);
-      return false;
-    }
-    have_resume_ = true;
-    crashes_disarmed_ = std::min<std::size_t>(
-        static_cast<std::size_t>(resume_snap_.crashes_consumed) + 1,
-        crash_plan_.size());
-    return true;
-  }
-
-  /// Everything save_state-capable plus the host-side frame/ledger
-  /// cursors, serialized in one fixed order. Captured at a viewer-arrival
-  /// event.
-  std::vector<std::uint8_t> component_blob(std::uint64_t frames, SimTime at) {
-    snapshot::Writer w;
-    w.u64(frames);
-    w.i64(at.to_ns());
-    w.u32(fault_ != nullptr ? 1 : 0);
-    if (fault_) fault_->save_state(w);
-    w.u32(breaker_ != nullptr ? 1 : 0);
-    if (breaker_) breaker_->save_state(w);
-    w.u32(host_arq_ != nullptr ? 1 : 0);
-    if (host_arq_) host_arq_->transport().save_state(w);
-    w.u32(supervisor_ != nullptr ? 1 : 0);
-    if (supervisor_) supervisor_->save_state(w);
-    // Live frame ledger, in the transport report's terms.
-    const TransportReport t = transport_frames();
-    w.u64(t.frames_offered);
-    w.u64(t.frames_admitted);
-    w.u64(t.shed_admission);
-    w.u64(t.shed_deadline);
-    w.u64(t.shed_transport);
-    w.u64(t.shed_breaker);
-    // Recovery progress counters.
-    w.i64(recovery_.failures_detected);
-    w.i64(recovery_.failures_recovered);
-    w.i64(recovery_.frames_replayed);
-    w.i64(recovery_.spares_used);
-    w.i64(recovery_.pipelines_lost);
-    w.u64(recovery_.checkpoint_writes);
-    w.u64(recovery_.checkpoint_replays);
-    w.f64(recovery_.checkpoint_bytes);
-    // Gray-mitigation progress — flag-gated on the config (which the
-    // fingerprint covers), so gray-off snapshots keep the pre-gray format
-    // byte-for-byte.
-    if (cfg_.gray.enabled()) {
-      w.i64(gray_.flags_raised);
-      w.i64(gray_.dvfs_boosts);
-      w.i64(gray_.migrations);
-      w.i64(gray_.rebalances);
-      w.i64(gray_.escalations);
-      w.i64(gray_.frames_drained);
-      w.u64(gray_rung_.size());
-      for (const auto& [c, rung] : gray_rung_) {
-        w.i64(c);
-        w.i64(rung);
-      }
-      w.u64(gray_flag_ms_.size());
-      for (const auto& [c, ms] : gray_flag_ms_) {
-        w.i64(c);
-        w.f64(ms);
-      }
-      w.u64(pipe_weight_.size());
-      for (const double wt : pipe_weight_) w.f64(wt);
-      w.u64(gray_drain_.size());
-      for (const char g : gray_drain_) w.u32(static_cast<std::uint32_t>(g));
-    }
-    // Host-side distribution/collection cursors.
-    w.i64(connect_frames_);
-    w.i64(transfer_frame_);
-    w.i64(connect_expected_);
-    w.i64(max_feeder_q_);
-    w.u64(ledger_.count(Fate::Lost));
-    for (int f = 0; f < frames_total(); ++f) {
-      if (ledger_.fate(f) == Fate::Lost) w.i64(f);
-    }
-    w.u64(pipeline_gen_.size());
-    for (const int g : pipeline_gen_) w.i64(g);
-    w.u64(acked_.size());
-    for (const int a : acked_) w.i64(a);
-    w.u64(cores_now_.size());
-    for (const auto& cores : cores_now_) {
-      w.u64(cores.size());
-      for (const CoreId c : cores) w.i64(c);
-    }
-    return w.payload();
-  }
-
-  void write_checkpoint(std::uint64_t frames, SimTime at) {
-    RunSnapshot snap;
-    snap.config_fingerprint = config_fp_;
-    snap.frames_delivered = frames;
-    snap.sim_now_ns = at.to_ns();
-    snap.crashes_consumed = static_cast<std::uint32_t>(crashes_disarmed_);
-    snap.state = component_blob(frames, at);
-    const Status st = snapshot::write_file_atomic(
-        cfg_.checkpoint.file, serialize_run_snapshot(snap));
-    if (!st.ok()) {
-      checkpoint_fault("checkpoint write", st);
-      return;
-    }
-    ++ckpt_.checkpoints_written;
-    ckpt_.last_checkpoint_frames = frames;
-  }
-
-  /// Frame-0 bootstrap, run after the stages are wired but before any
-  /// event dispatches. Writing a checkpoint here closes the one durability
-  /// hole interval checkpointing leaves: a crash landing *before* the first
-  /// periodic write would otherwise leave no snapshot — and since the
-  /// snapshot carries this attempt's disarm count, no progress through the
-  /// crash plan. With it, every attempt disarms one more crash no matter
-  /// where the crash falls relative to the checkpoint interval. A frame-0
-  /// resume anchor is verified at the same point, keeping write and verify
-  /// symmetric.
-  void on_run_start() {
-    if (failed_ || !cfg_.checkpoint.enabled()) return;
-    if (!verify_resume(0, SimTime::zero())) return;
-    if (cfg_.checkpoint.every_frames > 0) write_checkpoint(0, SimTime::zero());
-  }
-
-  void on_frame_boundary(SimTime at) {
-    if (failed_) return;
-    const std::uint64_t frames =
-        static_cast<std::uint64_t>(frame_done_ms_.size());
-    if (!verify_resume(frames, at)) return;
-    if (cfg_.checkpoint.every_frames > 0 &&
-        frames % static_cast<std::uint64_t>(cfg_.checkpoint.every_frames) ==
-            0) {
-      write_checkpoint(frames, at);
-    }
-  }
-
-  /// Resume verification anchor: when the replay reaches the snapshot's
-  /// frame count, the live state must reproduce the stored blob exactly.
-  /// A match proves the run is on the recorded trajectory; a mismatch
-  /// means the build/config/environment drifted and continuing would
-  /// produce silently different results — typed DataLoss instead, and
-  /// false.
-  bool verify_resume(std::uint64_t frames, SimTime at) {
-    if (!have_resume_ || resume_checked_ ||
-        frames != resume_snap_.frames_delivered) {
-      return true;
-    }
-    resume_checked_ = true;
-    if (at.to_ns() == resume_snap_.sim_now_ns &&
-        component_blob(frames, at) == resume_snap_.state) {
-      ckpt_.resume_verified = true;
-      return true;
-    }
-    const std::string& file = cfg_.checkpoint.file;
-    checkpoint_fault(
-        "resume verify",
-        Status(StatusCode::DataLoss,
-               (frames == 0 ? "initial state diverged from snapshot '" +
-                                  file + "'"
-                            : "deterministic replay diverged from snapshot '" +
-                                  file + "' at frame " +
-                                  std::to_string(frames)) +
-                   ": the snapshot was written by a different build or "
-                   "environment"));
-    return false;
-  }
-
-  void collect_checkpoint_report(RunResult& r) {
-    r.checkpoint = ckpt_;
-    r.checkpoint.enabled = cfg_.checkpoint.enabled() || !crash_plan_.empty();
-    r.checkpoint.crashed = crashed_;
-    r.checkpoint.crashed_at_ms = crashed_ ? crashed_at_.to_ms() : 0.0;
-    r.checkpoint.crashes_consumed =
-        static_cast<std::uint32_t>(crashes_disarmed_);
-    if (have_resume_ && !resume_checked_ && !failed_ && !crashed_ &&
-        r.checkpoint.error_code == StatusCode::Ok) {
-      // The replay drained without ever reaching the snapshot's frame
-      // count — the snapshot records more progress than this configuration
-      // can produce, which the fingerprint cannot always catch.
-      r.checkpoint.error_code = StatusCode::DataLoss;
-      r.checkpoint.error =
-          "replay completed at " + std::to_string(frame_done_ms_.size()) +
-          " frames without reaching the snapshot's " +
-          std::to_string(resume_snap_.frames_delivered);
-    }
-  }
-
   // -------------------------------------------------------------- results
   RunResult collect() {
     RunResult r;
-    // The one frame-ledger check. A run that neither failed (a graceful
-    // failure ends early, reported below) nor crashed (dispatch stopped at
-    // its planned death) settled every frame of the walkthrough.
+    // The one frame-ledger check. A run that did not fail (a graceful
+    // failure ends early, reported below) settled every frame of the
+    // walkthrough.
     const std::uint64_t offered = ledger_.offered();
     SCCPIPE_CHECK_MSG(
-        failed_ || crashed_ ||
+        failed_ ||
             (offered == static_cast<std::uint64_t>(frames_total()) &&
              offered == ledger_.count(Fate::Delivered) + ledger_.shed() +
                             ledger_.count(Fate::Lost)),
@@ -1946,7 +1706,6 @@ class WalkthroughSim {
     collect_gray_report(r);
     r.events_dispatched = sim_.dispatched();
     r.sim_stats = sim_.stats();
-    collect_checkpoint_report(r);
     return r;
   }
 
@@ -1959,11 +1718,12 @@ class WalkthroughSim {
     r.recovery.post_failure_fps = fps_after(first_detect_ms_);
   }
 
-  /// The transport report's frame counts, read off the ledger (zero outside
-  /// overload runs). A frame is admitted once it leaves the feeder queue.
-  TransportReport transport_frames() const {
-    TransportReport t;
-    if (!overload_mode_) return t;
+  /// The transport report (overload runs only). Its frame counts are read
+  /// off the ledger; a frame is admitted once it leaves the feeder queue.
+  void collect_transport_report(RunResult& r) {
+    TransportReport& t = r.transport;
+    t.enabled = overload_mode_;
+    if (!overload_mode_) return;
     t.frames_offered = ledger_.offered();
     t.frames_delivered = ledger_.count(Fate::Delivered);
     t.shed_admission = ledger_.count(Fate::ShedAdmission);
@@ -1972,14 +1732,6 @@ class WalkthroughSim {
     t.shed_transport = ledger_.count(Fate::ShedTransport);
     t.frames_admitted = t.frames_offered - t.shed_admission - t.shed_breaker -
                         feeder_q_.size();
-    return t;
-  }
-
-  void collect_transport_report(RunResult& r) {
-    TransportReport& t = r.transport;
-    t = transport_frames();
-    t.enabled = overload_mode_;
-    if (!overload_mode_) return;
     if (host_arq_ != nullptr) {
       const ReliableHostChannel& w = host_arq_->transport();
       t.first_sends = w.first_sends();
@@ -2166,18 +1918,6 @@ class WalkthroughSim {
   bool gray_weighted_ = false;
   std::map<int, std::vector<StripRange>> frame_strips_;  // weighted splits
   double first_gray_flag_ms_ = -1.0;
-
-  // ---- checkpoint / crash state (inert unless cfg_.checkpoint or a
-  //      crash-at fate is active) ----
-  std::vector<SimTime> crash_plan_;  // planned process deaths, sorted
-  std::uint64_t config_fp_ = 0;
-  CheckpointReport ckpt_;
-  RunSnapshot resume_snap_;
-  bool have_resume_ = false;
-  bool resume_checked_ = false;
-  bool crashed_ = false;
-  SimTime crashed_at_ = SimTime::zero();
-  std::size_t crashes_disarmed_ = 0;  // crash-at fates this attempt skips
 
   // Producer distribution progress (to resume a chain stalled on a dead
   // core) and the transfer collector's cursor.

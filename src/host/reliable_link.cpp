@@ -322,60 +322,4 @@ void ReliableHostChannel::settle(std::uint64_t seq, SimTime now) {
   flight_.erase(it);
 }
 
-void ReliableHostChannel::save_state(snapshot::Writer& w) const {
-  w.u64(next_seq_);
-  w.u64(admitted_);
-  w.u64(granted_);
-  w.f64(srtt_sec_);
-  w.f64(rttvar_sec_);
-  w.u32(has_rtt_ ? 1 : 0);
-  w.u64(next_expected_);
-  w.u64(consumed_total_);
-  w.u64(first_sends_);
-  w.u64(retransmissions_);
-  w.u64(dup_suppressed_);
-  w.u64(acks_sent_);
-  w.u64(credit_grants_);
-  w.u64(abandoned_);
-  w.u64(credit_stalls_);
-  w.i64(credit_stall_time_.to_ns());
-  w.i64(max_occupancy_);
-}
-
-Status ReliableHostChannel::restore_state(snapshot::Reader& r) {
-  std::uint64_t u[12] = {};
-  double srtt = 0.0, rttvar = 0.0;
-  std::uint32_t has_rtt = 0;
-  std::int64_t stall_ns = 0, max_occ = 0;
-  if (Status s = r.u64(&u[0]); !s.ok()) return s;
-  if (Status s = r.u64(&u[1]); !s.ok()) return s;
-  if (Status s = r.u64(&u[2]); !s.ok()) return s;
-  if (Status s = r.f64(&srtt); !s.ok()) return s;
-  if (Status s = r.f64(&rttvar); !s.ok()) return s;
-  if (Status s = r.u32(&has_rtt); !s.ok()) return s;
-  for (int i = 3; i < 12; ++i) {
-    if (Status s = r.u64(&u[i]); !s.ok()) return s;
-  }
-  if (Status s = r.i64(&stall_ns); !s.ok()) return s;
-  if (Status s = r.i64(&max_occ); !s.ok()) return s;
-  next_seq_ = u[0];
-  admitted_ = u[1];
-  granted_ = u[2];
-  srtt_sec_ = srtt;
-  rttvar_sec_ = rttvar;
-  has_rtt_ = has_rtt != 0;
-  next_expected_ = u[3];
-  consumed_total_ = u[4];
-  first_sends_ = u[5];
-  retransmissions_ = u[6];
-  dup_suppressed_ = u[7];
-  acks_sent_ = u[8];
-  credit_grants_ = u[9];
-  abandoned_ = u[10];
-  credit_stalls_ = u[11];
-  credit_stall_time_ = SimTime::ns(stall_ns);
-  max_occupancy_ = static_cast<int>(max_occ);
-  return Status();
-}
-
 }  // namespace sccpipe

@@ -39,7 +39,6 @@ const char* fault_kind_name(FaultKind kind) {
     case FaultKind::HostReorder: return "reorder";
     case FaultKind::HostDuplicate: return "duplicate";
     case FaultKind::HostBurstDrop: return "burst-drop";
-    case FaultKind::CrashAt: return "crash-at";
     case FaultKind::SlowCore: return "slow-core";
     case FaultKind::LinkLatency: return "degraded-link";
     case FaultKind::CoreStall: return "intermittent-stall";
@@ -354,19 +353,6 @@ constexpr PlanField kPlanFields[] = {
        return parse_stall(v, &p.stalls);
      },
      [](const FaultPlan& p) { return !p.stalls.empty(); }},
-    // Config-only on purpose (like seed/horizon/window): a planned process
-    // crash is executed by the run driver, not simulated — it must not
-    // attach the fault layer, or a crash-only plan would stop being
-    // byte-identical to a run with no fault layer at all (the property the
-    // crash/resume determinism tests assert).
-    {"crash-at",
-     [](FaultPlan& p, const std::string& v) {
-       SimTime t = SimTime::zero();
-       if (!parse_time(v, &t) || t <= SimTime::zero()) return false;
-       p.crashes.push_back(t);
-       return true;
-     },
-     nullptr},
 };
 
 }  // namespace
@@ -768,86 +754,6 @@ std::uint64_t FaultInjector::fingerprint() const {
   for (const FaultEvent& ev : schedule_) mix_event(ev);
   for (const FaultEvent& ev : trace_) mix_event(ev);
   return h;
-}
-
-void FaultInjector::save_state(snapshot::Writer& w) const {
-  for (const std::uint64_t s : rcce_rng_.state()) w.u64(s);
-  for (const std::uint64_t s : host_rng_.state()) w.u64(s);
-  w.u64(rcce_drops_);
-  w.u64(rcce_delays_);
-  w.u64(rcce_corrupts_);
-  w.u64(host_drops_);
-  w.u64(host_delays_);
-  w.u64(host_corrupts_);
-  w.u64(host_reorders_);
-  w.u64(host_duplicates_);
-  w.u64(host_burst_drops_);
-  w.u32(burst_bad_ ? 1 : 0);
-  w.u64(trace_.size());
-  for (const FaultEvent& ev : trace_) {
-    w.u32(static_cast<std::uint32_t>(ev.kind));
-    w.i64(ev.start.to_ns());
-    w.i64(ev.end.to_ns());
-    w.i64(ev.target);
-    w.f64(ev.factor);
-    w.i64(ev.extra.to_ns());
-  }
-}
-
-Status FaultInjector::restore_state(snapshot::Reader& r) {
-  std::array<std::uint64_t, 4> rcce_state{};
-  std::array<std::uint64_t, 4> host_state{};
-  for (std::uint64_t& s : rcce_state) {
-    if (Status st = r.u64(&s); !st.ok()) return st;
-  }
-  for (std::uint64_t& s : host_state) {
-    if (Status st = r.u64(&s); !st.ok()) return st;
-  }
-  std::uint64_t counters[9] = {};
-  for (std::uint64_t& c : counters) {
-    if (Status st = r.u64(&c); !st.ok()) return st;
-  }
-  std::uint32_t burst = 0;
-  if (Status st = r.u32(&burst); !st.ok()) return st;
-  std::uint64_t trace_len = 0;
-  if (Status st = r.u64(&trace_len); !st.ok()) return st;
-  std::vector<FaultEvent> trace;
-  trace.reserve(static_cast<std::size_t>(trace_len));
-  for (std::uint64_t i = 0; i < trace_len; ++i) {
-    std::uint32_t kind = 0;
-    std::int64_t start_ns = 0, end_ns = 0, target = 0, extra_ns = 0;
-    double factor = 1.0;
-    if (Status st = r.u32(&kind); !st.ok()) return st;
-    if (Status st = r.i64(&start_ns); !st.ok()) return st;
-    if (Status st = r.i64(&end_ns); !st.ok()) return st;
-    if (Status st = r.i64(&target); !st.ok()) return st;
-    if (Status st = r.f64(&factor); !st.ok()) return st;
-    if (Status st = r.i64(&extra_ns); !st.ok()) return st;
-    FaultEvent ev;
-    ev.kind = static_cast<FaultKind>(kind);
-    ev.start = SimTime::ns(start_ns);
-    ev.end = SimTime::ns(end_ns);
-    ev.target = static_cast<int>(target);
-    ev.factor = factor;
-    ev.extra = SimTime::ns(extra_ns);
-    trace.push_back(ev);
-  }
-  // All fields parsed; only now mutate (a truncated snapshot must not leave
-  // the injector half-restored).
-  rcce_rng_.set_state(rcce_state);
-  host_rng_.set_state(host_state);
-  rcce_drops_ = counters[0];
-  rcce_delays_ = counters[1];
-  rcce_corrupts_ = counters[2];
-  host_drops_ = counters[3];
-  host_delays_ = counters[4];
-  host_corrupts_ = counters[5];
-  host_reorders_ = counters[6];
-  host_duplicates_ = counters[7];
-  host_burst_drops_ = counters[8];
-  burst_bad_ = burst != 0;
-  trace_ = std::move(trace);
-  return Status();
 }
 
 }  // namespace sccpipe

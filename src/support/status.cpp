@@ -11,9 +11,6 @@ const char* status_code_name(StatusCode code) {
     case StatusCode::Unavailable: return "Unavailable";
     case StatusCode::Cancelled: return "Cancelled";
     case StatusCode::InvalidArgument: return "InvalidArgument";
-    case StatusCode::NotFound: return "NotFound";
-    case StatusCode::DataLoss: return "DataLoss";
-    case StatusCode::VersionSkew: return "VersionSkew";
   }
   return "?";
 }

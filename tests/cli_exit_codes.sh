@@ -1,6 +1,7 @@
 #!/bin/sh
-# Every run-flag value validate_run_config() refuses exits 2 from both
-# tools before any scene is built, and arrangement_explorer refuses a
+# Every run-flag value validate_run_config() refuses, and every removed
+# flag or plan key, exits 2 from both tools before any scene is built, and
+# arrangement_explorer refuses a
 # pipeline count it cannot parse or place with exit 2 instead of aborting.
 #
 #   sh tests/cli_exit_codes.sh <sccpipe> <sccpipe_sweep> <arrangement_explorer>
@@ -34,6 +35,16 @@ for bad in "--offered-fps -5" "--offered-fps 1e-4" \
            "--fault-plan link-down=2;window=0" \
            "--fault-plan host-delay=0.5:1e300ms"; do
   # shellcheck disable=SC2086  # each case is several words
+  expect_2 "sccpipe $bad" "$cli" --csv --frames 12 --size 60 $bad
+  # shellcheck disable=SC2086
+  expect_2 "sccpipe_sweep $bad" "$sweep" --scenarios mcpc --pipelines 2 \
+    --frames 12 --size 60 --bench-json none $bad
+done
+# Run-level crash durability is gone: its three flags and its fault-plan
+# key are unknown inputs.
+for bad in "--checkpoint-every 5" "--checkpoint-file x" "--resume" \
+           "--fault-plan crash-at=1s"; do
+  # shellcheck disable=SC2086
   expect_2 "sccpipe $bad" "$cli" --csv --frames 12 --size 60 $bad
   # shellcheck disable=SC2086
   expect_2 "sccpipe_sweep $bad" "$sweep" --scenarios mcpc --pipelines 2 \

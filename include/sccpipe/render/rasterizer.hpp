@@ -16,9 +16,14 @@ namespace sccpipe {
 /// Color + depth target.
 class Framebuffer {
  public:
+  static constexpr Color kClearColor{16, 18, 24, 255};
+
+  /// A buffer already cleared to kClearColor and depth 1, as clear()
+  /// leaves it: construction is a new buffer's only fill.
   Framebuffer(int width, int height);
 
-  void clear(Color c = Color{16, 18, 24, 255}, float depth = 1.0f);
+  /// Re-clears a reused buffer.
+  void clear(Color c = kClearColor, float depth = 1.0f);
 
   int width() const { return color_.width(); }
   int height() const { return color_.height(); }

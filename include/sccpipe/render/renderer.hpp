@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "sccpipe/render/rasterizer.hpp"
 #include "sccpipe/scene/camera.hpp"
@@ -72,16 +73,19 @@ class Renderer {
   const Mesh& mesh() const { return mesh_; }
   const Octree& octree() const { return octree_; }
 
- private:
-  Color shade(const Triangle& t) const;
+  /// The flat-shaded colour mesh triangle \p triangle is drawn in, computed
+  /// once at construction by reference::shade under this renderer's
+  /// lighting. render_strip reads the cache directly; this accessor is for
+  /// the tests that check the cache's indexing.
+  Color shade(std::uint32_t triangle) const { return shaded_[triangle]; }
 
+ private:
   const Mesh& mesh_;
   const Octree& octree_;
   CameraConfig camera_;
   int width_;
   int height_;
-  LightingConfig lighting_;
-  Vec3 light_dir_;  ///< normalised lighting_.direction
+  std::vector<Color> shaded_;  ///< per mesh triangle
 };
 
 }  // namespace sccpipe

@@ -177,7 +177,11 @@ std::vector<Image> compose_frames(const SceneBundle& scene,
                                              << next << " of " << side
                                              << " rows");
   }
-  std::vector<Image> out(frames, Image(side, side));
+  // Each frame's buffer is filled by a task of its own, not serially
+  // before the strip tasks start.
+  std::vector<Image> out(frames);
+  parallel_for(default_jobs(), frames,
+               [&](std::size_t f) { out[f] = Image(side, side); });
   parallel_for(default_jobs(), log.size(), [&](std::size_t i) {
     const DeliveredStrip& d = log[i];
     Image img =

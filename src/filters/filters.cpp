@@ -15,8 +15,12 @@ namespace {
 
 float to_unit(std::uint8_t v) { return static_cast<float>(v) / 255.0f; }
 
+/// std::lround(clamp01(v) * 255.0f) without the libm call: x is a float in
+/// [0, 255], so double(x) + 0.5 is exact and truncating it rounds half away
+/// from zero, as lround does.
 std::uint8_t to_byte(float v) {
-  return static_cast<std::uint8_t>(std::lround(clamp01(v) * 255.0f));
+  return static_cast<std::uint8_t>(
+      static_cast<int>(static_cast<double>(clamp01(v) * 255.0f) + 0.5));
 }
 
 /// The paper's sepia mix products 0.3*(v/255), 0.59*(v/255), 0.11*(v/255)

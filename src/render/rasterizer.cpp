@@ -1,14 +1,17 @@
 #include "sccpipe/render/rasterizer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
+#include "lanes.hpp"
 #include "sccpipe/support/check.hpp"
 
 namespace sccpipe {
 
 Framebuffer::Framebuffer(int width, int height)
-    : color_(width, height),
+    : color_(width, height, kClearColor),
       depth_(static_cast<std::size_t>(width) * static_cast<std::size_t>(height),
              1.0f) {}
 
@@ -30,6 +33,10 @@ void Framebuffer::set_pixel(int x, int y, float z, Color c) {
 }
 
 namespace {
+
+using lanes::F4;
+using lanes::I4;
+using lanes::select;
 
 /// Viewport coordinates plus NDC depth.
 struct ScreenVertex {
@@ -129,7 +136,7 @@ int setup_triangle_clip(const Viewport& vp, Vec4 c0, Vec4 c1, Vec4 c2,
 
 /// Fills the part of \p t that lies in the framebuffer's rows, i.e.
 /// virtual rows [vp.y_offset, vp.y_offset + fb.height()). Counts
-/// pixels_tested and pixels_filled.
+/// pixels_tested (the whole clamped bounding box) and pixels_filled.
 void raster_triangle(Framebuffer& fb, const Viewport& vp,
                      const ScreenTriangle& t, RasterStats* stats) {
   // Pixel coordinates run over the *virtual* viewport.
@@ -154,7 +161,11 @@ void raster_triangle(Framebuffer& fb, const Viewport& vp,
   const float e0dx = v2.x - v1.x, e0dy = v2.y - v1.y;
   const float e1dx = v0.x - v2.x, e1dy = v0.y - v2.y;
   const float e2dx = v1.x - v0.x, e2dy = v1.y - v0.y;
-  std::uint64_t tested = 0, filled = 0;
+  // One RGBA pixel as one 32-bit lane, bytes in memory order.
+  const I4 rgba = I4{} + std::bit_cast<std::int32_t>(col);
+  const I4 lane_offset{0, 1, 2, 3};
+  I4 filled_lanes{};
+  std::uint64_t filled = 0;
   Image& color = fb.color();
   for (int y = min_y; y <= max_y; ++y) {
     const float py = static_cast<float>(y) + 0.5f;
@@ -164,12 +175,36 @@ void raster_triangle(Framebuffer& fb, const Viewport& vp,
     const int row = y - vp.y_offset;
     float* drow = fb.depth_row(row);
     std::uint8_t* crow = color.row(row);
-    for (int x = min_x; x <= max_x; ++x) {
+    int x = min_x;
+    // Four pixels at a time. Each lane does the scalar tail's operations
+    // in the same order, and the masks are the negated reject tests, not
+    // the accept tests, so a NaN edge value or depth takes the scalar
+    // path's branch too. Rejected lanes store back what they loaded.
+    for (; x <= max_x - 3; x += 4) {
+      const F4 px =
+          __builtin_convertvector(I4{} + x + lane_offset, F4) + 0.5f;
+      const F4 w0 = t0 - e0dy * (px - v1.x);
+      const F4 w1 = t1 - e1dy * (px - v2.x);
+      const F4 w2 = t2 - e2dy * (px - v0.x);
+      const I4 covered = ~((w0 < 0.0f) | (w1 < 0.0f) | (w2 < 0.0f));
+      const F4 z = (w0 * v0.z + w1 * v1.z + w2 * v2.z) * inv_area;
+      F4 depth;
+      std::memcpy(&depth, drow + x, sizeof depth);
+      const I4 write = covered & ~((z < -1.0f) | (z > 1.0f) | (z >= depth));
+      depth = select(write, z, depth);
+      std::memcpy(drow + x, &depth, sizeof depth);
+      std::uint8_t* p = crow + static_cast<std::size_t>(x) * 4;
+      I4 pixels;
+      std::memcpy(&pixels, p, sizeof pixels);
+      pixels = select(write, rgba, pixels);
+      std::memcpy(p, &pixels, sizeof pixels);
+      filled_lanes -= write;
+    }
+    for (; x <= max_x; ++x) {
       const float px = static_cast<float>(x) + 0.5f;
       const float w0 = t0 - e0dy * (px - v1.x);
       const float w1 = t1 - e1dy * (px - v2.x);
       const float w2 = t2 - e2dy * (px - v0.x);
-      ++tested;
       if (w0 < 0.0f || w1 < 0.0f || w2 < 0.0f) continue;
       const float z = (w0 * v0.z + w1 * v1.z + w2 * v2.z) * inv_area;
       if (z < -1.0f || z > 1.0f) continue;
@@ -184,8 +219,13 @@ void raster_triangle(Framebuffer& fb, const Viewport& vp,
     }
   }
   if (stats) {
-    stats->pixels_tested += tested;
-    stats->pixels_filled += filled;
+    stats->pixels_tested += static_cast<std::uint64_t>(max_x - min_x + 1) *
+                            static_cast<std::uint64_t>(max_y - min_y + 1);
+    stats->pixels_filled +=
+        filled + static_cast<std::uint64_t>(filled_lanes[0]) +
+        static_cast<std::uint64_t>(filled_lanes[1]) +
+        static_cast<std::uint64_t>(filled_lanes[2]) +
+        static_cast<std::uint64_t>(filled_lanes[3]);
   }
 }
 

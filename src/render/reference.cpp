@@ -104,6 +104,20 @@ void draw_triangle_clip(Framebuffer& fb, const Viewport& vp, Vec4 c0, Vec4 c1,
   }
 }
 
+Color shade(const Triangle& t, const LightingConfig& lighting) {
+  if (!lighting.enabled) return t.color;
+  // Two-sided flat Lambert: CAD geometry is not consistently wound.
+  const Vec3 n = normalize(cross(t.v1 - t.v0, t.v2 - t.v0));
+  const float lambert = std::fabs(dot(n, normalize(lighting.direction)));
+  const float f =
+      clamp01(lighting.ambient + (1.0f - lighting.ambient) * lambert);
+  auto scale = [f](std::uint8_t c) {
+    return static_cast<std::uint8_t>(std::lround(static_cast<float>(c) * f));
+  };
+  return Color{scale(t.color.r), scale(t.color.g), scale(t.color.b),
+               t.color.a};
+}
+
 RenderStats estimate_strip(const Renderer& renderer, const Mat4& view,
                            StripRange strip) {
   const int width = renderer.frame_width();

@@ -5,6 +5,8 @@
 #include <bit>
 #include <cmath>
 
+#include "lanes.hpp"
+#include "sccpipe/render/reference.hpp"
 #include "sccpipe/support/check.hpp"
 
 namespace sccpipe {
@@ -15,24 +17,15 @@ Renderer::Renderer(const Mesh& mesh, const Octree& octree, CameraConfig camera,
       octree_(octree),
       camera_(camera),
       width_(frame_width),
-      height_(frame_height),
-      lighting_(lighting),
-      light_dir_(normalize(lighting.direction)) {
+      height_(frame_height) {
   SCCPIPE_CHECK(frame_width > 0 && frame_height > 0);
   SCCPIPE_CHECK(octree.built());
-}
-
-Color Renderer::shade(const Triangle& t) const {
-  if (!lighting_.enabled) return t.color;
-  // Two-sided flat Lambert: CAD geometry is not consistently wound.
-  const Vec3 n = normalize(cross(t.v1 - t.v0, t.v2 - t.v0));
-  const float lambert = std::fabs(dot(n, light_dir_));
-  const float f = clamp01(lighting_.ambient + (1.0f - lighting_.ambient) * lambert);
-  auto scale = [f](std::uint8_t c) {
-    return static_cast<std::uint8_t>(std::lround(static_cast<float>(c) * f));
-  };
-  return Color{scale(t.color.r), scale(t.color.g), scale(t.color.b),
-               t.color.a};
+  // Flat shading depends on the triangle and the light only, never on the
+  // view: every triangle is shaded once here, not once per strip drawn.
+  shaded_.reserve(mesh.triangles().size());
+  for (const Triangle& t : mesh.triangles()) {
+    shaded_.push_back(reference::shade(t, lighting));
+  }
 }
 
 Image Renderer::render_strip(const Mat4& view, StripRange strip,
@@ -52,14 +45,13 @@ Image Renderer::render_strip(const Mat4& view, StripRange strip,
       view;
   const Viewport vp{width_, height_, strip.y0};
   Framebuffer fb(width_, strip.rows);
-  fb.clear();
   const auto& tris = mesh_.triangles();
   for (const std::uint32_t ti : visible) {
     const Triangle& t = tris[ti];
     if (stats) ++stats->triangles_transformed;
     draw_triangle_clip(fb, vp, full_vp * Vec4{t.v0, 1.0f},
                        full_vp * Vec4{t.v1, 1.0f}, full_vp * Vec4{t.v2, 1.0f},
-                       shade(t), stats ? &stats->raster : nullptr);
+                       shaded_[ti], stats ? &stats->raster : nullptr);
   }
   return std::move(fb.color());
 }
@@ -70,6 +62,11 @@ Image Renderer::render(const Mat4& view, RenderStats* stats) const {
 
 namespace {
 
+using lanes::F4;
+using lanes::I4;
+using lanes::select;
+using lanes::splat;
+
 /// Row \p r of \p m: the coefficients of clip coordinate r.
 Vec4 clip_row(const Mat4& m, int r) {
   return Vec4{m.m[0][r], m.m[1][r], m.m[2][r], m.m[3][r]};
@@ -78,22 +75,6 @@ Vec4 clip_row(const Mat4& m, int r) {
 bool bit_equal(Vec4 a, Vec4 b) {
   using Bits = std::array<std::uint32_t, 4>;
   return std::bit_cast<Bits>(a) == std::bit_cast<Bits>(b);
-}
-
-// Four-lane generic vectors (GCC/Clang): baseline SSE2 on x86-64 at -O2 and
-// -O3 alike, where the autovectorizer leaves plain loops scalar at -O2. Each
-// lane performs its scalar expression's operations in the same order, with
-// true division and no contraction, so every lane is bit-equal to the scalar
-// result (reference::estimate_strip).
-using F4 = float __attribute__((vector_size(16)));
-using I4 = std::int32_t __attribute__((vector_size(16)));
-
-F4 splat(float v) { return F4{v, v, v, v}; }
-
-/// Lane-wise \p m ? \p a : \p b for an all-ones/all-zeros lane mask.
-F4 select(I4 m, F4 a, F4 b) {
-  return std::bit_cast<F4>((m & std::bit_cast<I4>(a)) |
-                           (~m & std::bit_cast<I4>(b)));
 }
 
 /// The clip coordinate \p row gives each lane's point (w = 1), with the

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "sccpipe/filters/filters.hpp"
@@ -149,6 +152,38 @@ TEST(GoldenFilters, FullPipelineBitIdentical) {
   EXPECT_EQ(opt, ref);
 }
 
+// One 256x256 tile per red value, pixel (x, y) = (blue, green), covers all
+// 2^24 RGB inputs; the tiles cycle through a few alpha values.
+TEST(GoldenSepia, EveryRgbTriple) {
+  constexpr std::uint8_t kAlphas[] = {0, 1, 128, 255};
+  Image opt(256, 256);
+  Image ref;
+  for (int r = 0; r < 256; ++r) {
+    const std::uint8_t alpha = kAlphas[r % 4];
+    for (int g = 0; g < 256; ++g) {
+      std::uint8_t* p = opt.row(g);
+      for (int b = 0; b < 256; ++b, p += 4) {
+        p[0] = static_cast<std::uint8_t>(r);
+        p[1] = static_cast<std::uint8_t>(g);
+        p[2] = static_cast<std::uint8_t>(b);
+        p[3] = alpha;
+      }
+    }
+    ref = opt;
+    apply_sepia(opt);
+    reference::apply_sepia(ref);
+    for (int g = 0; g < 256; ++g) {
+      for (int b = 0; b < 256; ++b) {
+        const Color got = opt.get(b, g);
+        ASSERT_EQ(got, ref.get(b, g)) << "sepia of rgb (" << r << ", " << g
+                                      << ", " << b << ")";
+        ASSERT_EQ(got.a, alpha) << "alpha of rgb (" << r << ", " << g << ", "
+                                << b << ")";
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------ rasterizer
 
 Vec4 random_clip_vertex(Rng& rng) {
@@ -159,37 +194,140 @@ Vec4 random_clip_vertex(Rng& rng) {
               static_cast<float>(rng.uniform(-1.5, 1.5)) * w, w};
 }
 
+struct ClipTriangle {
+  Vec4 v[3];
+  Color color;
+};
+
+Color random_color(Rng& rng) {
+  return Color{static_cast<std::uint8_t>(rng.below(256)),
+               static_cast<std::uint8_t>(rng.below(256)),
+               static_cast<std::uint8_t>(rng.below(256)), 255};
+}
+
+/// A triangle whose clip coordinates hold NaN, +-inf or ~1e30. Vertex 0
+/// stays finite and in front of the eye, so it is the first screen vertex;
+/// the bounding box's std::min/std::max skip a NaN that is not first, so
+/// the box stays finite, where an infinite or huge screen coordinate would
+/// overflow the float-to-int cast of both rasterizers alike. Hence NaN
+/// reaches x and y of vertices 1 and 2 only (NaN edge values: the coverage
+/// test), any special value reaches z (a NaN depth passes every reject test
+/// and is written), and w is made +-inf, NaN or 1e30, or a vertex is
+/// scaled by 1e30, only with every vertex in front of the eye: a near-plane
+/// intersection with such a vertex can land on w = 0.
+ClipTriangle hostile_triangle(Rng& rng) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  ClipTriangle t{{random_clip_vertex(rng), random_clip_vertex(rng),
+                  random_clip_vertex(rng)},
+                 random_color(rng)};
+  t.v[0].w = static_cast<float>(rng.uniform(0.5, 4.0));
+  const auto all_in_front = [&] {
+    for (Vec4& v : t.v) v.w = static_cast<float>(rng.uniform(0.5, 4.0));
+  };
+  const std::size_t i = rng.below(3);
+  Vec4& v = t.v[i];
+  switch (rng.below(i == 0 ? 2 : 5)) {
+    case 0: {
+      constexpr float kZ[] = {kNan, kInf, -kInf, 1e30f, -1e30f};
+      v.z = kZ[rng.below(5)];
+      break;
+    }
+    case 1:
+      all_in_front();
+      v = v * 1e30f;
+      break;
+    case 2:
+      (rng.below(2) == 0 ? v.x : v.y) = kNan;
+      break;
+    case 3: {
+      constexpr float kW[] = {kNan, kInf, -kInf, 1e30f};
+      all_in_front();
+      v.w = kW[rng.below(4)];
+      break;
+    }
+    default:
+      v.x = v.y = v.z = kNan;
+      break;
+  }
+  return t;
+}
+
+std::uint32_t depth_bits(const Framebuffer& fb, int x, int y) {
+  return std::bit_cast<std::uint32_t>(fb.depth(x, y));
+}
+
+/// Draws \p tris with both rasterizers into a \p rows-row window at virtual
+/// row \p y0 of a \p w x \p h viewport, then compares colour, depth (bit
+/// for bit, NaN included) and all four RasterStats counters.
+void expect_raster_equal(int w, int h, int y0, int rows,
+                         const std::vector<ClipTriangle>& tris) {
+  const std::string where = std::to_string(w) + 'x' + std::to_string(h) +
+                            " rows [" + std::to_string(y0) + ", " +
+                            std::to_string(y0 + rows) + ")";
+  Framebuffer fb_opt(w, rows);
+  Framebuffer fb_ref(w, rows);
+  RasterStats st_opt, st_ref;
+  const Viewport vp{w, h, y0};
+  for (const ClipTriangle& t : tris) {
+    draw_triangle_clip(fb_opt, vp, t.v[0], t.v[1], t.v[2], t.color, &st_opt);
+    reference::draw_triangle_clip(fb_ref, vp, t.v[0], t.v[1], t.v[2], t.color,
+                                  &st_ref);
+  }
+  EXPECT_EQ(fb_opt.color(), fb_ref.color()) << where;
+  for (int y = 0; y < rows; ++y) {
+    for (int x = 0; x < w; ++x) {
+      ASSERT_EQ(depth_bits(fb_opt, x, y), depth_bits(fb_ref, x, y))
+          << "depth (" << x << ',' << y << ") on " << where;
+    }
+  }
+  EXPECT_EQ(st_opt.pixels_tested, st_ref.pixels_tested) << where;
+  EXPECT_EQ(st_opt.pixels_filled, st_ref.pixels_filled) << where;
+  EXPECT_EQ(st_opt.triangles_submitted, st_ref.triangles_submitted) << where;
+  EXPECT_EQ(st_opt.triangles_clipped_away, st_ref.triangles_clipped_away)
+      << where;
+}
+
+// Widths 1-9 leave every remainder mod 4 for the scalar row tail, with and
+// without a full four-pixel group before it; 31, 64 and 400 run long
+// vector rows. Each width is drawn whole and through two row windows.
+const std::vector<int> kRasterWidths = {1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 64, 400};
+
+/// {y0, rows} of the whole frame and of two windows below its top row.
+std::vector<std::pair<int, int>> raster_windows(int h) {
+  return {{0, h}, {5, h - 9}, {h - 3, 3}};
+}
+
+/// Further {w, h} viewports drawn whole only: single-row (min_y == max_y)
+/// and single-column frames, and square ones.
+const std::vector<std::pair<int, int>> kFullFrames = {
+    {1, 1}, {9, 1}, {1, 9}, {31, 17}, {64, 64}};
+
+/// 90 random triangles, every third holding NaN, +-inf or ~1e30 clip
+/// coordinates.
+std::vector<ClipTriangle> raster_batch(Rng& rng) {
+  std::vector<ClipTriangle> tris;
+  for (int i = 0; i < 90; ++i) {
+    tris.push_back(i % 3 == 2 ? hostile_triangle(rng)
+                              : ClipTriangle{{random_clip_vertex(rng),
+                                              random_clip_vertex(rng),
+                                              random_clip_vertex(rng)},
+                                             random_color(rng)});
+  }
+  return tris;
+}
+
 TEST(GoldenRaster, TriangleBatchBitIdentical) {
   Rng rng{0x7a57e008};
-  for (const auto& [w, h] : std::vector<std::pair<int, int>>{
-           {1, 1}, {9, 1}, {1, 9}, {31, 17}, {64, 64}}) {
-    Framebuffer fb_opt(w, h);
-    Framebuffer fb_ref(w, h);
-    fb_opt.clear();
-    fb_ref.clear();
-    RasterStats st_opt, st_ref;
-    const Viewport vp = Viewport::full(fb_opt);
-    for (int i = 0; i < 60; ++i) {
-      const Vec4 a = random_clip_vertex(rng);
-      const Vec4 b = random_clip_vertex(rng);
-      const Vec4 c = random_clip_vertex(rng);
-      const Color col{static_cast<std::uint8_t>(rng.below(256)),
-                      static_cast<std::uint8_t>(rng.below(256)),
-                      static_cast<std::uint8_t>(rng.below(256)), 255};
-      draw_triangle_clip(fb_opt, vp, a, b, c, col, &st_opt);
-      reference::draw_triangle_clip(fb_ref, vp, a, b, c, col, &st_ref);
+  for (const int w : kRasterWidths) {
+    const int h = w == 400 ? 48 : 23;
+    const std::vector<ClipTriangle> tris = raster_batch(rng);
+    for (const auto& [y0, rows] : raster_windows(h)) {
+      expect_raster_equal(w, h, y0, rows, tris);
     }
-    EXPECT_EQ(fb_opt.color(), fb_ref.color()) << w << 'x' << h;
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) {
-        ASSERT_EQ(fb_opt.depth(x, y), fb_ref.depth(x, y))
-            << "depth (" << x << ',' << y << ") on " << w << 'x' << h;
-      }
-    }
-    EXPECT_EQ(st_opt.pixels_tested, st_ref.pixels_tested);
-    EXPECT_EQ(st_opt.pixels_filled, st_ref.pixels_filled);
-    EXPECT_EQ(st_opt.triangles_submitted, st_ref.triangles_submitted);
-    EXPECT_EQ(st_opt.triangles_clipped_away, st_ref.triangles_clipped_away);
+  }
+  for (const auto& [w, h] : kFullFrames) {
+    expect_raster_equal(w, h, 0, h, raster_batch(rng));
   }
 }
 
@@ -200,8 +338,6 @@ TEST(GoldenRaster, StripWindowBitIdentical) {
   constexpr int kW = 40, kH = 30, kStripY0 = 10, kStripRows = 8;
   Framebuffer full_opt(kW, kH);
   Framebuffer strip_ref(kW, kStripRows);
-  full_opt.clear();
-  strip_ref.clear();
   const Viewport vp_full = Viewport::full(full_opt);
   const Viewport vp_strip{kW, kH, kStripY0};
   for (int i = 0; i < 40; ++i) {

@@ -22,6 +22,21 @@ TEST(Framebuffer, ClearSetsColorAndDepth) {
   EXPECT_EQ(fb.color().get(1, 1).g, 2);
 }
 
+TEST(Framebuffer, ConstructionClears) {
+  // A new buffer is already what clear() leaves, so a strip render fills
+  // it once.
+  const Framebuffer fresh(5, 3);
+  Framebuffer cleared(5, 3);
+  cleared.set_pixel(4, 2, -0.5f, Color{1, 2, 3, 4});
+  cleared.clear();
+  EXPECT_EQ(fresh.color(), cleared.color());
+  for (int y = 0; y < 3; ++y) {
+    for (int x = 0; x < 5; ++x) {
+      EXPECT_EQ(fresh.depth(x, y), cleared.depth(x, y)) << x << "," << y;
+    }
+  }
+}
+
 // --------------------------------------------------------------- Rasterizer
 
 /// Clip-space helper: place a triangle directly in NDC (w = 1).
@@ -203,8 +218,8 @@ void expect_stats_equal(const RenderStats& got, const RenderStats& want,
   EXPECT_EQ(got.projected_pixels, want.projected_pixels) << where;
 }
 
-/// Unlit renderer (shade() is then the triangle colour), tall enough for a
-/// 400-row strip at a non-zero y0.
+/// An unlit renderer (each triangle in its own colour) and a lit one, tall
+/// enough for a 400-row strip at a non-zero y0.
 struct StripRenderFixture : ::testing::Test {
   static constexpr int kWidth = 96;
   static constexpr int kHeight = 512;
@@ -217,12 +232,15 @@ struct StripRenderFixture : ::testing::Test {
   Octree octree{city};
   CameraConfig cam;
   Renderer renderer{city, octree, cam, kWidth, kHeight, unlit()};
+  Renderer lit_renderer{city, octree, cam, kWidth, kHeight, LightingConfig{}};
   WalkthroughPath path{city.bounds(), 40};
 
   /// The serial oracle: render_strip's cull and transform, then every
-  /// visible triangle drawn over the whole strip through the reference
-  /// rasterizer in one framebuffer.
+  /// visible triangle shaded by reference::shade under \p lighting and
+  /// drawn over the whole strip through the reference rasterizer in one
+  /// framebuffer.
   Image reference_strip(const Mat4& view, StripRange strip,
+                        const LightingConfig& lighting,
                         RenderStats& stats) const {
     const Frustum frustum(strip_projection(cam, kWidth, kHeight, strip) * view);
     std::vector<std::uint32_t> visible;
@@ -237,38 +255,62 @@ struct StripRenderFixture : ::testing::Test {
       ++stats.triangles_transformed;
       reference::draw_triangle_clip(fb, vp, full_vp * Vec4{t.v0, 1.0f},
                                     full_vp * Vec4{t.v1, 1.0f},
-                                    full_vp * Vec4{t.v2, 1.0f}, t.color,
+                                    full_vp * Vec4{t.v2, 1.0f},
+                                    reference::shade(t, lighting),
                                     &stats.raster);
     }
     return std::move(fb.color());
   }
-};
 
-TEST_F(StripRenderFixture, MatchesWholeStripReferenceAtEveryStripShape) {
-  // Strips from one row to 400 rows, at y0 values from the top of the
-  // frame to deep inside it.
-  for (const int frame : {2, 19}) {
-    const Mat4 view = path.view(frame);
-    for (const int rows : {1, 15, 16, 17, 100, 400}) {
-      for (const int y0 : {0, 7, 16, 111}) {
-        const StripRange strip{y0, rows};
-        const std::string where = "frame " + std::to_string(frame) + " y0 " +
-                                  std::to_string(y0) + " rows " +
-                                  std::to_string(rows);
-        RenderStats got, want;
-        const Image strip_image = renderer.render_strip(view, strip, &got);
-        const Image reference = reference_strip(view, strip, want);
-        EXPECT_EQ(strip_image, reference) << where;
-        expect_stats_equal(got, want, where);
+  /// Strips from one row to 400 rows, at y0 values from the top of the
+  /// frame to deep inside it, against the oracle.
+  void expect_every_strip_shape_matches(const Renderer& r,
+                                        const LightingConfig& lighting) const {
+    for (const int frame : {2, 19}) {
+      const Mat4 view = path.view(frame);
+      for (const int rows : {1, 15, 16, 17, 100, 400}) {
+        for (const int y0 : {0, 7, 16, 111}) {
+          const StripRange strip{y0, rows};
+          const std::string where = "frame " + std::to_string(frame) +
+                                    " y0 " + std::to_string(y0) + " rows " +
+                                    std::to_string(rows);
+          RenderStats got, want;
+          const Image strip_image = r.render_strip(view, strip, &got);
+          const Image reference = reference_strip(view, strip, lighting, want);
+          EXPECT_EQ(strip_image, reference) << where;
+          expect_stats_equal(got, want, where);
+        }
       }
     }
   }
+};
+
+TEST_F(StripRenderFixture, MatchesWholeStripReferenceAtEveryStripShape) {
+  expect_every_strip_shape_matches(renderer, unlit());
+}
+
+TEST_F(StripRenderFixture, LitMatchesReferenceShadingAtEveryStripShape) {
+  expect_every_strip_shape_matches(lit_renderer, LightingConfig{});
+}
+
+TEST_F(StripRenderFixture, ShadeCacheMatchesReferenceShade) {
+  // Every city triangle's cached colour is reference::shade's, lit and
+  // unlit, and lighting does change the colours.
+  const auto& tris = city.triangles();
+  std::size_t relit = 0;
+  for (std::uint32_t i = 0; i < tris.size(); ++i) {
+    ASSERT_EQ(lit_renderer.shade(i), reference::shade(tris[i], {}))
+        << "triangle " << i;
+    ASSERT_EQ(renderer.shade(i), tris[i].color) << "triangle " << i;
+    if (!(lit_renderer.shade(i) == tris[i].color)) ++relit;
+  }
+  EXPECT_GT(relit, tris.size() / 2);
 }
 
 TEST_F(StripRenderFixture, ReferenceOracleSeesGeometry) {
   // Guard against a vacuous comparison above: the strips do fill pixels.
   RenderStats stats;
-  reference_strip(path.view(2), StripRange{111, 400}, stats);
+  reference_strip(path.view(2), StripRange{111, 400}, unlit(), stats);
   EXPECT_GT(stats.raster.pixels_filled, 1000u);
   EXPECT_GT(stats.triangles_transformed, 100u);
 }

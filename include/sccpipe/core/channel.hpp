@@ -11,13 +11,13 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "sccpipe/filters/image.hpp"
 #include "sccpipe/host/host_cpu.hpp"
 #include "sccpipe/host/host_link.hpp"
-#include "sccpipe/host/reliable_link.hpp"
 #include "sccpipe/rcce/rcce.hpp"
 
 namespace sccpipe {
@@ -98,64 +98,37 @@ class SccChannel final : public Channel {
 };
 
 /// Host -> SCC path (MCPC renderer feeding the connect stage), or an
-/// external cluster node feeding a cluster pipeline. The consumer core pays
-/// the UDP receive cost before the token is handed over.
+/// external cluster node feeding a cluster pipeline, over either host wire.
+/// The host pays its stack cost before the push; the consumer core pays the
+/// UDP receive cost before the token is handed over. Tokens leave lowest
+/// push sequence first: the ARQ delivers in order with abandoned holes
+/// already erased, and the stop-and-wait wire pairs by position.
 class HostToChipChannel final : public Channel {
- public:
-  HostToChipChannel(HostCpu& host, SccChip& chip, CoreId consumer_core,
-                    HostLinkConfig link_cfg);
-
-  void send(FrameToken token, SendDone on_sent) override;  // host side
-  void recv(RecvDone on_token) override;                   // chip side
-
-  /// Attach the fault layer to the underlying wire; losses retransmit per
-  /// \p retry, exhaustion reaches the channel's error handler.
-  void set_fault(FaultInjector* fault, RetryPolicy retry);
-  std::uint64_t wire_retransmissions() const {
-    return wire_.retransmissions();
-  }
-
- private:
-  HostCpu& host_;
-  SccChip& chip_;
-  CoreId consumer_;
-  HostChannel wire_;
-  std::deque<FrameToken> tokens_;
-};
-
-/// Host -> SCC path over the reliable sliding-window (ARQ) transport.
-/// Exactly-once, in-order delivery restores the FIFO token pairing even
-/// under reorder/duplicate/burst-loss fates; a message the transport
-/// abandons (retries exhausted) surfaces its token to the abandon handler
-/// so the overload layer can shed and ledger the frame instead of
-/// stalling — without a handler an abandon fails the run, like the
-/// stop-and-wait transport's retry exhaustion.
-class ReliableHostToChipChannel final : public Channel {
  public:
   using AbandonHandler =
       std::function<void(const FrameToken&, const Status&)>;
 
-  ReliableHostToChipChannel(HostCpu& host, SccChip& chip,
-                            CoreId consumer_core, ReliableLinkConfig cfg);
+  HostToChipChannel(HostCpu& host, SccChip& chip, CoreId consumer_core,
+                    std::unique_ptr<HostWire> wire);
 
   void send(FrameToken token, SendDone on_sent) override;  // host side
   void recv(RecvDone on_token) override;                   // chip side
 
-  /// Attach the fault oracle consulted per data datagram.
-  void set_fault(FaultInjector* fault) { wire_.set_fault(fault); }
+  /// Hand each message the wire gives up on, with its token, to \p handler
+  /// (the overload layer sheds and ledgers the frame). Without one a wire
+  /// error fails the channel. Only an in-order wire (the ARQ) may carry a
+  /// handler: on the stop-and-wait wire a delayed message can be overtaken,
+  /// and its token then leaves with the overtaking message.
   void set_abandon_handler(AbandonHandler handler) {
     on_abandon_ = std::move(handler);
   }
-
-  /// The underlying ARQ link, for the RunResult transport report.
-  const ReliableHostChannel& transport() const { return wire_; }
 
  private:
   HostCpu& host_;
   SccChip& chip_;
   CoreId consumer_;
-  ReliableHostChannel wire_;
-  std::map<std::uint64_t, FrameToken> tokens_;  ///< seq -> undelivered
+  std::unique_ptr<HostWire> wire_;
+  std::map<std::uint64_t, FrameToken> tokens_;  ///< push seq -> undelivered
   std::uint64_t push_seq_ = 0;
   AbandonHandler on_abandon_;
 };
@@ -222,8 +195,11 @@ class ChipToViewerChannel final : public Channel {
   /// The viewer is a sink; recv() is not part of its contract.
   void recv(RecvDone on_token) override;
 
-  /// Attach the fault layer to the underlying wire (see HostToChipChannel).
-  void set_fault(FaultInjector* fault, RetryPolicy retry);
+  /// Attach the fault layer to the underlying wire: losses retransmit per
+  /// \p retry, exhaustion reaches the channel's error handler.
+  void set_fault(FaultInjector* fault, RetryPolicy retry) {
+    wire_.set_fault(fault, retry);
+  }
   std::uint64_t wire_retransmissions() const {
     return wire_.retransmissions();
   }

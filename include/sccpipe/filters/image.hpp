@@ -50,7 +50,6 @@ class Image {
   int height() const { return height_; }
   bool empty() const { return width_ == 0 || height_ == 0; }
   std::size_t byte_size() const { return data_.size(); }
-  static constexpr int bytes_per_pixel() { return 4; }
 
   std::uint8_t* data() { return data_.data(); }
   const std::uint8_t* data() const { return data_.data(); }

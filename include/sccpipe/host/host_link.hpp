@@ -10,13 +10,16 @@
 ///    receiving a frame costs ~100 cycles/byte (the connect stage's ~120 ms
 ///    per 640 KB frame that flattens Fig. 11 beyond four pipelines), while
 ///    sending costs ~20 (the transfer stage's ~25 ms share of Fig. 8).
-///    Endpoint cost helpers are exposed so the *stage* pays them as busy
-///    time; the link itself only models wire occupancy and flow control.
+///    HostLinkConfig's cost helpers let the *stage* pay them as busy
+///    time; a wire itself only models occupancy and flow control.
 ///
-/// Flow control: bounded credits. UDP has none, but the application-level
+/// Two wires implement HostWire: the stop-and-wait HostChannel below and
+/// the sliding-window ARQ in reliable_link.hpp. HostChannel's flow control
+/// is bounded credits. UDP has none, but the application-level
 /// producer/consumer did (the renderer idles most of the run, §VI-B);
 /// credit_frames bounds how far the host may run ahead.
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 
@@ -58,79 +61,98 @@ struct HostLinkConfig {
     cfg.wire_bandwidth_bytes_per_sec = 1.5e7;
     return cfg;
   }
+
+  // --- endpoint CPU cost (reference cycles), whichever wire carries it ---
+  double datagrams(double bytes) const;
+  double host_side_cycles(double bytes) const;
+  double scc_send_cycles(double bytes) const;
+  double scc_recv_cycles(double bytes) const;
 };
 
-/// One-directional, credit-bounded message channel over a shared wire.
-/// The producer side calls push(); the consumer side calls pop(). Endpoint
-/// CPU time is *not* charged here (see cost helpers) — callers account it
-/// on their own processor so that stage busy/idle metrics stay truthful.
-class HostChannel {
+/// What the channel layer above needs from a host wire: its link costs,
+/// the producer/consumer surface and one error report. Endpoint CPU time
+/// is *not* charged by a wire — callers account it on their own processor
+/// (through link()) so that stage busy/idle metrics stay truthful.
+class HostWire {
  public:
   using PushCallback = InplaceFunction<void(), kHostPushCallbackBytes>;
   using PopCallback =
       InplaceFunction<void(double bytes), kHostPopCallbackBytes>;
-  using ErrorHandler = std::function<void(const Status&)>;
+  /// A message the wire gave up on (retries exhausted). \p seq is the
+  /// message's place in push order, 0-based.
+  using ErrorHandler = std::function<void(const Status&, std::uint64_t seq)>;
 
+  HostWire() = default;
+  HostWire(const HostWire&) = delete;
+  HostWire& operator=(const HostWire&) = delete;
+  virtual ~HostWire() = default;
+
+  virtual const HostLinkConfig& link() const = 0;
+  /// Producer: enqueue a message; \p on_accepted fires when the producer
+  /// may prepare its next one.
+  virtual void push(double bytes, PushCallback on_accepted) = 0;
+  /// Consumer: take the next message (waits if none).
+  virtual void pop(PopCallback on_message) = 0;
+
+  void set_error_handler(ErrorHandler on_error);
+
+ protected:
+  /// Surface a message the wire gave up on; a wire without a handler
+  /// fails loudly instead of stalling.
+  void report(const Status& failure, std::uint64_t seq) const;
+
+  ErrorHandler on_error_;
+};
+
+/// One-directional, credit-bounded stop-and-wait message channel over a
+/// shared wire: each lost message is retransmitted on its own ack timer.
+class HostChannel final : public HostWire {
+ public:
   HostChannel(Simulator& sim, HostLinkConfig cfg = HostLinkConfig::mcpc());
 
-  HostChannel(const HostChannel&) = delete;
-  HostChannel& operator=(const HostChannel&) = delete;
-
-  const HostLinkConfig& config() const { return cfg_; }
+  const HostLinkConfig& link() const override { return cfg_; }
 
   /// Attach the deterministic fault layer: each message crossing the wire
-  /// may be dropped (retransmitted per \p retry, then surfaced to
-  /// \p on_error) or delayed. Injector must outlive the channel.
-  void set_fault(FaultInjector* fault, RetryPolicy retry,
-                 ErrorHandler on_error);
+  /// may be dropped (retransmitted per \p retry, then surfaced to the
+  /// error handler) or delayed. Injector must outlive the channel.
+  void set_fault(FaultInjector* fault, RetryPolicy retry);
 
   /// Retransmissions performed after injected message losses. A message
   /// corrupted and retried N times counts one first send and N
   /// retransmissions — never N+1 fresh sends.
   std::uint64_t retransmissions() const { return retransmissions_; }
-  /// First transmissions (one per admitted message, regardless of retries).
-  std::uint64_t first_sends() const { return first_sends_; }
 
-  /// Producer: enqueue a message. \p on_accepted fires once a credit is
-  /// available and the message has finished crossing the wire (the producer
-  /// is then free to prepare the next frame).
-  void push(double bytes, PushCallback on_accepted);
+  /// \p on_accepted fires once a credit is available and the message has
+  /// finished crossing the wire (the producer is then free to prepare the
+  /// next frame).
+  void push(double bytes, PushCallback on_accepted) override;
 
-  /// Consumer: take the next arrived message (waits if none). Consuming
-  /// returns a credit to the producer.
-  void pop(PopCallback on_message);
-
-  // --- endpoint CPU cost helpers (reference cycles) ---------------------
-  double datagrams(double bytes) const;
-  double host_side_cycles(double bytes) const;
-  double scc_send_cycles(double bytes) const;
-  double scc_recv_cycles(double bytes) const;
-
-  std::size_t in_flight() const { return arrived_.size(); }
+  /// Consuming a message returns a credit to the producer.
+  void pop(PopCallback on_message) override;
 
  private:
   struct PendingPush {
+    std::uint64_t seq;
     double bytes;
     PushCallback on_accepted;
   };
 
   void try_admit();
   void try_deliver();
-  void transmit(double bytes, PushCallback on_accepted, int attempt,
-                SimTime first_attempt_at);
+  void transmit(std::uint64_t seq, double bytes, PushCallback on_accepted,
+                int attempt);
 
   Simulator& sim_;
   HostLinkConfig cfg_;
   FlowResource wire_;
   int credits_;
+  std::uint64_t next_seq_ = 0;
   std::deque<PendingPush> waiting_admission_;
   std::deque<double> arrived_;          // messages that crossed the wire
   std::deque<PopCallback> waiting_pop_;
   FaultInjector* fault_ = nullptr;
   RetryPolicy retry_{};
-  ErrorHandler on_error_;
   std::uint64_t retransmissions_ = 0;
-  std::uint64_t first_sends_ = 0;
 };
 
 }  // namespace sccpipe

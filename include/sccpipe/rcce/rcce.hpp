@@ -23,8 +23,8 @@
 /// be lost crossing the mesh. The sender detects the loss when its
 /// per-attempt timeout expires (spin-waiting on the ack flag), backs off in
 /// simulated time, and retransmits up to RetryPolicy::max_attempts times;
-/// exhaustion (or the per-transfer deadline) surfaces a typed Status to
-/// both endpoints instead of hanging the rendezvous.
+/// exhaustion surfaces a typed Status to both endpoints instead of hanging
+/// the rendezvous.
 ///
 /// Completions are fixed-capacity InplaceFunctions (sim/callback.hpp). A
 /// matched transfer parks its two status callbacks in a reused transfer
@@ -68,8 +68,8 @@ struct RcceConfig {
 class RcceComm {
  public:
   using Callback = InplaceFunction<void(), kChannelCallbackBytes>;
-  /// Fault-aware completion: receives Ok on delivery, or the typed error
-  /// (RetriesExhausted / DeadlineExceeded) when the transfer gave up.
+  /// Fault-aware completion: receives Ok on delivery, or RetriesExhausted
+  /// when the transfer gave up.
   using StatusCallback =
       InplaceFunction<void(const Status&), kRcceStatusCallbackBytes>;
 
@@ -106,8 +106,7 @@ class RcceComm {
   std::uint64_t messages_delivered() const { return delivered_; }
   /// Number of retransmissions performed after injected payload losses.
   std::uint64_t retransmissions() const { return retransmissions_; }
-  /// Number of transfers that surfaced an error after exhausting retries
-  /// or their deadline.
+  /// Number of transfers that surfaced an error after exhausting retries.
   std::uint64_t transfers_failed() const { return transfers_failed_; }
 
   /// Drop every *unmatched* pending send and recv posted on the (from, to)

@@ -44,23 +44,22 @@ namespace sccpipe {
 /// Retry/backoff discipline for a fault-tolerant transport (RCCE sends,
 /// host-link pushes). With max_attempts == 1 a lost message surfaces an
 /// error as soon as the attempt's timeout expires; with more attempts the
-/// transport retransmits after an exponentially growing backoff, all in
-/// simulated time.
+/// transport retransmits after a backoff that doubles per further attempt,
+/// all in simulated time. Exhaustion surfaces RetriesExhausted.
 struct RetryPolicy {
-  int max_attempts = 1;               ///< total attempts (1 = no retries)
-  SimTime timeout = SimTime::ms(50);  ///< per-attempt loss-detection deadline
-  SimTime backoff = SimTime::ms(1);   ///< backoff before the 2nd attempt
-  double backoff_factor = 2.0;        ///< growth per further attempt
+  /// Backoff growth per further attempt.
+  static constexpr double kBackoffFactor = 2.0;
   /// Ceiling for the exponential backoff; large attempt counts would
   /// otherwise overflow the fixed-point SimTime long before the retry
   /// budget runs out.
-  SimTime max_backoff = SimTime::sec(10);
-  /// Hard per-transfer deadline measured from the first attempt; a retry
-  /// that would start after it surfaces DeadlineExceeded. Zero = none.
-  SimTime deadline = SimTime::zero();
+  static constexpr SimTime kMaxBackoff = SimTime::sec(10);
+
+  int max_attempts = 1;               ///< total attempts (1 = no retries)
+  SimTime timeout = SimTime::ms(50);  ///< per-attempt loss-detection deadline
+  SimTime backoff = SimTime::ms(1);   ///< backoff before the 2nd attempt
 
   /// Backoff to wait after the \p failed_attempts-th loss (1-based),
-  /// capped at max_backoff.
+  /// capped at kMaxBackoff.
   SimTime backoff_after(int failed_attempts) const;
   bool operator==(const RetryPolicy&) const = default;
 };
@@ -244,8 +243,7 @@ enum class MessageFate : std::uint8_t {
   Corrupt,  ///< arrives, fails the receiver's CRC check, and is NACKed
 };
 
-/// Full fate of one host datagram for the reliable (ARQ) transport: the
-/// basic fate plus the injected transit delay (delay + reorder displacement
+/// Full fate of one host datagram: the basic fate plus the injected transit delay (delay + reorder displacement
 /// combined) and an optional duplicate copy lagging behind the original.
 struct DatagramFate {
   MessageFate fate = MessageFate::Deliver;
@@ -324,14 +322,10 @@ class FaultInjector {
   /// *extra_delay receives the injected transit delay (zero when unharmed).
   MessageFate rcce_message_fate(SimTime at, int from, int to,
                                 SimTime* extra_delay);
-  /// Same for one host-link message. Legacy stop-and-wait view: reorder
-  /// displacement folds into the returned extra_delay and duplicates are
-  /// ignored (the stop-and-wait pairing cannot represent them).
-  MessageFate host_message_fate(SimTime at, SimTime* extra_delay);
-  /// Full fate of one host datagram for the reliable (ARQ) transport:
-  /// burst-loss state step, drop/corrupt/delay, reorder displacement and
-  /// duplication. Consumes the same host RNG stream as host_message_fate —
-  /// a run uses one transport or the other, never both on the same link.
+  /// Full fate of one host datagram: burst-loss state step, drop/corrupt/
+  /// delay, reorder displacement and duplication. Both host wires draw it;
+  /// the stop-and-wait wire reads the displacement as plain delay and
+  /// ignores the duplicate copy.
   DatagramFate host_datagram_fate(SimTime at);
 
   // --- observability -----------------------------------------------------
@@ -347,9 +341,6 @@ class FaultInjector {
   std::uint64_t host_drops() const { return host_drops_; }
   std::uint64_t host_delays() const { return host_delays_; }
   std::uint64_t host_corrupts() const { return host_corrupts_; }
-  std::uint64_t host_reorders() const { return host_reorders_; }
-  std::uint64_t host_duplicates() const { return host_duplicates_; }
-  std::uint64_t host_burst_drops() const { return host_burst_drops_; }
 
  private:
   static constexpr std::uint32_t bit(FaultKind kind) {
@@ -371,9 +362,6 @@ class FaultInjector {
   std::uint64_t host_drops_ = 0;
   std::uint64_t host_delays_ = 0;
   std::uint64_t host_corrupts_ = 0;
-  std::uint64_t host_reorders_ = 0;
-  std::uint64_t host_duplicates_ = 0;
-  std::uint64_t host_burst_drops_ = 0;
   bool burst_bad_ = false;  ///< Gilbert–Elliott channel state (bad = bursty)
 };
 

@@ -44,8 +44,6 @@ class FlowResource {
     return end.is_zero() ? 0.0 : busy_ / end;
   }
 
-  void reset_stats();
-
  private:
   std::string name_;
   SimTime horizon_ = SimTime::zero();

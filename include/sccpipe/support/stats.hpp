@@ -22,7 +22,6 @@ class OnlineStats {
   double mean() const { return n_ ? mean_ : 0.0; }
   /// Sample variance (n-1 denominator); 0 for fewer than two samples.
   double variance() const;
-  double stddev() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
   double sum() const { return sum_; }

@@ -4,8 +4,8 @@
 /// Typed, non-throwing error reporting for the fault-tolerant transports.
 /// SCCPIPE_CHECK (check.hpp) covers programming errors — misuse that should
 /// never happen; Status covers *expected* runtime outcomes of an unreliable
-/// system: a transfer that timed out, a retry budget that ran dry, a
-/// deadline that passed. Callers that opt into fault injection receive a
+/// system: a transfer that timed out, a retry budget that ran dry, an
+/// event loop that stopped advancing. Callers that opt into fault injection receive a
 /// Status through their completion callbacks instead of an exception, so a
 /// degraded run can finish its bookkeeping and report what failed where.
 
@@ -18,7 +18,8 @@ enum class StatusCode {
   Ok = 0,
   Timeout,            ///< a single attempt's loss-detection deadline expired
   RetriesExhausted,   ///< every attempt of the retry budget was lost
-  DeadlineExceeded,   ///< the per-transfer deadline passed before delivery
+  DeadlineExceeded,   ///< a run's per-timestamp event budget ran out
+                      ///< (run_guarded's livelock guard)
   Unavailable,        ///< the target resource is faulted out of service
   Cancelled,          ///< the operation was abandoned (run aborting)
   InvalidArgument,    ///< malformed user input (e.g. a fault-plan string)

@@ -101,96 +101,51 @@ void SccChannel::retire() {
 
 HostToChipChannel::HostToChipChannel(HostCpu& host, SccChip& chip,
                                      CoreId consumer_core,
-                                     HostLinkConfig link_cfg)
-    : host_(host),
-      chip_(chip),
-      consumer_(consumer_core),
-      wire_(chip.sim(), link_cfg) {
+                                     std::unique_ptr<HostWire> wire)
+    : host_(host), chip_(chip), consumer_(consumer_core), wire_(std::move(wire)) {
   SCCPIPE_CHECK(chip.topology().valid_core(consumer_core));
+  SCCPIPE_CHECK(wire_ != nullptr);
+  wire_->set_error_handler([this](const Status& s, std::uint64_t seq) {
+    if (on_abandon_ == nullptr) {
+      // No token lookup: on the stop-and-wait wire this seq's token may
+      // already have left with a message that overtook it.
+      fail(s);
+      return;
+    }
+    auto it = tokens_.find(seq);
+    SCCPIPE_CHECK_MSG(it != tokens_.end(),
+                      "transport abandoned unknown message #" << seq);
+    FrameToken token = std::move(it->second);
+    tokens_.erase(it);
+    on_abandon_(token, s);
+  });
 }
 
 void HostToChipChannel::send(FrameToken token, SendDone on_sent) {
   SCCPIPE_CHECK(on_sent != nullptr);
   const double bytes = token.bytes;
   token.crc = frame_token_crc(token);
-  tokens_.push_back(std::move(token));
-  // Host-side stack cost, then the wire (credit-bounded).
-  host_.compute(wire_.host_side_cycles(bytes),
+  // Host-side pushes reach the wire FIFO, so the Nth send is wire seq N.
+  tokens_.emplace(push_seq_++, std::move(token));
+  // Host-side stack cost, then the wire.
+  host_.compute(wire_->link().host_side_cycles(bytes),
                 [this, bytes, cb = std::move(on_sent)]() mutable {
-                  wire_.push(bytes, std::move(cb));
+                  wire_->push(bytes, std::move(cb));
                 });
-}
-
-void HostToChipChannel::set_fault(FaultInjector* fault, RetryPolicy retry) {
-  wire_.set_fault(fault, retry, [this](const Status& s) { fail(s); });
 }
 
 void HostToChipChannel::recv(RecvDone on_token) {
   SCCPIPE_CHECK(on_token != nullptr);
-  wire_.pop([this, cb = std::move(on_token)](double bytes) mutable {
+  wire_->pop([this, cb = std::move(on_token)](double bytes) mutable {
     const SimTime matched = chip_.sim().now();
     // The consumer core works the UDP stack before the data is usable.
-    chip_.compute(consumer_, wire_.scc_recv_cycles(bytes),
+    chip_.compute(consumer_, wire_->link().scc_recv_cycles(bytes),
                   [this, matched, cb = std::move(cb)]() mutable {
-                    SCCPIPE_CHECK(!tokens_.empty());
-                    FrameToken token = std::move(tokens_.front());
-                    tokens_.pop_front();
-                    verify_token(token, "host-to-chip delivery");
-                    cb(std::move(token), matched);
-                  });
-  });
-}
-
-// ------------------------------------------------- ReliableHostToChipChannel
-
-ReliableHostToChipChannel::ReliableHostToChipChannel(HostCpu& host,
-                                                     SccChip& chip,
-                                                     CoreId consumer_core,
-                                                     ReliableLinkConfig cfg)
-    : host_(host),
-      chip_(chip),
-      consumer_(consumer_core),
-      wire_(chip.sim(), cfg) {
-  SCCPIPE_CHECK(chip.topology().valid_core(consumer_core));
-  wire_.set_error_handler([this](const Status& s, std::uint64_t seq) {
-    auto it = tokens_.find(seq);
-    SCCPIPE_CHECK_MSG(it != tokens_.end(),
-                      "transport abandoned unknown message #" << seq);
-    FrameToken token = std::move(it->second);
-    tokens_.erase(it);
-    if (on_abandon_ != nullptr) {
-      on_abandon_(token, s);
-    } else {
-      fail(s);
-    }
-  });
-}
-
-void ReliableHostToChipChannel::send(FrameToken token, SendDone on_sent) {
-  SCCPIPE_CHECK(on_sent != nullptr);
-  const double bytes = token.bytes;
-  token.crc = frame_token_crc(token);
-  // Host-side pushes admit FIFO, so the Nth push is ARQ sequence N.
-  tokens_.emplace(push_seq_++, std::move(token));
-  host_.compute(wire_.host_side_cycles(bytes),
-                [this, bytes, cb = std::move(on_sent)]() mutable {
-                  wire_.push(bytes, std::move(cb));
-                });
-}
-
-void ReliableHostToChipChannel::recv(RecvDone on_token) {
-  SCCPIPE_CHECK(on_token != nullptr);
-  wire_.pop([this, cb = std::move(on_token)](double bytes) mutable {
-    const SimTime matched = chip_.sim().now();
-    chip_.compute(consumer_, wire_.scc_recv_cycles(bytes),
-                  [this, matched, cb = std::move(cb)]() mutable {
-                    // In-order delivery with abandoned holes already
-                    // erased: the lowest outstanding sequence is this one.
                     SCCPIPE_CHECK(!tokens_.empty());
                     auto it = tokens_.begin();
                     FrameToken token = std::move(it->second);
                     tokens_.erase(it);
-                    verify_token(token, "reliable host-to-chip delivery");
+                    verify_token(token, "host-to-chip delivery");
                     cb(std::move(token), matched);
                   });
   });
@@ -312,10 +267,8 @@ ChipToViewerChannel::ChipToViewerChannel(SccChip& chip, CoreId producer_core,
       sink_(std::move(sink)) {
   SCCPIPE_CHECK(chip.topology().valid_core(producer_core));
   SCCPIPE_CHECK(sink_ != nullptr);
-}
-
-void ChipToViewerChannel::set_fault(FaultInjector* fault, RetryPolicy retry) {
-  wire_.set_fault(fault, retry, [this](const Status& s) { fail(s); });
+  wire_.set_error_handler(
+      [this](const Status& s, std::uint64_t) { fail(s); });
 }
 
 void ChipToViewerChannel::send(FrameToken token, SendDone on_sent) {
@@ -324,7 +277,7 @@ void ChipToViewerChannel::send(FrameToken token, SendDone on_sent) {
   token.crc = frame_token_crc(token);
   // UDP send cost on the producer core, then the wire; the viewer drains
   // the channel immediately on arrival.
-  chip_.compute(producer_, wire_.scc_send_cycles(bytes),
+  chip_.compute(producer_, wire_.link().scc_send_cycles(bytes),
                 [this, bytes, t = std::move(token),
                  cb = std::move(on_sent)]() mutable {
                   wire_.push(bytes, std::move(cb));

@@ -252,7 +252,6 @@ void Supervisor::evaluate_gray(SimTime now) {
     const double p50 = median();
     if (w.baseline_ms <= 0.0) w.baseline_ms = p50;  // first window seeds
     evals.push_back(Eval{i, p50, p50 / w.baseline_ms});
-    ++gray_windows_;
   }
   if (evals.empty()) return;
 

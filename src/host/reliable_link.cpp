@@ -20,30 +20,6 @@ ReliableHostChannel::ReliableHostChannel(Simulator& sim,
   SCCPIPE_CHECK(cfg_.retry.max_attempts >= 1);
 }
 
-double ReliableHostChannel::datagrams(double bytes) const {
-  if (bytes <= 0.0) return 1.0;
-  return std::ceil(bytes / cfg_.link.datagram_bytes);
-}
-
-double ReliableHostChannel::host_side_cycles(double bytes) const {
-  return cfg_.link.host_cycles_per_byte * bytes;
-}
-
-double ReliableHostChannel::scc_send_cycles(double bytes) const {
-  return cfg_.link.scc_send_cycles_per_byte * bytes +
-         cfg_.link.per_datagram_cycles * datagrams(bytes);
-}
-
-double ReliableHostChannel::scc_recv_cycles(double bytes) const {
-  return cfg_.link.scc_recv_cycles_per_byte * bytes +
-         cfg_.link.per_datagram_cycles * datagrams(bytes);
-}
-
-void ReliableHostChannel::set_error_handler(ErrorHandler on_error) {
-  SCCPIPE_CHECK(on_error != nullptr);
-  on_error_ = std::move(on_error);
-}
-
 SimTime ReliableHostChannel::smoothed_rtt() const {
   return has_rtt_ ? SimTime::sec(srtt_sec_) : SimTime::zero();
 }
@@ -75,7 +51,6 @@ void ReliableHostChannel::pump() {
     ++admitted_;
     InFlight& f = flight_[seq];
     f.bytes = p.bytes;
-    f.first_tx = sim_.now();
     admitted_any = true;
     // The producer is decoupled the moment the window slot and receiver
     // credit are reserved; the transfer proceeds in the background.
@@ -128,9 +103,9 @@ void ReliableHostChannel::transmit(std::uint64_t seq, int attempt) {
   // paid) but fails the datagram CRC and is discarded at the receiver. No
   // ACK comes back either way; the retransmit timer recovers.
   double rto_sec = base_rto().to_sec();
-  const double cap = cfg_.retry.max_backoff.to_sec();
+  const double cap = RetryPolicy::kMaxBackoff.to_sec();
   for (int i = 1; i < attempt && rto_sec < cap; ++i) {
-    rto_sec *= cfg_.retry.backoff_factor;
+    rto_sec *= RetryPolicy::kBackoffFactor;
   }
   if (rto_sec > cap) rto_sec = cap;
   f.timer = sim_.schedule_at(sim_.now() + SimTime::sec(rto_sec),
@@ -157,18 +132,13 @@ void ReliableHostChannel::on_timeout(std::uint64_t seq) {
     return;
   }
   if (f.attempt >= cfg_.retry.max_attempts) {
-    abandon(seq, StatusCode::RetriesExhausted);
-    return;
-  }
-  if (!cfg_.retry.deadline.is_zero() &&
-      sim_.now() - f.first_tx > cfg_.retry.deadline) {
-    abandon(seq, StatusCode::DeadlineExceeded);
+    abandon(seq);
     return;
   }
   transmit(seq, f.attempt + 1);
 }
 
-void ReliableHostChannel::abandon(std::uint64_t seq, StatusCode code) {
+void ReliableHostChannel::abandon(std::uint64_t seq) {
   auto it = flight_.find(seq);
   SCCPIPE_CHECK(it != flight_.end());
   const int attempts = it->second.attempt;
@@ -184,14 +154,9 @@ void ReliableHostChannel::abandon(std::uint64_t seq, StatusCode code) {
   drain();
   send_control(/*is_grant=*/true);
   std::ostringstream oss;
-  oss << "host-link message #" << seq << " (" << bytes << " B) abandoned ("
-      << (code == StatusCode::DeadlineExceeded ? "deadline" : "retries")
-      << ") after " << attempts << " attempt(s)";
-  Status failure{code, oss.str()};
-  SCCPIPE_CHECK_MSG(on_error_ != nullptr,
-                    "reliable host-link abandon without an error handler: "
-                        << failure.to_string());
-  on_error_(failure, seq);
+  oss << "host-link message #" << seq << " (" << bytes
+      << " B) abandoned (retries) after " << attempts << " attempt(s)";
+  report(Status{StatusCode::RetriesExhausted, oss.str()}, seq);
   pump();  // the freed window slot may admit queued work
 }
 

@@ -187,13 +187,8 @@ void RcceComm::resolve_loss(std::uint32_t id, SimTime detect,
                             const char* how) {
   const Transfer& t = transfers_[id];
   const RetryPolicy& rp = cfg_.retry;
-  const bool budget_left = t.attempt < rp.max_attempts;
-  const SimTime next_start =
-      detect + (budget_left ? rp.backoff_after(t.attempt) : SimTime::zero());
-  const bool deadline_ok = rp.deadline.is_zero() ||
-                           next_start - t.first_attempt_at <= rp.deadline;
-  if (budget_left && deadline_ok) {
-    chip_.sim().schedule_at(next_start, [this, id] {
+  if (t.attempt < rp.max_attempts) {
+    chip_.sim().schedule_at(detect + rp.backoff_after(t.attempt), [this, id] {
       ++retransmissions_;
       ++transfers_[id].attempt;
       attempt_transfer(id);
@@ -204,9 +199,7 @@ void RcceComm::resolve_loss(std::uint32_t id, SimTime detect,
   oss << "rcce " << t.from << "->" << t.to << " " << how << " after "
       << t.attempt << " attempt(s), "
       << (detect - t.first_attempt_at).to_ms() << " ms since rendezvous";
-  Status failure{budget_left ? StatusCode::DeadlineExceeded
-                             : StatusCode::RetriesExhausted,
-                 oss.str()};
+  Status failure{StatusCode::RetriesExhausted, oss.str()};
   chip_.sim().schedule_at(detect,
                           [this, id, failure = std::move(failure)] {
                             ++transfers_failed_;

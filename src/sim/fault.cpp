@@ -12,13 +12,13 @@ SimTime RetryPolicy::backoff_after(int failed_attempts) const {
   // Compute in floating point with a per-step cap: the naive fixed-point
   // multiply overflows int64 nanoseconds after ~60 doublings, long before
   // a generous retry budget is spent.
-  const double cap_ns = static_cast<double>(max_backoff.to_ns());
+  const double cap_ns = static_cast<double>(kMaxBackoff.to_ns());
   double ns = static_cast<double>(backoff.to_ns());
   for (int i = 1; i < failed_attempts; ++i) {
-    ns *= backoff_factor;
-    if (ns >= cap_ns) return max_backoff;
+    ns *= kBackoffFactor;
+    if (ns >= cap_ns) return kMaxBackoff;
   }
-  if (ns >= cap_ns) return max_backoff;
+  if (ns >= cap_ns) return kMaxBackoff;
   return SimTime::ns(static_cast<std::int64_t>(ns));
 }
 
@@ -646,17 +646,6 @@ MessageFate FaultInjector::rcce_message_fate(SimTime at, int from, int to,
   return fate;
 }
 
-MessageFate FaultInjector::host_message_fate(SimTime at,
-                                             SimTime* extra_delay) {
-  // The stop-and-wait transport sees reorder displacement as plain extra
-  // delay (one message in flight at a time, so nothing overtakes) and
-  // cannot represent duplicates; the full decision is still drawn and
-  // traced so the same plan yields the same fault stream either way.
-  const DatagramFate df = host_datagram_fate(at);
-  *extra_delay = df.extra_delay;
-  return df.fate;
-}
-
 DatagramFate FaultInjector::host_datagram_fate(SimTime at) {
   DatagramFate df;
   if (!enabled_) return df;
@@ -671,7 +660,6 @@ DatagramFate FaultInjector::host_datagram_fate(SimTime at) {
         burst_bad_ ? plan_.burst_exit_rate : plan_.burst_enter_rate;
     if (host_rng_.uniform() < flip) burst_bad_ = !burst_bad_;
     if (burst_bad_ && host_rng_.uniform() < plan_.burst_loss_rate) {
-      ++host_burst_drops_;
       FaultEvent ev;
       ev.kind = FaultKind::HostBurstDrop;
       ev.start = ev.end = at;
@@ -711,7 +699,6 @@ DatagramFate FaultInjector::host_datagram_fate(SimTime at) {
   }
   if (plan_.host_reorder_rate > 0.0 &&
       host_rng_.uniform() < plan_.host_reorder_rate) {
-    ++host_reorders_;
     FaultEvent ev;
     ev.kind = FaultKind::HostReorder;
     ev.start = ev.end = at;
@@ -722,7 +709,6 @@ DatagramFate FaultInjector::host_datagram_fate(SimTime at) {
   }
   if (plan_.host_duplicate_rate > 0.0 &&
       host_rng_.uniform() < plan_.host_duplicate_rate) {
-    ++host_duplicates_;
     FaultEvent ev;
     ev.kind = FaultKind::HostDuplicate;
     ev.start = ev.end = at;

@@ -20,10 +20,4 @@ SimTime FlowResource::acquire(SimTime at, SimTime service) {
   return horizon_;
 }
 
-void FlowResource::reset_stats() {
-  busy_ = SimTime::zero();
-  queued_ = SimTime::zero();
-  requests_ = 0;
-}
-
 }  // namespace sccpipe

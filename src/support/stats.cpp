@@ -26,8 +26,6 @@ double OnlineStats::variance() const {
   return m2_ / static_cast<double>(n_ - 1);
 }
 
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
 double quantile_sorted(const std::vector<double>& sorted, double q) {
   SCCPIPE_CHECK(!sorted.empty());
   SCCPIPE_CHECK_MSG(q >= 0.0 && q <= 1.0, "q=" << q);

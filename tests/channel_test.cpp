@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "sccpipe/core/channel.hpp"
+#include "sccpipe/host/reliable_link.hpp"
 #include "sccpipe/support/check.hpp"
 
 namespace sccpipe {
@@ -115,7 +118,8 @@ TEST_F(ChannelFixture, RetiredCreditedChannelKeepsItsCredits) {
 
 TEST_F(ChannelFixture, HostChannelChargesConsumerCore) {
   HostCpu host(sim);
-  HostToChipChannel ch(host, chip, /*consumer=*/0, HostLinkConfig::mcpc());
+  HostToChipChannel ch(host, chip, /*consumer=*/0,
+                       std::make_unique<HostChannel>(sim));
   chip.allocate_core(0);
   FrameToken got;
   ch.send(token(3, 640.0 * 1024.0), [] {});
@@ -131,7 +135,7 @@ TEST_F(ChannelFixture, HostChannelChargesConsumerCore) {
 
 TEST_F(ChannelFixture, HostChannelMatchedAtIsWireArrival) {
   HostCpu host(sim);
-  HostToChipChannel ch(host, chip, 0, HostLinkConfig::mcpc());
+  HostToChipChannel ch(host, chip, 0, std::make_unique<HostChannel>(sim));
   SimTime matched, delivered;
   ch.send(token(0, 8.0e5), [] {});
   ch.recv([&](FrameToken, SimTime m) {
@@ -142,6 +146,107 @@ TEST_F(ChannelFixture, HostChannelMatchedAtIsWireArrival) {
   // Delivery strictly after match (the consumer works the UDP stack).
   EXPECT_GT(delivered, matched);
   EXPECT_GT(matched, SimTime::zero());
+}
+
+/// A fault layer for the host wire alone (the chip's own components are
+/// never attached to it).
+FaultInjector host_faults(const std::string& plan_text, std::uint64_t seed) {
+  FaultPlan plan;
+  const Status st = plan.parse(plan_text);
+  EXPECT_TRUE(st.ok()) << st.to_string();
+  plan.seed = seed;
+  return FaultInjector(plan, 96, 24, 4);
+}
+
+TEST_F(ChannelFixture, HostChannelOvertakenMessageStillPairsTokensInOrder) {
+  // Every host datagram is delayed by up to 50 ms; under seed 5 the first
+  // one is held back far longer than the second, so message 1 crosses the
+  // wire first. The stop-and-wait wire pairs tokens by position: the
+  // tokens still leave in send order, each one intact.
+  FaultInjector fault = host_faults("host-delay=1:50ms", 5);
+  HostCpu host(sim);
+  auto wire = std::make_unique<HostChannel>(sim);
+  wire->set_fault(&fault, RetryPolicy{});
+  HostToChipChannel ch(host, chip, 0, std::move(wire));
+  chip.allocate_core(0);
+  std::vector<int> got;
+  ch.send(token(0), [] {});
+  ch.send(token(1), [] {});
+  for (int i = 0; i < 2; ++i) {
+    ch.recv([&](FrameToken t, SimTime) { got.push_back(t.frame); });
+  }
+  sim.run();
+  ASSERT_EQ(fault.trace().size(), 2u);
+  EXPECT_GT(fault.trace()[0].extra, fault.trace()[1].extra + 1_ms)
+      << "seed no longer makes message 1 overtake message 0";
+  EXPECT_EQ(got, (std::vector<int>{0, 1}));
+}
+
+TEST_F(ChannelFixture, ArqAbandonHandsTheTokenOverAndTheNextOneDelivers) {
+  // Seed 4 under a 60 % drop rate loses both attempts of message 0 and
+  // delivers message 1 on its first.
+  FaultInjector fault = host_faults("host-drop=0.6", 4);
+  HostCpu host(sim);
+  ReliableLinkConfig rl;
+  rl.window = 1;
+  rl.retry.max_attempts = 2;
+  rl.retry.timeout = 5_ms;
+  auto wire = std::make_unique<ReliableHostChannel>(sim, rl);
+  wire->set_fault(&fault);
+  HostToChipChannel ch(host, chip, 0, std::move(wire));
+  chip.allocate_core(0);
+  std::vector<int> abandoned;
+  std::vector<StatusCode> codes;
+  ch.set_abandon_handler([&](const FrameToken& t, const Status& s) {
+    abandoned.push_back(t.frame);
+    codes.push_back(s.code());
+  });
+  ch.set_error_handler([](const Status& s) {
+    ADD_FAILURE() << "abandon reached the error handler: " << s.to_string();
+  });
+  std::vector<int> got;
+  ch.send(token(0), [] {});
+  ch.send(token(1), [] {});
+  ch.recv([&](FrameToken t, SimTime) { got.push_back(t.frame); });
+  sim.run();
+  ASSERT_EQ(fault.trace().size(), 2u)
+      << "seed no longer drops exactly message 0's two attempts";
+  EXPECT_EQ(abandoned, (std::vector<int>{0}));
+  EXPECT_EQ(codes, (std::vector<StatusCode>{StatusCode::RetriesExhausted}));
+  EXPECT_EQ(got, (std::vector<int>{1}));
+}
+
+TEST_F(ChannelFixture, WireErrorWithoutAbandonHandlerFailsTheChannel) {
+  // Every datagram is lost and no retry is allowed. With no abandon
+  // handler either wire's give-up reaches the channel's error handler, and
+  // the lost token is never delivered.
+  FaultInjector fault = host_faults("host-drop=1", 1);
+  for (const bool arq : {false, true}) {
+    Simulator s;
+    SccChip c{s};
+    HostCpu host(s);
+    std::unique_ptr<HostWire> wire;
+    if (arq) {
+      auto w = std::make_unique<ReliableHostChannel>(s, ReliableLinkConfig{});
+      w->set_fault(&fault);
+      wire = std::move(w);
+    } else {
+      auto w = std::make_unique<HostChannel>(s);
+      w->set_fault(&fault, RetryPolicy{});
+      wire = std::move(w);
+    }
+    HostToChipChannel ch(host, c, 0, std::move(wire));
+    c.allocate_core(0);
+    std::vector<StatusCode> errors;
+    ch.set_error_handler([&](const Status& st) { errors.push_back(st.code()); });
+    bool delivered = false;
+    ch.send(token(0), [] {});
+    ch.recv([&](FrameToken, SimTime) { delivered = true; });
+    s.run();
+    EXPECT_EQ(errors, (std::vector<StatusCode>{StatusCode::RetriesExhausted}))
+        << (arq ? "ARQ wire" : "stop-and-wait wire");
+    EXPECT_FALSE(delivered);
+  }
 }
 
 // ------------------------------------------------------- ChipToViewerChannel

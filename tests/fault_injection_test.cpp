@@ -45,10 +45,10 @@ RunConfig base_config() {
 TEST(RetryPolicy, BackoffGrowsExponentially) {
   RetryPolicy rp;
   rp.backoff = SimTime::ms(2);
-  rp.backoff_factor = 3.0;
   EXPECT_EQ(rp.backoff_after(1), SimTime::ms(2));
-  EXPECT_EQ(rp.backoff_after(2), SimTime::ms(6));
-  EXPECT_EQ(rp.backoff_after(3), SimTime::ms(18));
+  EXPECT_EQ(rp.backoff_after(2), SimTime::ms(4));
+  EXPECT_EQ(rp.backoff_after(3), SimTime::ms(8));
+  EXPECT_EQ(rp.backoff_after(10), SimTime::ms(1024));
 }
 
 // -------------------------------------------------------------- plan parse
@@ -418,20 +418,6 @@ TEST(FaultWalkthrough, RetryExhaustionSurfacesTypedErrorNotAHang) {
   // Two retransmissions per failed transfer (3 attempts).
   EXPECT_EQ(r.fault.rcce_retransmissions, 2u * r.fault.rcce_transfers_failed);
   EXPECT_GT(r.walkthrough, SimTime::zero());
-}
-
-TEST(FaultWalkthrough, DeadlineExceededSurfacesBeforeAttemptsRunOut) {
-  RunConfig cfg = base_config();
-  cfg.fault.seed = 3;
-  cfg.fault.rcce_drop_rate = 1.0;
-  cfg.rcce.retry.max_attempts = 100;
-  cfg.rcce.retry.timeout = SimTime::ms(5);
-  cfg.rcce.retry.backoff = SimTime::ms(1);
-  cfg.rcce.retry.deadline = SimTime::ms(12);
-
-  const RunResult r = run_walkthrough(shared_scene(), shared_trace(), cfg);
-  EXPECT_TRUE(r.fault.failed);
-  EXPECT_EQ(r.fault.failure_code, StatusCode::DeadlineExceeded);
 }
 
 TEST(FaultWalkthrough, DelaysAloneDegradeTimingButComplete) {

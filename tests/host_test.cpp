@@ -133,32 +133,28 @@ TEST_F(ChannelFixture, FifoOrderPreserved) {
 // --------------------------------------------------------- endpoint costing
 
 TEST(HostLinkCosts, DatagramSegmentation) {
-  Simulator sim;
-  HostChannel ch(sim);
-  EXPECT_DOUBLE_EQ(ch.datagrams(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(ch.datagrams(8192.0), 1.0);
-  EXPECT_DOUBLE_EQ(ch.datagrams(8193.0), 2.0);
-  EXPECT_DOUBLE_EQ(ch.datagrams(640.0 * 1024.0), 80.0);
+  const HostLinkConfig link = HostLinkConfig::mcpc();
+  EXPECT_DOUBLE_EQ(link.datagrams(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(link.datagrams(8192.0), 1.0);
+  EXPECT_DOUBLE_EQ(link.datagrams(8193.0), 2.0);
+  EXPECT_DOUBLE_EQ(link.datagrams(640.0 * 1024.0), 80.0);
 }
 
 TEST(HostLinkCosts, SccRecvIsFarDearerThanSend) {
   // The paper's asymmetry: the connect stage's UDP receive dominates its
   // budget; the transfer stage's send is ~5x cheaper.
-  Simulator sim;
-  HostChannel ch(sim);
+  const HostLinkConfig link = HostLinkConfig::mcpc();
   const double frame = 640.0 * 1024.0;
-  EXPECT_GT(ch.scc_recv_cycles(frame), 3.0 * ch.scc_send_cycles(frame));
+  EXPECT_GT(link.scc_recv_cycles(frame), 3.0 * link.scc_send_cycles(frame));
   // ~120 ms at 533 MHz for the receive path (Fig. 11's plateau).
-  EXPECT_NEAR(ch.scc_recv_cycles(frame) / 533e6, 0.12, 0.03);
+  EXPECT_NEAR(link.scc_recv_cycles(frame) / 533e6, 0.12, 0.03);
   // ~25 ms for the send path (Fig. 8's transfer stage).
-  EXPECT_NEAR(ch.scc_send_cycles(frame) / 533e6, 0.025, 0.008);
+  EXPECT_NEAR(link.scc_send_cycles(frame) / 533e6, 0.025, 0.008);
 }
 
 TEST(HostLinkCosts, ClusterStackIsCheap) {
-  Simulator sim;
-  HostChannel ch(sim, HostLinkConfig::cluster());
   const double frame = 640.0 * 1024.0;
-  EXPECT_LT(ch.scc_recv_cycles(frame), 2.0e6);
+  EXPECT_LT(HostLinkConfig::cluster().scc_recv_cycles(frame), 2.0e6);
 }
 
 TEST(HostLinkCosts, ExternalClusterPathIsSlowWire) {

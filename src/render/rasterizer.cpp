@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "lanes.hpp"
+#include "pixel_bound.hpp"
 #include "sccpipe/support/check.hpp"
 
 namespace sccpipe {
@@ -74,10 +75,10 @@ bool setup_screen_triangle(ScreenVertex v0, ScreenVertex v1, ScreenVertex v2,
   out.v2 = v2;
   out.inv_area = 1.0f / area;
   out.color = col;
-  out.min_x = static_cast<int>(std::floor(std::min({v0.x, v1.x, v2.x})));
-  out.max_x = static_cast<int>(std::ceil(std::max({v0.x, v1.x, v2.x})));
-  out.min_y = static_cast<int>(std::floor(std::min({v0.y, v1.y, v2.y})));
-  out.max_y = static_cast<int>(std::ceil(std::max({v0.y, v1.y, v2.y})));
+  out.min_x = pixel_bound(std::floor(std::min({v0.x, v1.x, v2.x})));
+  out.max_x = pixel_bound(std::ceil(std::max({v0.x, v1.x, v2.x})));
+  out.min_y = pixel_bound(std::floor(std::min({v0.y, v1.y, v2.y})));
+  out.max_y = pixel_bound(std::ceil(std::max({v0.y, v1.y, v2.y})));
   return true;
 }
 

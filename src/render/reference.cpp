@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "pixel_bound.hpp"
 #include "sccpipe/support/check.hpp"
 
 namespace sccpipe::reference {
@@ -29,16 +30,15 @@ void raster_screen_triangle(Framebuffer& fb, const Viewport& vp,
   }
 
   const int w = fb.width();
-  const int min_x = std::max(0, static_cast<int>(std::floor(
-                                    std::min({v0.x, v1.x, v2.x}))));
-  const int max_x = std::min(w - 1, static_cast<int>(std::ceil(
-                                        std::max({v0.x, v1.x, v2.x}))));
-  const int min_y = std::max(vp.y_offset,
-                             static_cast<int>(std::floor(
-                                 std::min({v0.y, v1.y, v2.y}))));
-  const int max_y = std::min(vp.y_offset + fb.height() - 1,
-                             static_cast<int>(std::ceil(
-                                 std::max({v0.y, v1.y, v2.y}))));
+  const int min_x =
+      std::max(0, pixel_bound(std::floor(std::min({v0.x, v1.x, v2.x}))));
+  const int max_x =
+      std::min(w - 1, pixel_bound(std::ceil(std::max({v0.x, v1.x, v2.x}))));
+  const int min_y = std::max(
+      vp.y_offset, pixel_bound(std::floor(std::min({v0.y, v1.y, v2.y}))));
+  const int max_y =
+      std::min(vp.y_offset + fb.height() - 1,
+               pixel_bound(std::ceil(std::max({v0.y, v1.y, v2.y}))));
   if (min_x > max_x || min_y > max_y) return;
 
   const float inv_area = 1.0f / area;

@@ -208,8 +208,8 @@ Color random_color(Rng& rng) {
 /// A triangle whose clip coordinates hold NaN, +-inf or ~1e30. Vertex 0
 /// stays finite and in front of the eye, so it is the first screen vertex;
 /// the bounding box's std::min/std::max skip a NaN that is not first, so
-/// the box stays finite, where an infinite or huge screen coordinate would
-/// overflow the float-to-int cast of both rasterizers alike. Hence NaN
+/// the box stays finite (HugeFirstVertexBoxIsDefined covers a first vertex
+/// far off screen). Hence NaN
 /// reaches x and y of vertices 1 and 2 only (NaN edge values: the coverage
 /// test), any special value reaches z (a NaN depth passes every reject test
 /// and is written), and w is made +-inf, NaN or 1e30, or a vertex is
@@ -328,6 +328,34 @@ TEST(GoldenRaster, TriangleBatchBitIdentical) {
   }
   for (const auto& [w, h] : kFullFrames) {
     expect_raster_equal(w, h, 0, h, raster_batch(rng));
+  }
+}
+
+TEST(GoldenRaster, HugeFirstVertexBoxIsDefined) {
+  // A first clip vertex at x = +-1e30 puts the screen bounding box far
+  // outside int: both rasterizers must bound it without an undefined
+  // float-to-int cast (a -fsanitize=float-cast-overflow build checks
+  // that), agree bit for bit, and draw nothing past the +1e30 edge.
+  Rng rng{0xb16b0c5};
+  for (const float x : {1e30f, -1e30f}) {
+    std::vector<ClipTriangle> tris;
+    for (int i = 0; i < 8; ++i) {
+      ClipTriangle t{{random_clip_vertex(rng), random_clip_vertex(rng),
+                      random_clip_vertex(rng)},
+                     random_color(rng)};
+      t.v[0] = Vec4{x, 0.25f, 0.5f, 1.0f};
+      tris.push_back(t);
+    }
+    expect_raster_equal(31, 17, 0, 17, tris);
+    if (x > 0.0f) {
+      Framebuffer fb(31, 17);
+      RasterStats st;
+      for (const ClipTriangle& t : tris) {
+        draw_triangle_clip(fb, Viewport::full(fb), t.v[0], t.v[1], t.v[2],
+                           t.color, &st);
+      }
+      EXPECT_EQ(st.pixels_filled, 0u);
+    }
   }
 }
 

@@ -189,6 +189,9 @@ struct GrayActionRecord {
   double before_stage_ms = 0.0;   ///< window p50 at the flag
   double after_stage_ms = 0.0;    ///< stage service p50 after the action
   int migrated_to = -1;           ///< spare core, for "migrate"
+  /// Strips the pipeline held when "migrate" rebuilt it: the backlog the
+  /// drain re-sends, at most.
+  int strips_held = 0;
 };
 
 /// Gray-failure outcome of one run: every detector flag, every ladder
